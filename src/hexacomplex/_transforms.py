@@ -4,12 +4,14 @@ Every linear map used by the library (canonical variables, orthonormal
 rotated axes, idempotent basis) has entries drawn from cos/sin of
 multiples of pi/6.  Building the rows from one exact lookup table keeps
 the matrices bit-identical to their closed forms and keeps round trips
-at the double-precision floor.
+at the double-precision floor.  The row tables are constant per
+variant, so each is built once and shared as an immutable tuple.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -55,6 +57,7 @@ def _scaled(row, s):
     return tuple(v * s for v in row)
 
 
+@cache
 def canonical_rows(planar: bool) -> tuple[tuple[float, ...], ...]:
     """Rows mapping components to canonical variables.
 
@@ -71,6 +74,7 @@ def canonical_rows(planar: bool) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
+@cache
 def basis_rows(planar: bool) -> tuple[tuple[float, ...], ...]:
     """Component tuples of the canonical basis, same ordering as canonical_rows.
 
@@ -88,6 +92,7 @@ def basis_rows(planar: bool) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
+@cache
 def rotation_rows(planar: bool) -> tuple[tuple[float, ...], ...]:
     """Rows of the orthogonal matrix onto the rotated axes.
 

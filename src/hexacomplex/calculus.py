@@ -6,17 +6,27 @@ Derivatives of analytic functions are direction independent and lock the
 central finite differences.  Line integrals run over sampled polyline
 paths with midpoint quadrature; closed loops pick up 2*pi residues from
 the canonical planes only, weighted by per-plane winding numbers.
+
+The quadrature works in canonical coordinates: one transform moves the
+sampled path to the real axes and complex planes, where the products and
+quotients of f(u) (u - u0)^-1 du act on each axis and plane separately,
+and the sum maps back once.  f is called once per chord midpoint, on a
+HexaNumber, so any evaluator works.  Memory is O(N): besides the path,
+one (N+1)x6 array of canonical offsets and fixed-size blocks of chords.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
-from .algebra import HexaNumber, Variant, canonical_components
-from .canonical import canonical_basis, rotated_coords
-from .errors import DegeneratePathError, DomainError
+import numpy as np
+
+from .algebra import ZERO_COMPONENT_RTOL, HexaNumber, Variant, from_canonical_components
+from .canonical import canonical_basis
+from .errors import DegeneratePathError, DomainError, VariantError, ZeroDivisorError
 from . import _transforms as tr
 from . import elementary
 
@@ -38,8 +48,17 @@ _FIRST_ORDER_STEP = 1e-5
 _SECOND_ORDER_STEP = 1e-4
 _PATH_CLEARANCE = 1e-6
 _PROJECTION_CLEARANCE = 1e-9
+# Rows per block of the array arithmetic on sampled paths: its temporaries
+# stay near 12 kB each whatever the sample count, which keeps peak memory
+# at the path itself plus one array of canonical offsets.
+_BLOCK = 256
 
 Evaluator = Callable[[HexaNumber], HexaNumber]
+
+
+def _blocks(n: int) -> Iterable[tuple[int, int]]:
+    """Consecutive row ranges [lo, hi) covering range(n)."""
+    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
 @dataclass(frozen=True)
@@ -109,22 +128,21 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
         raise ValueError("need at least 8 samples for a circle")
     rows = tr.rotation_rows(variant.is_planar)
     offset = 0 if variant.is_planar else 2
-    directions = {}
+    directions = []
     for k, radius in radii.items():
         if not 1 <= k <= tr.pair_count(variant.is_planar):
             raise ValueError(f"plane index {k} out of range")
-        xi_row = rows[offset + 2 * (k - 1)]
-        eta_row = rows[offset + 2 * (k - 1) + 1]
-        directions[k] = (HexaNumber(variant, xi_row), HexaNumber(variant, eta_row), radius)
-    points = []
-    for i in range(samples):
-        t = 2.0 * math.pi * i / samples
-        u = center
-        for xi_vec, eta_vec, radius in directions.values():
-            u = u + xi_vec * (radius * math.cos(t)) + eta_vec * (radius * math.sin(t))
-        points.append(u)
-    points.append(points[0])
-    return Path(variant, points, closed=True)
+        directions.append((radius, rows[offset + 2 * (k - 1)], rows[offset + 2 * (k - 1) + 1]))
+    loop = []
+    for lo, hi in _blocks(samples):
+        t = 2.0 * np.pi * np.arange(lo, hi) / samples
+        points = np.tile(center.components, (hi - lo, 1))
+        for radius, xi_row, eta_row in directions:
+            points += np.outer(radius * np.cos(t), xi_row)
+            points += np.outer(radius * np.sin(t), eta_row)
+        loop.extend(HexaNumber(variant, p.tolist()) for p in points)
+    loop.append(loop[0])
+    return Path(variant, loop, closed=True)
 
 
 @dataclass(frozen=True)
@@ -263,13 +281,101 @@ def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
                     second_order=tuple(second_order))
 
 
+def _sample_array(path: Path, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Samples lo..hi-1 of the path (all by default) as the rows of an array."""
+    samples = path.samples[lo:hi]
+    flat = chain.from_iterable(s.components for s in samples)
+    return np.fromiter(flat, np.float64, 6 * len(samples)).reshape(-1, 6)
+
+
+def _canonical(x: np.ndarray, planar: bool) -> np.ndarray:
+    """Canonical components of each row of x, in canonical row order (see _transforms)."""
+    return np.einsum("ij,kj->ik", x, tr.canonical_rows(planar))
+
+
+def _axes_planes(c: np.ndarray, planar: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a canonical array: real axis columns and complex plane columns vk + i vk~."""
+    axes = 0 if planar else 2
+    return c[:, :axes], c.view(np.complex128)[:, axes // 2:]
+
+
+def _ring_update(op, a: np.ndarray, b: np.ndarray, planar: bool) -> None:
+    """a = op(a, b) in place, per canonical component: real on the axes, complex on the planes."""
+    for x, y in zip(_axes_planes(a, planar), _axes_planes(b, planar)):
+        op(x, y, out=x)
+
+
+def _first_below(c: np.ndarray, bound, planar: bool, strict: bool) -> str | None:
+    """Label of the first canonical component, row by row, whose magnitude is below ``bound``.
+
+    ``bound`` is a number or one bound per row; ``strict`` picks < over <=.
+    Components are named v+, v- and pair1, pair2, ... as in ZeroDivisorError.
+    """
+    axes, planes = _axes_planes(c, planar)
+    magnitudes = np.hstack((np.abs(axes), np.abs(planes)))
+    bound = np.reshape(bound, (-1, 1))
+    hits = np.argwhere(magnitudes < bound if strict else magnitudes <= bound)
+    if not len(hits):
+        return None
+    pairs = tuple(f"pair{k}" for k in range(1, tr.pair_count(planar) + 1))
+    return (pairs if planar else ("v+", "v-") + pairs)[hits[0][1]]
+
+
+def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> HexaNumber:
+    """Midpoint rule on the chords of ``path``, summed in canonical coordinates.
+
+    Each chord contributes F(mid) * delta, divided by mid - pole when a pole
+    is given; products and quotients act on each axis and plane
+    separately.  With a pole, a sample within 1e-6 of it in some canonical
+    component raises :class:`DegeneratePathError` before f is called, and
+    a chord midpoint that is a zero divisor of u - pole raises
+    :class:`ZeroDivisorError` before f is called on its block of chords.
+    """
+    variant = path.variant
+    planar = variant.is_planar
+    # One path-sized array, the canonical offsets of the samples from the
+    # pole (or from zero); everything else works in blocks of chords.
+    offsets = _sample_array(path)
+    if pole is not None:
+        offsets -= pole.components
+    for lo, hi in _blocks(len(offsets)):
+        offsets[lo:hi] = _canonical(offsets[lo:hi], planar)
+        if pole is not None:
+            label = _first_below(offsets[lo:hi], _PATH_CLEARANCE, planar, strict=True)
+            if label:
+                raise DegeneratePathError(
+                    f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
+    total = np.zeros(6)
+    for lo, hi in _blocks(len(offsets) - 1):
+        samples = _sample_array(path, lo, hi + 1)
+        values = samples[:-1] + samples[1:]  # chord midpoints, then F(mid)
+        values *= 0.5
+        ends = offsets[lo:hi + 1]
+        weights = ends[1:] - ends[:-1]
+        if pole is not None:
+            quotient = ends[1:] + ends[:-1]
+            quotient *= 0.5
+            shifted = values - pole.components
+            threshold = ZERO_COMPONENT_RTOL * np.sqrt(np.einsum("ij,ij->i", shifted, shifted))
+            label = _first_below(quotient, threshold, planar, strict=False)
+            if label:
+                raise ZeroDivisorError(label)
+            _ring_update(np.divide, weights, quotient, planar)
+        for i, mid in enumerate(values):
+            value = f(HexaNumber(variant, mid.tolist()))
+            if value.variant is not variant:
+                raise VariantError(f"integrand returned a {value.variant.value} value "
+                                   f"on a {variant.value} path")
+            values[i] = value.components
+        terms = _canonical(values, planar)
+        _ring_update(np.multiply, terms, weights, planar)
+        total += terms.sum(axis=0)
+    return from_canonical_components(variant, total)
+
+
 def line_integral(f: Evaluator, path: Path) -> HexaNumber:
     """Midpoint-rule integral of f along the sampled polyline."""
-    total = HexaNumber.zero(path.variant)
-    for a, b in path.segments():
-        mid = (a + b) * 0.5
-        total = total + f(mid) * (b - a)
-    return total
+    return _midpoint_sum(f, path)
 
 
 def winding_number(path: Path, u0: HexaNumber, plane: int) -> int:
@@ -282,25 +388,23 @@ def winding_number(path: Path, u0: HexaNumber, plane: int) -> int:
         raise ValueError("winding numbers need a closed path")
     if u0.variant is not path.variant:
         raise ValueError("point and path variants differ")
-    cx, cy = rotated_coords(u0).plane(plane)
-    total = 0.0
-    prev = None
-    for s in path.samples:
-        x, y = rotated_coords(s).plane(plane)
-        dx, dy = x - cx, y - cy
-        if math.hypot(dx, dy) < _PROJECTION_CLEARANCE:
-            raise DegeneratePathError(
-                f"projected path touches the projected point in plane {plane}")
-        angle = math.atan2(dy, dx)
-        if prev is not None:
-            delta = angle - prev
-            while delta > math.pi:
-                delta -= 2.0 * math.pi
-            while delta < -math.pi:
-                delta += 2.0 * math.pi
-            total += delta
-        prev = angle
-    return round(total / (2.0 * math.pi))
+    planar = path.variant.is_planar
+    if not 1 <= plane <= tr.pair_count(planar):
+        raise ValueError(f"plane index {plane} out of range")
+    first = (0 if planar else 2) + 2 * (plane - 1)
+    rows = tr.rotation_rows(planar)[first:first + 2]
+    dx, dy = np.empty((2, len(path.samples)))
+    for lo, hi in _blocks(len(path.samples)):
+        points = _sample_array(path, lo, hi)
+        points -= u0.components
+        dx[lo:hi], dy[lo:hi] = np.einsum("ij,kj->ki", points, rows)
+    if (np.hypot(dx, dy) < _PROJECTION_CLEARANCE).any():
+        raise DegeneratePathError(
+            f"projected path touches the projected point in plane {plane}")
+    delta = np.diff(np.arctan2(dy, dx))
+    delta[delta > math.pi] -= 2.0 * math.pi
+    delta[delta <= -math.pi] += 2.0 * math.pi
+    return round(float(delta.sum()) / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -326,27 +430,9 @@ def residue_integral(f: Evaluator, path: Path, u0: HexaNumber) -> ResidueCompari
     """
     if not path.closed:
         raise ValueError("residue integrals need a closed path")
+    numeric = _midpoint_sum(f, path, u0)
     variant = path.variant
     planar = variant.is_planar
-    for s in path.samples:
-        comps = canonical_components(s - u0)
-        idx = 0
-        if not planar:
-            for label in ("v+", "v-"):
-                if abs(comps[idx]) < _PATH_CLEARANCE:
-                    raise DegeneratePathError(
-                        f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
-                idx += 1
-        for k in range(1, tr.pair_count(planar) + 1):
-            if math.hypot(comps[idx], comps[idx + 1]) < _PATH_CLEARANCE:
-                raise DegeneratePathError(
-                    f"path canonical component pair{k} comes within {_PATH_CLEARANCE} of zero")
-            idx += 2
-
-    def integrand(u: HexaNumber) -> HexaNumber:
-        return f(u) * (u - u0).inverse()
-
-    numeric = line_integral(integrand, path)
     basis = canonical_basis(variant)
     tilde_offset = 1 if planar else 3
     windings = tuple(winding_number(path, u0, k)

@@ -8,6 +8,7 @@ errors, 2 on parse errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -170,6 +171,12 @@ def cmd_integrate(args: argparse.Namespace, config: CliConfig) -> int:
     if not 1 <= args.plane <= plane_count:
         print(f"integrate: plane must lie in 1..{plane_count} for {variant.value}",
               file=sys.stderr)
+        return 1
+    if args.samples < 8:
+        print(f"integrate: --samples must be at least 8, got {args.samples}", file=sys.stderr)
+        return 1
+    if not math.isfinite(args.radius):
+        print(f"integrate: radius must be finite, got {args.radius}", file=sys.stderr)
         return 1
     # Loop center sits off the pole in every non-winding canonical direction,
     # keeping the quotient away from the zero-divisor set.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ from hexacomplex.calculus import (
     winding_number,
 )
 from hexacomplex.canonical import canonical_basis
-from hexacomplex.errors import DegeneratePathError, DomainError
+from hexacomplex.errors import DegeneratePathError, DomainError, VariantError, ZeroDivisorError
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,6 +176,10 @@ def test_winding_numbers():
     double = Path(variant, list(base) + list(base) + [base[0]], closed=True)
     assert winding_number(double, pole, 1) == 2
 
+    for plane in (0, 3):
+        with pytest.raises(ValueError, match="plane index"):
+            winding_number(loop, pole, plane)
+
 
 def test_winding_number_requires_clearance():
     variant = Variant.PLANAR
@@ -228,11 +233,130 @@ def test_residue_integral_planar_two_planes():
 
 
 def test_residue_integral_rejects_near_degenerate_paths():
+    cases = [
+        (Variant.POLAR, 1, 0.0, "v+"),     # v+/v- of u - pole vanish
+        (Variant.POLAR, 1, 1.0, "pair2"),  # axes cleared, plane 2 still on the pole
+        (Variant.PLANAR, 1, 0.0, "pair2"),
+        (Variant.PLANAR, 2, 0.0, "pair1"),
+    ]
+    for variant, plane, axis_offset, label in cases:
+        pole = HexaNumber.zero(variant)
+        offset = (axis_offset, axis_offset, 0.0, 0.0, 0.0, 0.0)
+        center = pole + from_canonical_components(variant, offset)
+        loop = circle_path(variant, center, 1.0, 128, plane=plane)
+        with pytest.raises(DegeneratePathError, match=re.escape(f"component {label} ")):
+            residue_integral(lambda u: HexaNumber.one(variant), loop, pole)
+
+    # 600 samples clear of the pole except sample 400, whose v- vanishes
+    variant = Variant.POLAR
+    samples = [from_canonical_components(
+        variant, (2.0, 0.0 if i == 400 else 2.0, math.cos(t), math.sin(t), 2.0, 0.0))
+        for i, t in enumerate(TWO_PI * i / 600 for i in range(600))]
+    loop = Path(variant, samples + samples[:1], closed=True)
+    with pytest.raises(DegeneratePathError, match=re.escape("component v- ")):
+        residue_integral(FUNCTIONS["one"], loop, HexaNumber.zero(variant))
+
+
+def _half_turn_loop(variant: Variant, count: int) -> Path:
+    """``count`` samples on a half circle around the pole in plane 1, closed.
+
+    Every sample keeps a distance of 1 from the pole in plane 1, but the
+    closing chord runs through it: its midpoint is a zero divisor in pair1.
+    """
+    samples = [from_canonical_components(variant, (2.0, 2.0, math.cos(t), math.sin(t), 2.0, 0.0))
+               for t in (math.pi * i / (count - 1) for i in range(count))]
+    return Path(variant, samples + samples[:1], closed=True)
+
+
+@pytest.mark.parametrize("count", [2, 600])
+def test_residue_integral_rejects_zero_divisor_midpoint(count):
     variant = Variant.POLAR
     pole = HexaNumber.zero(variant)
-    loop = circle_path(variant, pole, 1.0, 128, plane=1)  # v+/v- of u - pole vanish
-    with pytest.raises(DegeneratePathError):
-        residue_integral(lambda u: HexaNumber.one(variant), loop, pole)
+    loop = _half_turn_loop(variant, count)
+    one = FUNCTIONS["one"]
+    with pytest.raises(ZeroDivisorError) as batched:
+        residue_integral(one, loop, pole)
+    with pytest.raises(ZeroDivisorError) as scalar:
+        _scalar_midpoint_sum(lambda u: one(u) * (u - pole).inverse(), loop)
+    assert batched.value.component == scalar.value.component == "pair1"
+
+
+def test_quadrature_rejects_integrand_of_the_other_variant():
+    loop = circle_path(Variant.POLAR, HexaNumber.one(Variant.POLAR), 0.5, 16, plane=1)
+    with pytest.raises(VariantError):
+        line_integral(lambda u: HexaNumber.one(Variant.PLANAR), loop)
+
+
+def _scalar_midpoint_sum(f, path):
+    """Reference midpoint rule, one HexaNumber operation at a time.
+
+    Returns the sum and the summed moduli of its terms; the latter is the
+    scale of the rounding error of any order of summation.
+    """
+    total = HexaNumber.zero(path.variant)
+    magnitude = 0.0
+    for a, b in path.segments():
+        mid = (a + b) * 0.5
+        term = f(mid) * (b - a)
+        total = total + term
+        magnitude += abs(term)
+    return total, magnitude
+
+
+def _open_path_text(variant: Variant, count: int) -> str:
+    """Serialized open path along a cubic curve that moves all six components."""
+    lines = [f"{variant.value} {count} 0"]
+    for i in range(count):
+        t = i / (count - 1)
+        comps = (0.2 + 0.5 * t, -0.3 * t * t, 0.1 + 0.4 * t ** 3, 0.25 * t,
+                 -0.1 + 0.2 * t * t, 0.15 * t - 0.3 * t ** 3)
+        lines.append(" ".join(f"{c:.17g}" for c in comps))
+    return "\n".join(lines) + "\n"
+
+
+def _multi_plane_loop(variant: Variant, pole: HexaNumber) -> Path:
+    """Loop winding once around the pole in two planes, clear of it elsewhere."""
+    if variant.is_planar:
+        offset, radii = (0.0, 0.0, 1.2, 0.0, 0.0, 0.0), {1: 0.9, 3: 0.7}
+    else:
+        offset, radii = (1.5, 1.5, 0.0, 0.0, 0.0, 0.0), {1: 0.8, 2: 0.6}
+    center = pole + from_canonical_components(variant, offset)
+    return circle_path(variant, center, radii, 256)
+
+
+def _wobbly_loop(variant: Variant, pole: HexaNumber, count: int = 600) -> Path:
+    """Non-circular loop moving in every canonical component, winding once in plane 1."""
+    samples = []
+    for i in range(count):
+        t = TWO_PI * i / count
+        plane1 = (0.8 * math.cos(t) + 0.1 * math.cos(2 * t), 0.6 * math.sin(t))
+        others = (1.5 + 0.3 * math.cos(3 * t), 0.2 * math.sin(t))
+        values = plane1 + others + (others if variant.is_planar else ())
+        if not variant.is_planar:
+            values = (2.0 + 0.5 * math.cos(t) + 0.2 * math.sin(2 * t),
+                      -1.5 + 0.3 * math.sin(t) + 0.1 * math.cos(2 * t)) + values
+        samples.append(pole + from_canonical_components(variant, values))
+    return Path(variant, samples + samples[:1], closed=True)
+
+
+@pytest.mark.parametrize("f", [*FUNCTIONS.values(), lambda u: elementary.exp(u) * u - u * 0.5],
+                         ids=[*FUNCTIONS, "lambda"])
+def test_batched_quadrature_matches_scalar_loop(f):
+    for variant in BOTH_VARIANTS:
+        open_path = Path.from_text(_open_path_text(variant, 97))
+        reference, magnitude = _scalar_midpoint_sum(f, open_path)
+        assert max_abs_diff(line_integral(f, open_path), reference) <= 1e-12 * magnitude
+
+        pole = HexaNumber(variant, (0.1, -0.2, 0.05, 0.1, 0.0, -0.05))
+        for loop, turns in ((_multi_plane_loop(variant, pole), 2), (_wobbly_loop(variant, pole), 1)):
+            reference, magnitude = _scalar_midpoint_sum(f, loop)
+            assert max_abs_diff(line_integral(f, loop), reference) <= 1e-12 * magnitude
+
+            reference, magnitude = _scalar_midpoint_sum(
+                lambda u: f(u) * (u - pole).inverse(), loop)
+            comparison = residue_integral(f, loop, pole)
+            assert sum(comparison.windings) == turns
+            assert max_abs_diff(comparison.numeric, reference) <= 1e-12 * magnitude
 
 
 def test_path_construction_and_serialization():

@@ -145,6 +145,14 @@ def test_integrate_rejects_bad_plane(capsys):
     code, _, err = run(capsys, "integrate", "exp", "0", "3", "1.0")
     assert code == 1 and "plane" in err
 
+    # loop parameters are checked before any path is built: no traceback
+    for samples in ("7", "4", "0", "-3"):
+        code, out, err = run(capsys, "integrate", "--samples", samples, "exp", "0", "1", "1.0")
+        assert code == 1 and "samples" in err and out == ""
+    for radius in (("nan",), ("inf",), ("--", "-inf")):
+        code, out, err = run(capsys, "integrate", "exp", "0", "1", *radius)
+        assert code == 1 and "radius" in err and out == ""
+
 
 def test_repr_command(capsys):
     code, out, err = run(capsys, "repr", "h1")
