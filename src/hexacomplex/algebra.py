@@ -198,8 +198,8 @@ class HexaNumber:
     # -- metric and inverse --------------------------------------------------
 
     def modulus(self) -> float:
-        """Euclidean norm of the 6-tuple."""
-        return math.sqrt(sum(a * a for a in self.components))
+        """Euclidean norm of the 6-tuple, scaled so that it neither overflows nor underflows."""
+        return math.hypot(*self.components)
 
     def __abs__(self) -> float:
         return self.modulus()
@@ -212,25 +212,12 @@ class HexaNumber:
         """
         planar = self.variant.is_planar
         comps = canonical_components(self)
-        threshold = zero_rtol * self.modulus()
-        out = [0.0] * 6
-        idx = 0
-        if not planar:
-            for label in ("v+", "v-"):
-                value = comps[idx]
-                if abs(value) <= threshold:
-                    raise ZeroDivisorError(label)
-                out[idx] = 1.0 / value
-                idx += 1
-        for k in range(1, tr.pair_count(planar) + 1):
-            v, t = comps[idx], comps[idx + 1]
-            rho2 = v * v + t * t
-            if math.sqrt(rho2) <= threshold:
-                raise ZeroDivisorError(f"pair{k}")
-            out[idx] = v / rho2
-            out[idx + 1] = -t / rho2
-            idx += 2
-        return from_canonical_components(self.variant, out)
+        label = tr.first_zero(planar, comps, zero_rtol * self.modulus())
+        if label:
+            raise ZeroDivisorError(label)
+        axes, planes = tr.split(planar, comps)
+        return from_canonical_components(self.variant, tr.join([1.0 / v for v in axes],
+                                                               [1.0 / z for z in planes]))
 
     # -- matrix representations ----------------------------------------------
 
@@ -249,19 +236,11 @@ class HexaNumber:
         """Block-diagonal form T U T^-1 over the rotated orthonormal axes."""
         t = rotation_matrix(self.variant)
         m = t @ self.to_matrix() @ t.T
-        planar = self.variant.is_planar
-        blocks: list[np.ndarray] = []
         mask = np.ones((6, 6), dtype=bool)
-        idx = 0
-        if not planar:
-            for _ in range(2):
-                blocks.append(m[idx:idx + 1, idx:idx + 1].copy())
-                mask[idx, idx] = False
-                idx += 1
-        while idx < 6:
-            blocks.append(m[idx:idx + 2, idx:idx + 2].copy())
-            mask[idx:idx + 2, idx:idx + 2] = False
-            idx += 2
+        blocks = []
+        for rows in tr.component_slices(self.variant.is_planar):
+            blocks.append(m[rows, rows].copy())
+            mask[rows, rows] = False
         off_block_max = float(np.abs(m[mask]).max())
         return IrreducibleRep(variant=self.variant, matrix=m, blocks=tuple(blocks),
                               off_block_max=off_block_max)

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .algebra import ZERO_COMPONENT_RTOL, HexaNumber, Variant, from_canonical_components
-from .canonical import canonical_basis
 from .errors import DegeneratePathError, DomainError, VariantError, ZeroDivisorError
 from . import _transforms as tr
 from . import elementary
@@ -127,12 +126,8 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
     if samples < 8:
         raise ValueError("need at least 8 samples for a circle")
     rows = tr.rotation_rows(variant.is_planar)
-    offset = 0 if variant.is_planar else 2
-    directions = []
-    for k, radius in radii.items():
-        if not 1 <= k <= tr.pair_count(variant.is_planar):
-            raise ValueError(f"plane index {k} out of range")
-        directions.append((radius, rows[offset + 2 * (k - 1)], rows[offset + 2 * (k - 1) + 1]))
+    directions = [(radius, *rows[tr.plane_slice(variant.is_planar, k)])
+                  for k, radius in radii.items()]
     loop = []
     for lo, hi in _blocks(samples):
         t = 2.0 * np.pi * np.arange(lo, hi) / samples
@@ -295,7 +290,7 @@ def _canonical(x: np.ndarray, planar: bool) -> np.ndarray:
 
 def _axes_planes(c: np.ndarray, planar: bool) -> tuple[np.ndarray, np.ndarray]:
     """Views of a canonical array: real axis columns and complex plane columns vk + i vk~."""
-    axes = 0 if planar else 2
+    axes = tr.axis_count(planar)
     return c[:, :axes], c.view(np.complex128)[:, axes // 2:]
 
 
@@ -317,8 +312,7 @@ def _first_below(c: np.ndarray, bound, planar: bool, strict: bool) -> str | None
     hits = np.argwhere(magnitudes < bound if strict else magnitudes <= bound)
     if not len(hits):
         return None
-    pairs = tuple(f"pair{k}" for k in range(1, tr.pair_count(planar) + 1))
-    return (pairs if planar else ("v+", "v-") + pairs)[hits[0][1]]
+    return tr.component_labels(planar)[hits[0][1]]
 
 
 def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> HexaNumber:
@@ -389,10 +383,7 @@ def winding_number(path: Path, u0: HexaNumber, plane: int) -> int:
     if u0.variant is not path.variant:
         raise ValueError("point and path variants differ")
     planar = path.variant.is_planar
-    if not 1 <= plane <= tr.pair_count(planar):
-        raise ValueError(f"plane index {plane} out of range")
-    first = (0 if planar else 2) + 2 * (plane - 1)
-    rows = tr.rotation_rows(planar)[first:first + 2]
+    rows = tr.rotation_rows(planar)[tr.plane_slice(planar, plane)]
     dx, dy = np.empty((2, len(path.samples)))
     for lo, hi in _blocks(len(path.samples)):
         points = _sample_array(path, lo, hi)
@@ -433,13 +424,10 @@ def residue_integral(f: Evaluator, path: Path, u0: HexaNumber) -> ResidueCompari
     numeric = _midpoint_sum(f, path, u0)
     variant = path.variant
     planar = variant.is_planar
-    basis = canonical_basis(variant)
-    tilde_offset = 1 if planar else 3
     windings = tuple(winding_number(path, u0, k)
                      for k in range(1, tr.pair_count(planar) + 1))
-    weight = HexaNumber.zero(variant)
-    for k, w in enumerate(windings, start=1):
-        tilde = basis[tilde_offset + 2 * (k - 1)]
-        weight = weight + tilde * float(w)
+    # sum of w_k ek~: the imaginary unit of each plane, weighted by its winding number
+    weight = from_canonical_components(
+        variant, tr.join([0.0] * tr.axis_count(planar), [complex(0.0, w) for w in windings]))
     formula = f(u0) * weight * (2.0 * math.pi)
     return ResidueComparison(numeric=numeric, formula=formula, windings=windings)

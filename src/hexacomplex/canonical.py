@@ -19,7 +19,6 @@ from .algebra import (
     Variant,
     canonical_components,
     from_canonical_components,
-    rotation_matrix,
 )
 from .errors import DomainError
 
@@ -42,8 +41,6 @@ __all__ = [
     "trig_form",
     "check_d_rho_relation",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -94,15 +91,13 @@ class RotatedCoords:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        if self.variant.is_planar:
-            return ("xi1", "eta1", "xi2", "eta2", "xi3", "eta3")
-        return ("xi+", "xi-", "xi1", "eta1", "xi2", "eta2")
+        planar = self.variant.is_planar
+        return ("xi+", "xi-")[:tr.axis_count(planar)] + tuple(
+            f"{name}{k}" for k in range(1, tr.pair_count(planar) + 1) for name in ("xi", "eta"))
 
     def plane(self, k: int) -> tuple[float, float]:
         """Projection onto the k-th (xi_k, eta_k) plane."""
-        offset = 0 if self.variant.is_planar else 2
-        i = offset + 2 * (k - 1)
-        return (self.xi[i], self.xi[i + 1])
+        return self.xi[tr.plane_slice(self.variant.is_planar, k)]
 
 
 @dataclass(frozen=True)
@@ -179,12 +174,10 @@ class DRhoReport:
 
 def to_canonical(u: HexaNumber) -> PolarCanonical | PlanarCanonical:
     """Canonical variables of ``u`` (the diagonalizing linear map)."""
-    comps = canonical_components(u)
-    if u.variant.is_planar:
-        return PlanarCanonical(pairs=((comps[0], comps[1]), (comps[2], comps[3]),
-                                      (comps[4], comps[5])))
-    return PolarCanonical(v_plus=comps[0], v_minus=comps[1],
-                          pairs=((comps[2], comps[3]), (comps[4], comps[5])))
+    planar = u.variant.is_planar
+    axes, planes = tr.split(planar, canonical_components(u))
+    pairs = tuple((z.real, z.imag) for z in planes)
+    return (PlanarCanonical if planar else PolarCanonical)(*axes, pairs=pairs)
 
 
 def from_canonical(c: PolarCanonical | PlanarCanonical) -> HexaNumber:
@@ -203,12 +196,12 @@ def rotated_coords(u: HexaNumber) -> RotatedCoords:
     return RotatedCoords(u.variant, tuple(tr.dot(row, u.components) for row in rows))
 
 
-def _pair_polar_data(v: float, t: float, threshold: float) -> tuple[float, float | None]:
+def _plane_polar(z: complex, threshold: float) -> tuple[float, float | None]:
     """(radius, azimuth-or-None) for one canonical plane; tiny radii snap to 0."""
-    rho = math.hypot(v, t)
+    rho = tr.radius(z)
     if rho <= threshold:
         return 0.0, None
-    return rho, math.atan2(t, v) % TWO_PI
+    return rho, tr.azimuth(z)
 
 
 def geometry(u: HexaNumber) -> PolarGeometry | PlanarGeometry:
@@ -220,25 +213,22 @@ def geometry(u: HexaNumber) -> PolarGeometry | PlanarGeometry:
     """
     d = u.modulus()
     threshold = ZERO_COMPONENT_RTOL * d
-    comps = canonical_components(u)
-    if u.variant.is_planar:
-        (v1, t1), (v2, t2), (v3, t3) = ((comps[0], comps[1]), (comps[2], comps[3]),
-                                        (comps[4], comps[5]))
-        rho1, phi1 = _pair_polar_data(v1, t1, threshold)
-        rho2, phi2 = _pair_polar_data(v2, t2, threshold)
-        rho3, phi3 = _pair_polar_data(v3, t3, threshold)
-        psi1 = math.atan2(rho1, rho2) if max(rho1, rho2) > 0.0 else None
+    planar = u.variant.is_planar
+    axes, planes = tr.split(planar, canonical_components(u))
+    rhos, phis = zip(*(_plane_polar(z, threshold) for z in planes))
+    psi1 = math.atan2(rhos[0], rhos[1]) if max(rhos[0], rhos[1]) > 0.0 else None
+    if planar:
+        rho1, rho2, rho3 = rhos
+        phi1, phi2, phi3 = phis
         psi2 = math.atan2(rho1, rho3) if max(rho1, rho3) > 0.0 else None
         rho = (rho1 * rho2 * rho3) ** (1.0 / 3.0)
         return PlanarGeometry(d=d, rho=rho, psi1=psi1, psi2=psi2,
                               phi1=phi1, phi2=phi2, phi3=phi3,
                               rho1=rho1, rho2=rho2, rho3=rho3)
 
-    v_plus = 0.0 if abs(comps[0]) <= threshold else comps[0]
-    v_minus = 0.0 if abs(comps[1]) <= threshold else comps[1]
-    rho1, phi1 = _pair_polar_data(comps[2], comps[3], threshold)
-    rho2, phi2 = _pair_polar_data(comps[4], comps[5], threshold)
-    psi1 = math.atan2(rho1, rho2) if max(rho1, rho2) > 0.0 else None
+    v_plus, v_minus = (0.0 if abs(v) <= threshold else v for v in axes)
+    rho1, rho2 = rhos
+    phi1, phi2 = phis
     theta_plus = (math.atan2(tr.SQRT2 * rho1, v_plus)
                   if rho1 > 0.0 or v_plus != 0.0 else None)
     theta_minus = (math.atan2(tr.SQRT2 * rho1, v_minus)
@@ -272,6 +262,16 @@ def _hexa(variant: Variant, comps) -> HexaNumber:
     return HexaNumber(variant, comps)
 
 
+def _add_phases(start: HexaNumber, planes, threshold: float) -> HexaNumber:
+    """start + sum of ek~ * phi_k over the planes whose radius exceeds ``threshold``."""
+    planar = start.variant.is_planar
+    basis = canonical_basis(start.variant)
+    for k, z in enumerate(planes, start=1):
+        if tr.radius(z) > threshold:
+            start = start + basis[tr.plane_slice(planar, k).stop - 1] * tr.azimuth(z)
+    return start
+
+
 def exp_form(u: HexaNumber) -> ExpForm:
     """Amplitude and hypercomplex exponent with u = rho * exp(exponent).
 
@@ -279,19 +279,15 @@ def exp_form(u: HexaNumber) -> ExpForm:
     planar values need all three plane radii positive.  Violations raise
     :class:`DomainError` naming the offending component.
     """
+    planar = u.variant.is_planar
     comps = canonical_components(u)
     threshold = ZERO_COMPONENT_RTOL * u.modulus()
-    if u.variant.is_planar:
-        rhos = []
-        phis = []
-        for k in range(1, 4):
-            v, t = comps[2 * (k - 1)], comps[2 * (k - 1) + 1]
-            rho_k = math.hypot(v, t)
-            if rho_k <= threshold:
-                raise DomainError(f"exponential form undefined: plane radius rho{k} vanishes",
-                                  component=f"pair{k}")
-            rhos.append(rho_k)
-            phis.append(math.atan2(t, v) % TWO_PI)
+    label = tr.first_zero(planar, comps, threshold, positive_axes=True)
+    if label:
+        raise DomainError(f"exponential form undefined: {tr.vanished(label)}", component=label)
+    axes, planes = tr.split(planar, comps)
+    rhos = [tr.radius(z) for z in planes]
+    if planar:
         rho = (rhos[0] * rhos[1] * rhos[2]) ** (1.0 / 3.0)
         la = math.log(rhos[0] / rhos[1]) / 3.0
         lb = math.log(rhos[0] / rhos[2]) / 6.0
@@ -303,25 +299,10 @@ def exp_form(u: HexaNumber) -> ExpForm:
             -la + lb,
             -lb * tr.SQRT3,
         ))
-        basis = canonical_basis(u.variant)
-        exponent = exponent + basis[1] * phis[0] + basis[3] * phis[1] + basis[5] * phis[2]
-        return ExpForm(rho=rho, exponent=exponent)
+        return ExpForm(rho=rho, exponent=_add_phases(exponent, planes, threshold))
 
-    v_plus, v_minus = comps[0], comps[1]
-    if v_plus <= threshold:
-        raise DomainError("exponential form undefined: v+ is not positive", component="v+")
-    if v_minus <= threshold:
-        raise DomainError("exponential form undefined: v- is not positive", component="v-")
-    rho1 = math.hypot(comps[2], comps[3])
-    rho2 = math.hypot(comps[4], comps[5])
-    if rho1 <= threshold:
-        raise DomainError("exponential form undefined: plane radius rho1 vanishes",
-                          component="pair1")
-    if rho2 <= threshold:
-        raise DomainError("exponential form undefined: plane radius rho2 vanishes",
-                          component="pair2")
-    phi1 = math.atan2(comps[3], comps[2]) % TWO_PI
-    phi2 = math.atan2(comps[5], comps[4]) % TWO_PI
+    v_plus, v_minus = axes
+    rho1, rho2 = rhos
     rho = (v_plus * v_minus * rho1 * rho1 * rho2 * rho2) ** (1.0 / 6.0)
     la = math.log(v_plus / rho1) / 6.0   # ln(sqrt2 / tan theta+) / 6
     lb = math.log(v_minus / rho1) / 6.0  # ln(sqrt2 / tan theta-) / 6
@@ -334,9 +315,7 @@ def exp_form(u: HexaNumber) -> ExpForm:
         la + lb + lc,
         la - lb + lc,
     ))
-    basis = canonical_basis(u.variant)
-    exponent = exponent + basis[3] * phi1 + basis[5] * phi2
-    return ExpForm(rho=rho, exponent=exponent)
+    return ExpForm(rho=rho, exponent=_add_phases(exponent, planes, threshold))
 
 
 def trig_form(u: HexaNumber) -> TrigForm:
@@ -346,40 +325,28 @@ def trig_form(u: HexaNumber) -> TrigForm:
     ratio of the product form); other vanishing radii contribute a zero
     coefficient and no phase term.
     """
-    comps = canonical_components(u)
+    planar = u.variant.is_planar
     d = u.modulus()
     threshold = ZERO_COMPONENT_RTOL * d
-    basis = canonical_basis(u.variant)
-    if u.variant.is_planar:
-        rho1 = math.hypot(comps[0], comps[1])
-        if rho1 <= threshold:
-            raise DomainError("trigonometric form undefined: plane radius rho1 vanishes",
-                              component="pair1")
-        direction = basis[0]
-        phase = HexaNumber.zero(u.variant)
-        ratios_sq = 1.0
-        for k in range(1, 4):
-            v, t = comps[2 * (k - 1)], comps[2 * (k - 1) + 1]
-            rho_k = math.hypot(v, t)
-            if k > 1:
-                direction = direction + basis[2 * (k - 1)] * (rho_k / rho1)
-                ratios_sq += (rho_k / rho1) ** 2
-            if rho_k > threshold:
-                phase = phase + basis[2 * (k - 1) + 1] * (math.atan2(t, v) % TWO_PI)
-        scale = d * tr.SQRT3 / math.sqrt(ratios_sq)
-        return TrigForm(scale=scale, direction=direction, phase=phase)
-
-    v_plus, v_minus = comps[0], comps[1]
-    rho1 = math.hypot(comps[2], comps[3])
-    rho2 = math.hypot(comps[4], comps[5])
+    axes, planes = tr.split(planar, canonical_components(u))
+    rhos = [tr.radius(z) for z in planes]
+    rho1 = rhos[0]
     if rho1 <= threshold:
         raise DomainError("trigonometric form undefined: plane radius rho1 vanishes",
                           component="pair1")
+    basis = canonical_basis(u.variant)
+    phase = _add_phases(HexaNumber.zero(u.variant), planes, threshold)
+    if planar:
+        rho2, rho3 = rhos[1:]
+        direction = basis[0] + basis[2] * (rho2 / rho1) + basis[4] * (rho3 / rho1)
+        ratios_sq = 1.0 + (rho2 / rho1) ** 2 + (rho3 / rho1) ** 2
+        scale = d * tr.SQRT3 / math.sqrt(ratios_sq)
+        return TrigForm(scale=scale, direction=direction, phase=phase)
+
+    v_plus, v_minus = axes
+    rho2 = rhos[1]
     direction = (basis[0] * (v_plus / rho1) + basis[1] * (v_minus / rho1)
                  + basis[2] + basis[4] * (rho2 / rho1))
-    phase = basis[3] * (math.atan2(comps[3], comps[2]) % TWO_PI)
-    if rho2 > threshold:
-        phase = phase + basis[5] * (math.atan2(comps[5], comps[4]) % TWO_PI)
     bracket = ((v_plus / rho1) ** 2 / 2.0 + (v_minus / rho1) ** 2 / 2.0
                + 1.0 + (rho2 / rho1) ** 2)
     scale = d * tr.SQRT3 / math.sqrt(bracket)
@@ -398,14 +365,17 @@ def check_d_rho_relation(u: HexaNumber) -> DRhoReport:
     derived value, ``rhs_quoted_constant`` the commonly quoted one, so the
     planar discrepancy stays observable.
     """
+    planar = u.variant.is_planar
     comps = canonical_components(u)
     d = u.modulus()
-    threshold = ZERO_COMPONENT_RTOL * d
-    if u.variant.is_planar:
-        rhos = [math.hypot(comps[2 * i], comps[2 * i + 1]) for i in range(3)]
-        if min(rhos) <= threshold:
-            return DRhoReport(u.variant, skipped=True, reason="a plane radius vanishes (rho=0)",
-                              d=d, rho=0.0, rhs=None, rhs_quoted_constant=None)
+    label = tr.first_zero(planar, comps, ZERO_COMPONENT_RTOL * d)
+    if label:
+        return DRhoReport(u.variant, skipped=True,
+                          reason=f"canonical component {label} vanishes (rho=0)",
+                          d=d, rho=0.0, rhs=None, rhs_quoted_constant=None)
+    axes, planes = tr.split(planar, comps)
+    rhos = [tr.radius(z) for z in planes]
+    if planar:
         rho = (rhos[0] * rhos[1] * rhos[2]) ** (1.0 / 3.0)
         t1 = rhos[0] / rhos[1]
         t2 = rhos[0] / rhos[2]
@@ -414,12 +384,8 @@ def check_d_rho_relation(u: HexaNumber) -> DRhoReport:
                           rhs=base / tr.SQRT3,
                           rhs_quoted_constant=base * _QUOTED_CONSTANT)
 
-    v_plus, v_minus = comps[0], comps[1]
-    rho1 = math.hypot(comps[2], comps[3])
-    rho2 = math.hypot(comps[4], comps[5])
-    if min(rho1, rho2, abs(v_plus), abs(v_minus)) <= threshold:
-        return DRhoReport(u.variant, skipped=True, reason="a canonical component vanishes (rho=0)",
-                          d=d, rho=0.0, rhs=None, rhs_quoted_constant=None)
+    v_plus, v_minus = axes
+    rho1, rho2 = rhos
     if v_plus < 0.0 or v_minus < 0.0:
         return DRhoReport(u.variant, skipped=True, reason="v+ or v- negative: no real amplitude",
                           d=d, rho=None, rhs=None, rhs_quoted_constant=None)

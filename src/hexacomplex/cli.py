@@ -10,31 +10,26 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
+from . import _transforms as tr
 from . import calculus, canonical, cosexp, polyfactor
-from .algebra import ZERO_COMPONENT_RTOL, HexaNumber, Variant, format_hexa, from_canonical_components
-from .canonical import PlanarCanonical, PolarCanonical
+from .algebra import (
+    ZERO_COMPONENT_RTOL,
+    HexaNumber,
+    Variant,
+    canonical_components,
+    format_hexa,
+    from_canonical_components,
+)
 from .errors import HexaError, ParseError
 from .expressions import evaluate, parse
 from .polyfactor import HexaPolynomial
 
-__all__ = ["CliConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 HUMAN_DIGITS = 12
 DEFAULT_TABLE_RANGE = (-4.0, 4.0, 0.05)
 DEFAULT_SAMPLES = 4096
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Settings shared by all commands."""
-
-    variant: Variant
-    tolerance: float
-    table_range: tuple[float, float, float]
-    samples: int
-    all_limit: int | None
 
 
 def _parse_range(text: str) -> tuple[float, float, float]:
@@ -108,66 +103,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(variant=args.variant,
-                     tolerance=args.tol,
-                     table_range=getattr(args, "table_range", DEFAULT_TABLE_RANGE),
-                     samples=getattr(args, "samples", DEFAULT_SAMPLES),
-                     all_limit=getattr(args, "all_limit", None))
+def _eval_text(text: str, args: argparse.Namespace) -> HexaNumber:
+    return evaluate(parse(text), args.variant, args.tol)
 
 
-def _eval_text(text: str, config: CliConfig) -> HexaNumber:
-    return evaluate(parse(text), config.variant, config.tolerance)
-
-
-def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
-    print(format_hexa(_eval_text(args.expression, config), HUMAN_DIGITS))
+def cmd_eval(args: argparse.Namespace) -> int:
+    print(format_hexa(_eval_text(args.expression, args), HUMAN_DIGITS))
     return 0
 
 
-def _canonical_lines(c: PolarCanonical | PlanarCanonical) -> list[str]:
-    lines = []
-    if isinstance(c, PolarCanonical):
-        lines.append(f"v_plus={c.v_plus:.{HUMAN_DIGITS}g}")
-        lines.append(f"v_minus={c.v_minus:.{HUMAN_DIGITS}g}")
-    for k, (v, t) in enumerate(c.pairs, start=1):
-        lines.append(f"v{k}={v:.{HUMAN_DIGITS}g}")
-        lines.append(f"v{k}_tilde={t:.{HUMAN_DIGITS}g}")
+def _canonical_lines(value: HexaNumber) -> list[str]:
+    planar = value.variant.is_planar
+    axes, planes = tr.split(planar, canonical_components(value))
+    lines = [f"v_{tag}={v:.{HUMAN_DIGITS}g}" for tag, v in zip(tr.component_tags(planar), axes)]
+    for k, z in enumerate(planes, start=1):
+        lines.append(f"v{k}={z.real:.{HUMAN_DIGITS}g}")
+        lines.append(f"v{k}_tilde={z.imag:.{HUMAN_DIGITS}g}")
     return lines
 
 
-def cmd_canon(args: argparse.Namespace, config: CliConfig) -> int:
-    value = _eval_text(args.expression, config)
-    for line in _canonical_lines(canonical.to_canonical(value)):
+def cmd_canon(args: argparse.Namespace) -> int:
+    value = _eval_text(args.expression, args)
+    for line in _canonical_lines(value):
         print(line)
     print(canonical.geometry_record(canonical.geometry(value), HUMAN_DIGITS))
     return 0
 
 
-def cmd_factor(args: argparse.Namespace, config: CliConfig) -> int:
-    coefficients = [_eval_text(text, config) for text in args.coefficients]
+def cmd_factor(args: argparse.Namespace) -> int:
+    coefficients = [_eval_text(text, args) for text in args.coefficients]
     if len(coefficients) < 2:
         print("factor: need at least two coefficients (degree >= 1)", file=sys.stderr)
         return 1
     poly = HexaPolynomial.from_coefficient_list(coefficients)
-    if config.all_limit is not None:
-        for f in polyfactor.enumerate_factorizations(poly, config.all_limit):
+    if args.all_limit is not None:
+        for f in polyfactor.enumerate_factorizations(poly, args.all_limit):
             print(polyfactor.format_factorization(f, HUMAN_DIGITS))
     else:
         print(polyfactor.format_factorization(polyfactor.factor(poly), HUMAN_DIGITS))
     return 0
 
 
-def cmd_table(args: argparse.Namespace, config: CliConfig) -> int:
-    start, stop, step = config.table_range
+def cmd_table(args: argparse.Namespace) -> int:
+    start, stop, step = args.table_range
     cosexp.emit_table(args.family, start, stop, step, sys.stdout)
     return 0
 
 
-def cmd_integrate(args: argparse.Namespace, config: CliConfig) -> int:
-    variant = config.variant
-    pole = _eval_text(args.center, config)
-    plane_count = 3 if variant.is_planar else 2
+def cmd_integrate(args: argparse.Namespace) -> int:
+    variant = args.variant
+    pole = _eval_text(args.center, args)
+    plane_count = tr.pair_count(variant.is_planar)
     if not 1 <= args.plane <= plane_count:
         print(f"integrate: plane must lie in 1..{plane_count} for {variant.value}",
               file=sys.stderr)
@@ -181,11 +167,9 @@ def cmd_integrate(args: argparse.Namespace, config: CliConfig) -> int:
     # Loop center sits off the pole in every non-winding canonical direction,
     # keeping the quotient away from the zero-divisor set.
     clearance = 1.0 + 0.5 * args.radius
-    values = []
-    if not variant.is_planar:
-        values.extend((clearance, clearance))
-    for k in range(1, plane_count + 1):
-        values.extend((0.0, 0.0) if k == args.plane else (clearance, 0.0))
+    values = tr.join([clearance] * tr.axis_count(variant.is_planar),
+                     [0j if k == args.plane else complex(clearance)
+                      for k in range(1, plane_count + 1)])
     center = pole + from_canonical_components(variant, values)
     loop = calculus.circle_path(variant, center, args.radius, args.samples, plane=args.plane)
     f = calculus.FUNCTIONS[args.function]
@@ -203,8 +187,8 @@ def _matrix_lines(matrix) -> list[str]:
             for row in matrix]
 
 
-def cmd_repr(args: argparse.Namespace, config: CliConfig) -> int:
-    value = _eval_text(args.expression, config)
+def cmd_repr(args: argparse.Namespace) -> int:
+    value = _eval_text(args.expression, args)
     print("U =")
     for line in _matrix_lines(value.to_matrix()):
         print(line)
@@ -212,8 +196,8 @@ def cmd_repr(args: argparse.Namespace, config: CliConfig) -> int:
     print("T U T^-1 =")
     for line in _matrix_lines(rep.matrix):
         print(line)
-    labels = (["v+", "v-", "V1", "V2"] if not config.variant.is_planar
-              else ["V1", "V2", "V3"])
+    # plane blocks print as V1, V2, ...
+    labels = (label.replace("pair", "V") for label in tr.component_labels(args.variant.is_planar))
     for label, block in zip(labels, rep.blocks):
         if block.shape == (1, 1):
             print(f"{label} = {block[0, 0]:.{HUMAN_DIGITS}g}")
@@ -257,9 +241,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_fold_range_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = _config(args)
     try:
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

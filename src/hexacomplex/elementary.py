@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from . import _transforms as tr
@@ -40,26 +41,11 @@ __all__ = [
     "eval_series",
 ]
 
-TWO_PI = 2.0 * math.pi
-
-
 def _apply(u: HexaNumber,
            axis_fn: Callable[[float], float],
            plane_fn: Callable[[complex], complex]) -> HexaNumber:
-    comps = canonical_components(u)
-    planar = u.variant.is_planar
-    out: list[float] = []
-    idx = 0
-    if not planar:
-        out.append(axis_fn(comps[0]))
-        out.append(axis_fn(comps[1]))
-        idx = 2
-    while idx < 6:
-        w = plane_fn(complex(comps[idx], comps[idx + 1]))
-        out.append(w.real)
-        out.append(w.imag)
-        idx += 2
-    return from_canonical_components(u.variant, out)
+    axes, planes = tr.split(u.variant.is_planar, canonical_components(u))
+    return from_canonical_components(u.variant, tr.join(map(axis_fn, axes), map(plane_fn, planes)))
 
 
 def exp(u: HexaNumber) -> HexaNumber:
@@ -83,25 +69,15 @@ def sinh(u: HexaNumber) -> HexaNumber:
     return _apply(u, math.sinh, cmath.sinh)
 
 
-def _ln_preconditions(u: HexaNumber) -> tuple[tuple[float, ...], float]:
-    comps = canonical_components(u)
-    threshold = ZERO_COMPONENT_RTOL * u.modulus()
-    if not u.variant.is_planar:
-        if comps[0] <= threshold:
-            raise DomainError("logarithm undefined: v+ is not positive", component="v+")
-        if comps[1] <= threshold:
-            raise DomainError("logarithm undefined: v- is not positive", component="v-")
-    offset = 0 if u.variant.is_planar else 2
-    for k in range(1, tr.pair_count(u.variant.is_planar) + 1):
-        i = offset + 2 * (k - 1)
-        if math.hypot(comps[i], comps[i + 1]) <= threshold:
-            raise DomainError(f"logarithm undefined: plane radius rho{k} vanishes",
-                              component=f"pair{k}")
-    return comps, threshold
+def _ln_preconditions(u: HexaNumber) -> None:
+    label = tr.first_zero(u.variant.is_planar, canonical_components(u),
+                          ZERO_COMPONENT_RTOL * u.modulus(), positive_axes=True)
+    if label:
+        raise DomainError(f"logarithm undefined: {tr.vanished(label)}", component=label)
 
 
 def _principal_log(z: complex) -> complex:
-    return complex(math.log(abs(z)), cmath.phase(z) % TWO_PI)
+    return complex(math.log(abs(z)), tr.azimuth(z))
 
 
 def ln(u: HexaNumber) -> HexaNumber:
@@ -124,45 +100,19 @@ def pow_real(u: HexaNumber, m: float) -> HexaNumber:
     require an invertible ``u``.  Non-integer exponents share ln's domain.
     """
     m = float(m)
-    comps = canonical_components(u)
-    threshold = ZERO_COMPONENT_RTOL * u.modulus()
-    planar = u.variant.is_planar
-
     if m.is_integer():
         n = int(m)
-
-        def axis(v: float) -> float:
-            if v == 0.0 and n < 0:
-                raise ZeroDivisorError("v+ or v-", "zero axis component with negative exponent")
-            return float(math.pow(v, n))
-
-        def plane(z: complex) -> complex:
-            if z == 0:
-                if n < 0:
-                    raise ZeroDivisorError("pair", "zero plane component with negative exponent")
-                return complex(1.0, 0.0) if n == 0 else complex(0.0, 0.0)
-            return z ** n
-
-        # Label zero components precisely before delegating.
         if n < 0:
-            idx = 0
-            if not planar:
-                for label in ("v+", "v-"):
-                    if abs(comps[idx]) <= threshold:
-                        raise ZeroDivisorError(label)
-                    idx += 1
-            for k in range(1, tr.pair_count(planar) + 1):
-                if math.hypot(comps[idx], comps[idx + 1]) <= threshold:
-                    raise ZeroDivisorError(f"pair{k}")
-                idx += 2
-        return _apply(u, axis, plane)
+            label = tr.first_zero(u.variant.is_planar, canonical_components(u),
+                                  ZERO_COMPONENT_RTOL * u.modulus())
+            if label:
+                raise ZeroDivisorError(label)
+        return _apply(u, lambda v: math.pow(v, n), lambda z: z ** n)
 
     _ln_preconditions(u)
 
     def plane_frac(z: complex) -> complex:
-        rho = abs(z)
-        phi = cmath.phase(z) % TWO_PI
-        return cmath.rect(math.pow(rho, m), m * phi)
+        return cmath.rect(math.pow(abs(z), m), m * tr.azimuth(z))
 
     return _apply(u, lambda v: math.pow(v, m), plane_frac)
 
@@ -230,6 +180,16 @@ def _radius_estimate(magnitudes: Sequence[float], divisor: float = 1.0) -> Radiu
                           indeterminate=not (ascending or descending))
 
 
+def _power_sum(coefficients, base):
+    """sum c_l base^l, real on an axis and complex on a plane."""
+    acc = 0.0
+    power = 1.0
+    for c in coefficients:
+        acc += c * power
+        power *= base
+    return acc
+
+
 def eval_series(coeffs: SeriesCoefficients, u: HexaNumber) -> tuple[HexaNumber, ConvergenceReport]:
     """Evaluate sum a_l u^l by the canonical-component rearrangement.
 
@@ -240,40 +200,13 @@ def eval_series(coeffs: SeriesCoefficients, u: HexaNumber) -> tuple[HexaNumber, 
     if coeffs.variant is not u.variant:
         raise ValueError("series and argument variants differ")
     planar = u.variant.is_planar
-    comps = canonical_components(u)
-
-    out: list[float] = []
-    labels: list[str] = []
-    magnitude_seqs: list[list[float]] = []
-    idx = 0
-    if not planar:
-        for label in ("plus", "minus"):
-            base = comps[idx]
-            acc = 0.0
-            power = 1.0
-            for proj in coeffs.projections:
-                acc += proj[idx] * power
-                power *= base
-            out.append(acc)
-            labels.append(label)
-            magnitude_seqs.append([abs(proj[idx]) for proj in coeffs.projections])
-            idx += 1
-    for k in range(1, tr.pair_count(planar) + 1):
-        base = complex(comps[idx], comps[idx + 1])
-        acc = 0j
-        power = complex(1.0, 0.0)
-        for proj in coeffs.projections:
-            acc += complex(proj[idx], proj[idx + 1]) * power
-            power *= base
-        out.append(acc.real)
-        out.append(acc.imag)
-        labels.append(f"pair{k}")
-        magnitude_seqs.append([math.hypot(proj[idx], proj[idx + 1])
-                               for proj in coeffs.projections])
-        idx += 2
-
-    radii = {label: _radius_estimate(seq) for label, seq in zip(labels, magnitude_seqs)}
+    axes, planes = tr.split(planar, canonical_components(u))
+    # one column of term projections per canonical component, axes then planes
+    columns = list(zip(*(chain(*tr.split(planar, proj)) for proj in coeffs.projections)))
+    sums = [_power_sum(column, base) for column, base in zip(columns, (*axes, *planes))]
+    radii = {tag: _radius_estimate([abs(c) for c in column])
+             for tag, column in zip(tr.component_tags(planar), columns)}
     scale = tr.SQRT3 if planar else tr.SQRT6
     crude = _radius_estimate([t.modulus() for t in coeffs.terms], divisor=scale)
-    return from_canonical_components(u.variant, out), ConvergenceReport(radii=radii,
-                                                                        crude_bound=crude)
+    value = from_canonical_components(u.variant, tr.join(sums[:len(axes)], sums[len(axes):]))
+    return value, ConvergenceReport(radii=radii, crude_bound=crude)

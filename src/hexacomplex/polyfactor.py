@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence, Union
 
 from . import _transforms as tr
@@ -164,18 +165,9 @@ class Factorization:
 def decompose(p: HexaPolynomial) -> list[ComponentPolynomial]:
     """Component polynomials of ``p`` (4 for polar, 3 for planar)."""
     planar = p.variant.is_planar
-    projections = [canonical_components(a) for a in p.coeffs]
-    result: list[ComponentPolynomial] = []
-    idx = 0
-    if not planar:
-        result.append(ComponentPolynomial("plus", tuple(pr[0] for pr in projections)))
-        result.append(ComponentPolynomial("minus", tuple(pr[1] for pr in projections)))
-        idx = 2
-    for k in range(1, tr.pair_count(planar) + 1):
-        result.append(ComponentPolynomial(
-            f"pair{k}", tuple(complex(pr[idx], pr[idx + 1]) for pr in projections)))
-        idx += 2
-    return result
+    columns = zip(*(chain(*tr.split(planar, canonical_components(a))) for a in p.coeffs))
+    return [ComponentPolynomial(tag, column)
+            for tag, column in zip(tr.component_tags(planar), columns)]
 
 
 def durand_kerner(coefficients: Sequence[complex]) -> tuple[complex, ...]:
@@ -258,33 +250,32 @@ def _snap_axis_roots(roots: Sequence[complex]) -> tuple[list[tuple[complex, comp
     return pairs, reals
 
 
+def _tags(variant: Variant) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Tags of the axis components and of the plane components."""
+    tags = tr.component_tags(variant.is_planar)
+    a = tr.axis_count(variant.is_planar)
+    return tags[:a], tags[a:]
+
+
 def _component_root_table(p: HexaPolynomial) -> dict[str, tuple[complex, ...]]:
     return {cp.tag: component_roots(cp) for cp in decompose(p)}
 
 
 def _linear_factor(variant: Variant, axis_values: Sequence[float],
                    plane_values: Sequence[complex]) -> LinearFactor:
-    values: list[float] = list(axis_values)
-    for z in plane_values:
-        values.append(z.real)
-        values.append(z.imag)
-    return LinearFactor(root=from_canonical_components(variant, values))
+    return LinearFactor(root=from_canonical_components(variant, tr.join(axis_values, plane_values)))
 
 
 def _quadratic_factor(variant: Variant, axis_pairs: Sequence[tuple[complex, complex]],
                       plane_pairs: Sequence[tuple[complex, complex]]) -> QuadraticFactor:
-    b_values: list[float] = []
-    c_values: list[float] = []
-    for z1, z2 in axis_pairs:
-        b_values.append((-(z1 + z2)).real)
-        c_values.append((z1 * z2).real)
-    for z1, z2 in plane_pairs:
-        b = -(z1 + z2)
-        c = z1 * z2
-        b_values.extend((b.real, b.imag))
-        c_values.extend((c.real, c.imag))
-    return QuadraticFactor(b=from_canonical_components(variant, b_values),
-                           c=from_canonical_components(variant, c_values))
+    """(u - z1)(u - z2) on every component; an axis keeps the real part of b and c."""
+
+    def coefficient(fn) -> HexaNumber:
+        return from_canonical_components(variant, tr.join(
+            [fn(z1, z2).real for z1, z2 in axis_pairs], [fn(z1, z2) for z1, z2 in plane_pairs]))
+
+    return QuadraticFactor(b=coefficient(lambda z1, z2: -(z1 + z2)),
+                           c=coefficient(lambda z1, z2: z1 * z2))
 
 
 def _verify_expansion(p: HexaPolynomial, f: Factorization) -> None:
@@ -307,20 +298,10 @@ def factor(p: HexaPolynomial) -> Factorization:
     """
     table = _component_root_table(p)
     m = p.degree
-    planar = p.variant.is_planar
-
-    if planar:
-        plane_lists = [table[f"pair{k}"] for k in range(1, 4)]
-        factors = tuple(_linear_factor(p.variant, (), [lst[i] for lst in plane_lists])
-                        for i in range(m))
-        result = Factorization(p.variant, factors)
-        _verify_expansion(p, result)
-        return result
-
-    plus_pairs, plus_reals = _snap_axis_roots(table["plus"])
-    minus_pairs, minus_reals = _snap_axis_roots(table["minus"])
-    plane_lists = [table["pair1"], table["pair2"]]
-    q = max(len(plus_pairs), len(minus_pairs))
+    axis_tags, plane_tags = _tags(p.variant)
+    snapped = [_snap_axis_roots(table[tag]) for tag in axis_tags]
+    plane_lists = [table[tag] for tag in plane_tags]
+    q = max((len(pairs) for pairs, _ in snapped), default=0)
 
     def axis_slots(pairs: list[tuple[complex, complex]], reals: list[float]):
         """Quad slot contents first (pairs, then reals two at a time), then linears."""
@@ -330,17 +311,15 @@ def factor(p: HexaPolynomial) -> Factorization:
             quads.append((complex(reals.pop(0)), complex(reals.pop(0))))
         return quads, reals
 
-    plus_quads, plus_lin = axis_slots(plus_pairs, plus_reals)
-    minus_quads, minus_lin = axis_slots(minus_pairs, minus_reals)
-
+    slots = [axis_slots(pairs, reals) for pairs, reals in snapped]
     factors: list[LinearOrQuadratic] = []
     for i in range(q):
         plane_pairs = [(lst[2 * i], lst[2 * i + 1]) for lst in plane_lists]
         factors.append(_quadratic_factor(
-            p.variant, [plus_quads[i], minus_quads[i]], plane_pairs))
+            p.variant, [quads[i] for quads, _ in slots], plane_pairs))
     for j in range(m - 2 * q):
         plane_values = [lst[2 * q + j] for lst in plane_lists]
-        factors.append(_linear_factor(p.variant, (plus_lin[j], minus_lin[j]), plane_values))
+        factors.append(_linear_factor(p.variant, [lin[j] for _, lin in slots], plane_values))
     result = Factorization(p.variant, tuple(factors))
     _verify_expansion(p, result)
     return result
@@ -414,18 +393,9 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         return []
     table = _component_root_table(p)
     m = p.degree
-    planar = p.variant.is_planar
-
-    if planar:
-        tags = [f"pair{k}" for k in range(1, 4)]
-        axis_tags: list[str] = []
-        q = 0
-    else:
-        plus_pairs, _ = _snap_axis_roots(table["plus"])
-        minus_pairs, _ = _snap_axis_roots(table["minus"])
-        q = max(len(plus_pairs), len(minus_pairs))
-        axis_tags = ["plus", "minus"]
-        tags = axis_tags + ["pair1", "pair2"]
+    axis_tags, plane_tags = _tags(p.variant)
+    tags = axis_tags + plane_tags
+    q = max((len(_snap_axis_roots(table[tag])[0]) for tag in axis_tags), default=0)
 
     def axis_ok(ordering: tuple[complex, ...]) -> bool:
         for i in range(q):
@@ -445,12 +415,11 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         factors: list[LinearOrQuadratic] = []
         for i in range(q):
             axis_pairs = [(assignment[t][2 * i], assignment[t][2 * i + 1]) for t in axis_tags]
-            plane_pairs = [(assignment[t][2 * i], assignment[t][2 * i + 1])
-                           for t in tags if t not in axis_tags]
+            plane_pairs = [(assignment[t][2 * i], assignment[t][2 * i + 1]) for t in plane_tags]
             factors.append(_quadratic_factor(p.variant, axis_pairs, plane_pairs))
         for j in range(2 * q, m):
             axis_values = [assignment[t][j].real for t in axis_tags]
-            plane_values = [assignment[t][j] for t in tags if t not in axis_tags]
+            plane_values = [assignment[t][j] for t in plane_tags]
             factors.append(_linear_factor(p.variant, axis_values, plane_values))
         return Factorization(p.variant, tuple(factors))
 

@@ -184,6 +184,22 @@ def test_inverse_examples():
     assert exc.value.component in ("v-", "pair1", "pair2")
 
 
+def test_inverse_at_the_ends_of_the_double_range():
+    # |u|^2 overflows here: the zero threshold must stay finite, and the
+    # vanished component is v- (x0 - x5 = 0), not v+
+    huge = HexaNumber(Variant.POLAR, (1e200, 0.0, 0.0, 0.0, 0.0, 1e200))
+    assert huge.modulus() == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    with pytest.raises(ZeroDivisorError) as exc:
+        huge.inverse()
+    assert exc.value.component == "v-"
+
+    # v^2 + t^2 underflows here: the scalar is invertible, not a zero divisor
+    for variant in BOTH_VARIANTS:
+        inv = HexaNumber.from_real(variant, 1e-300).inverse()
+        assert inv.components[0] == pytest.approx(1e300, rel=1e-15)
+        assert max(abs(c) for c in inv.components[1:]) <= 1e-15 * 1e300
+
+
 def test_inverse_roundtrip_random():
     rng = random.Random(8)
     for variant in BOTH_VARIANTS:

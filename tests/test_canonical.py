@@ -9,7 +9,7 @@ import pytest
 
 from conftest import BOTH_VARIANTS, assert_hexa_close, invertible_hexa, max_abs_diff, random_hexa
 from hexacomplex import elementary
-from hexacomplex.algebra import HexaNumber, Variant, from_canonical_components
+from hexacomplex.algebra import HexaNumber, Variant, from_canonical_components, parse_hexa
 from hexacomplex.canonical import (
     PlanarCanonical,
     PolarCanonical,
@@ -23,7 +23,7 @@ from hexacomplex.canonical import (
     to_canonical,
     trig_form,
 )
-from hexacomplex.errors import DomainError
+from hexacomplex.errors import DomainError, ZeroDivisorError
 
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
@@ -177,6 +177,46 @@ def test_geometry_of_zero_divisor():
     assert "theta_minus" not in record and "phi1" not in record
     assert record.splitlines()[0].startswith("d=")
     assert "rho=0" in record
+
+
+def test_geometry_where_the_squared_modulus_overflows():
+    g = geometry(HexaNumber(Variant.POLAR, (1e200, 0.0, 0.0, 0.0, 0.0, 1e200)))
+    assert g.d == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert g.rho1 == pytest.approx(SQRT3 * 1e200, rel=1e-15)
+    assert g.rho2 == pytest.approx(1e200, rel=1e-15)
+    assert g.phi1 == pytest.approx(11.0 * math.pi / 6.0, rel=1e-15)
+    assert g.phi2 == pytest.approx(5.0 * math.pi / 3.0, rel=1e-15)
+    assert g.theta_minus == pytest.approx(math.pi / 2.0, rel=1e-15)
+    assert g.rho == 0.0  # v- vanishes
+
+
+# Exact zero divisors and the component each one loses.
+ZERO_DIVISORS = [
+    (Variant.POLAR, "1 + h3", "v-"),
+    (Variant.POLAR, "1 - h1", "v+"),
+    (Variant.POLAR, "1 + h2 + h4", "pair1"),
+    (Variant.POLAR, "h1 - h4", "v+"),
+    (Variant.PLANAR, "1 - h2 + h4", "pair1"),
+    (Variant.PLANAR, "1 + h2", "pair2"),
+]
+
+
+@pytest.mark.parametrize("variant, text, component", ZERO_DIVISORS)
+def test_every_route_names_the_same_vanished_component(variant, text, component):
+    u = parse_hexa(text, variant)
+    routes = {
+        "inverse": u.inverse,
+        "pow -1": lambda: elementary.pow_real(u, -1.0),
+        "pow 0.5": lambda: elementary.pow_real(u, 0.5),
+        "ln": lambda: elementary.ln(u),
+        "exp_form": lambda: exp_form(u),
+    }
+    named = {}
+    for route, call in routes.items():
+        with pytest.raises((ZeroDivisorError, DomainError)) as exc:
+            call()
+        named[route] = exc.value.component
+    assert named == dict.fromkeys(routes, component)
 
 
 def test_geometry_rho_absent_for_mixed_axis_signs():
@@ -357,6 +397,7 @@ def test_d_rho_relation_skipped_for_degenerate():
     e_plus = canonical_basis(Variant.POLAR)[0]
     report = check_d_rho_relation(e_plus)
     assert report.skipped and report.rho == 0.0
+    assert "v-" in report.reason
 
 
 def test_geometry_record_planar_keys():

@@ -82,6 +82,15 @@ def test_ln_domain_errors():
     assert exc.value.component == "pair2"
 
 
+def test_ln_where_a_plane_angle_underflows():
+    # the planes of 1e150 + 1e-180 h3 have angles of about +-1e-330, below
+    # the double range: they round to 0 instead of raising OverflowError
+    u = HexaNumber(Variant.PLANAR, (1e150, 0.0, 0.0, 1e-180, 0.0, 0.0))
+    w = ln(u)
+    assert w.components[0] == pytest.approx(150.0 * math.log(10.0), rel=1e-15)
+    assert max(abs(c) for c in w.components[1:]) <= 1e-15 * w.components[0]
+
+
 def test_pow_real_integer_cases():
     rng = random.Random(43)
     for variant in BOTH_VARIANTS:
