@@ -87,6 +87,12 @@ def basis_rows(planar: bool) -> tuple[tuple[float, ...], ...]:
 
 
 @cache
+def basis_columns(planar: bool) -> tuple[tuple[float, ...], ...]:
+    """Columns of :func:`basis_rows`: entry p of every basis tuple, in row order."""
+    return tuple(zip(*basis_rows(planar)))
+
+
+@cache
 def rotation_rows(planar: bool) -> tuple[tuple[float, ...], ...]:
     """Rows of the orthogonal matrix onto the rotated axes.
 

@@ -297,12 +297,11 @@ def canonical_components(u: HexaNumber) -> tuple[float, ...]:
 
 def from_canonical_components(variant: Variant, values) -> HexaNumber:
     """Rebuild a value from raw canonical variables (inverse of the above)."""
-    rows = tr.basis_rows(variant.is_planar)
-    comps = [0.0] * 6
-    for value, row in zip(values, rows):
-        for p in range(6):
-            comps[p] += value * row[p]
-    return HexaNumber(variant, comps)
+    v0, v1, v2, v3, v4, v5 = values
+    # one dot per component, added left to right from 0.0 as an accumulator would
+    return HexaNumber(variant, [
+        0.0 + v0 * c[0] + v1 * c[1] + v2 * c[2] + v3 * c[3] + v4 * c[4] + v5 * c[5]
+        for c in tr.basis_columns(variant.is_planar)])
 
 
 # -- canonical text form ------------------------------------------------------

@@ -131,6 +131,9 @@ def cmd_canon(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
+    if args.all_limit is not None and args.all_limit < 1:
+        print(f"factor: --all LIMIT must be at least 1, got {args.all_limit}", file=sys.stderr)
+        return 1
     coefficients = [_eval_text(text, args) for text in args.coefficients]
     if len(coefficients) < 2:
         print("factor: need at least two coefficients (degree >= 1)", file=sys.stderr)

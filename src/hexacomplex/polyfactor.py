@@ -353,8 +353,14 @@ def _factor_key(piece: LinearOrQuadratic) -> tuple:
     return ("Q", _round_key(piece.b.components), _round_key(piece.c.components))
 
 
-def _distinct_permutations(items: Sequence[complex]) -> Iterator[tuple[complex, ...]]:
-    """Permutations distinct under the dedup rounding of root values."""
+def _distinct_permutations(
+        items: Sequence[complex]) -> Iterator[tuple[tuple[int, ...], tuple[complex, ...]]]:
+    """Permutations distinct under the dedup rounding of root values.
+
+    Each is yielded as (group indices, values): the roots are grouped by
+    their rounded value, groups numbered in sorted order, and the
+    permutations come in lexicographic order of their group indices.
+    """
     keyed = sorted(items, key=lambda z: (round(z.real, _DEDUP_DECIMALS),
                                          round(z.imag, _DEDUP_DECIMALS)))
     groups: list[list] = []  # [key, remaining count, representative value]
@@ -365,15 +371,17 @@ def _distinct_permutations(items: Sequence[complex]) -> Iterator[tuple[complex, 
         else:
             groups.append([key, 1, z])
     n = len(items)
+    rank: list[int] = [0] * n
     slot: list[complex] = [0j] * n
 
-    def rec(depth: int) -> Iterator[tuple[complex, ...]]:
+    def rec(depth: int) -> Iterator[tuple[tuple[int, ...], tuple[complex, ...]]]:
         if depth == n:
-            yield tuple(slot)
+            yield tuple(rank), tuple(slot)
             return
-        for g in groups:
+        for index, g in enumerate(groups):
             if g[1] > 0:
                 g[1] -= 1
+                rank[depth] = index
                 slot[depth] = g[2]
                 yield from rec(depth + 1)
                 g[1] += 1
@@ -386,8 +394,23 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
 
     Distinctness is judged on the multiset of factors with coefficients
     rounded at 1e-9.  Repeated component roots are enumerated as distinct
-    assignments only.  Cost grows factorially with the degree; ``limit``
-    is the caller's brake.
+    assignments only.
+
+    Two kinds of ordering give the same factors: swapping the roots inside
+    a quadratic slot of one component, and permuting the slots of all
+    components at once.  The search visits orderings in lexicographic
+    order of group indices, so the first member of each such class has
+    every quadratic pair ascending and, in the first component, ascending
+    quadratic slots and ascending linear slots; only those orderings are
+    built.  The rounding dedup still catches repeated roots and rounding
+    collisions.  Cost therefore follows the number of distinct results
+    rather than the number of orderings, though that number itself grows
+    factorially with the degree; ``limit`` is the caller's brake.
+
+    The conjugate-pair test scales by the modulus of the pair's first
+    root, so it is not exactly symmetric in the pair; the two moduli agree
+    to rounding, so keeping only the ascending order could drop a pair
+    only within about 1e-19 of the 1e-6 threshold.
     """
     if limit < 1:
         return []
@@ -427,12 +450,24 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
     # factor slots are freely permutable, so every multiset is still reached.
     fix_first = q == 0
 
+    def first_of_class(ranks: tuple[int, ...], first: bool) -> bool:
+        """Whether the search meets no symmetric twin of this ordering earlier."""
+        if any(ranks[2 * i] > ranks[2 * i + 1] for i in range(q)):
+            return False
+        if not first:
+            return True
+        quads = [ranks[2 * i:2 * i + 2] for i in range(q)]
+        linears = list(ranks[2 * q:])
+        return quads == sorted(quads) and linears == sorted(linears)
+
     def orderings(tag: str, first: bool) -> Iterator[tuple[complex, ...]]:
         roots = table[tag]
         if first and fix_first:
             yield tuple(roots)
             return
-        yield from _distinct_permutations(roots)
+        for ranks, ordering in _distinct_permutations(roots):
+            if first_of_class(ranks, first):
+                yield ordering
 
     found: dict[tuple, Factorization] = {}
 
@@ -465,14 +500,15 @@ def format_factorization(f: Factorization, digits: int = 12) -> str:
     parts: list[str] = []
     for piece in f.factors:
         if isinstance(piece, LinearFactor):
-            constant = -piece.root
-            text = format_hexa(constant, digits)
-            if text == "0":
+            # the sign of the leading nonzero component picks u - root or u + (-root)
+            root = piece.root
+            lead = next((a for a in root.components if a != 0.0), 0.0)
+            if lead == 0.0:
                 parts.append("[u]")
-            elif text.startswith("-"):
-                parts.append(f"[u - {_wrap_terms(format_hexa(piece.root, digits))}]")
+            elif lead > 0.0:
+                parts.append(f"[u - {_wrap_terms(format_hexa(root, digits))}]")
             else:
-                parts.append(f"[u + {_wrap_terms(text)}]")
+                parts.append(f"[u + {_wrap_terms(format_hexa(-root, digits))}]")
         else:
             b_text = format_hexa(piece.b, digits)
             c_text = format_hexa(piece.c, digits)

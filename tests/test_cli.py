@@ -83,6 +83,13 @@ def test_factor_single_and_enumerated(capsys):
     assert any("h3" in line for line in lines)
 
 
+def test_factor_rejects_limit_below_one(capsys):
+    for limit in ("0", "-3"):
+        code, out, err = run(capsys, "factor", "--all", limit, "1", "2", "3")
+        assert code == 1 and out == ""
+        assert f"--all LIMIT must be at least 1, got {limit}" in err
+
+
 def test_factor_non_monic_and_zero_divisor_leading(capsys):
     code, out, _ = run(capsys, "factor", "2", "0", "-2")
     assert code == 0

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
 
 from conftest import BOTH_VARIANTS, assert_hexa_close, max_abs_diff, random_hexa
-from hexacomplex.algebra import HexaNumber, Variant
+from hexacomplex import _transforms as tr
+from hexacomplex import polyfactor
+from hexacomplex.algebra import HexaNumber, Variant, format_hexa, from_canonical_components
 from hexacomplex.canonical import canonical_basis
 from hexacomplex.errors import NonConvergenceError, ZeroDivisorError
 from hexacomplex.polyfactor import (
@@ -280,3 +283,176 @@ def test_format_factorization_style():
     quad = format_factorization(factor(u_squared_plus_one(Variant.POLAR)))
     assert quad.startswith("[u^2")
     assert "(1)" in quad
+
+
+def test_format_linear_factor_matches_negated_root_rule():
+    # reference: format -root; on a leading minus print u - root instead
+    def reference(root: HexaNumber) -> str:
+        text = format_hexa(-root, 12)
+        if text == "0":
+            return "[u]"
+        if text.startswith("-"):
+            return f"[u - {polyfactor._wrap_terms(format_hexa(root, 12))}]"
+        return f"[u + {polyfactor._wrap_terms(text)}]"
+
+    rng = random.Random(64)
+    roots = [HexaNumber.zero(Variant.POLAR), HexaNumber(Variant.POLAR, (-0.0, 0.0, -0.0, 0, 0, 0)),
+             HexaNumber(Variant.PLANAR, (0.0, 0.0, 1e-300, -2.0, 0.0, 1.0)),
+             HexaNumber(Variant.PLANAR, (0.0, -1.0, 0.0, 0.0, 0.0, 0.0)),
+             HexaNumber(Variant.POLAR, (3.0, 0.0, 0.0, 0.0, 0.0, 0.0))]
+    roots += [random_hexa(rng, variant) for variant in BOTH_VARIANTS for _ in range(20)]
+    for root in roots:
+        f = Factorization(root.variant, (LinearFactor(root),))
+        assert format_factorization(f) == reference(root)
+
+
+# -- enumeration against the unpruned search ----------------------------------------
+
+
+def _poly_from_component_roots(variant: Variant, axis_roots, plane_roots) -> HexaPolynomial:
+    """Monic polynomial whose canonical components have exactly the given roots."""
+
+    def coefficients(roots):
+        c = [1.0]
+        for r in roots:
+            c = [a - r * b for a, b in zip(c + [0.0], [0.0] + c)]
+        return c[1:]
+
+    axis_c = [coefficients(r) for r in axis_roots]
+    plane_c = [coefficients(r) for r in plane_roots]
+    degree = len(plane_roots[0])
+    return HexaPolynomial(variant, [
+        from_canonical_components(variant, tr.join([c[j].real for c in axis_c],
+                                                   [complex(c[j]) for c in plane_c]))
+        for j in range(degree)])
+
+
+def _rounded(z: complex) -> tuple[float, float]:
+    return (round(z.real, polyfactor._DEDUP_DECIMALS), round(z.imag, polyfactor._DEDUP_DECIMALS))
+
+
+def _every_distinct_ordering(roots):
+    """All orderings distinct under the dedup rounding, in lexicographic order of groups."""
+    values: list[complex] = []
+    ranks: list[int] = []
+    for z in sorted(roots, key=_rounded):
+        if not values or _rounded(values[-1]) != _rounded(z):
+            values.append(z)
+        ranks.append(len(values) - 1)
+    for perm in sorted(set(itertools.permutations(ranks))):
+        yield tuple(values[r] for r in perm)
+
+
+def _unpruned_enumeration(p: HexaPolynomial, limit: int) -> list[Factorization]:
+    """The search without symmetry pruning: every distinct ordering of every
+    component, the axis test, then the rounded-key dict."""
+    table = polyfactor._component_root_table(p)
+    axis_tags, plane_tags = polyfactor._tags(p.variant)
+    m = p.degree
+    q = max((len(polyfactor._snap_axis_roots(table[t])[0]) for t in axis_tags), default=0)
+
+    def real(z: complex) -> bool:
+        return abs(z.imag) <= polyfactor._REAL_SNAP_RTOL * (1 + abs(z))
+
+    def axis_ok(o) -> bool:
+        return (all((real(o[2 * i]) and real(o[2 * i + 1]))
+                    or abs(o[2 * i + 1] - o[2 * i].conjugate()) <= 1e-6 * (1 + abs(o[2 * i]))
+                    for i in range(q))
+                and all(real(z) for z in o[2 * q:]))
+
+    choices = []
+    for index, tag in enumerate(axis_tags + plane_tags):
+        if index == 0 and q == 0:
+            choices.append([tuple(table[tag])])
+        else:
+            choices.append([o for o in _every_distinct_ordering(table[tag])
+                            if tag not in axis_tags or axis_ok(o)])
+    pieces: dict[tuple, tuple] = {}  # slot contents -> (factor, key); building is pure
+
+    def piece(slot: int, axes, planes) -> tuple:
+        end = slot + 2 if slot < 2 * q else slot + 1
+        contents = (slot, tuple(o[slot:end] for o in axes), tuple(o[slot:end] for o in planes))
+        if contents not in pieces:
+            if slot < 2 * q:
+                built = polyfactor._quadratic_factor(
+                    p.variant, [(o[slot], o[slot + 1]) for o in axes],
+                    [(o[slot], o[slot + 1]) for o in planes])
+            else:
+                built = polyfactor._linear_factor(p.variant, [o[slot].real for o in axes],
+                                                  [o[slot] for o in planes])
+            pieces[contents] = built, polyfactor._factor_key(built)
+        return pieces[contents]
+
+    found: dict[tuple, Factorization] = {}
+    for combo in itertools.product(*choices):
+        axes, planes = combo[:len(axis_tags)], combo[len(axis_tags):]
+        slots = [piece(2 * i, axes, planes) for i in range(q)]
+        slots += [piece(j, axes, planes) for j in range(2 * q, m)]
+        key = tuple(sorted(k for _, k in slots))
+        if key not in found:
+            found[key] = Factorization(p.variant, tuple(f for f, _ in slots))
+        if len(found) >= limit:
+            break
+    return list(found.values())
+
+
+_AXIS_PAIRS = [0.5 + 1.2j, -1.1 + 0.6j]
+_AXIS_REALS = [-1.3, 0.4, 1.7, -0.6]
+_PLANE_ROOTS = [[1.0 + 0.5j, -0.7 + 1.1j, 0.3 - 1.4j, -1.2 - 0.4j],
+                [-0.2 + 0.9j, 1.3 - 0.8j, -1.5 + 0.1j, 0.6 + 0.2j],
+                [0.8 + 1.3j, -0.9 - 1.0j, 1.6 + 0.3j, -0.4 - 0.5j]]
+
+
+def _axis_roots(degree: int, pairs: int, shift: float) -> list[complex]:
+    roots = []
+    for z in _AXIS_PAIRS[:pairs]:
+        roots += [z + shift, (z + shift).conjugate()]
+    return roots + [complex(x + shift) for x in _AXIS_REALS[:degree - len(roots)]]
+
+
+def _enumeration_cases():
+    cases = []
+    for degree, pairs in ((2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2)):
+        axes = [_axis_roots(degree, pairs, 0.0), _axis_roots(degree, pairs, 0.25)]
+        planes = [r[:degree] for r in _PLANE_ROOTS[:2]]
+        cases.append((f"polar-deg{degree}-pairs{pairs}",
+                      _poly_from_component_roots(Variant.POLAR, axes, planes)))
+    cases.append(("polar-deg3-pairs1-0", _poly_from_component_roots(
+        Variant.POLAR, [_axis_roots(3, 1, 0.0), _axis_roots(3, 0, 0.1)],
+        [r[:3] for r in _PLANE_ROOTS[:2]])))
+    cases.append(("planar-deg2", _poly_from_component_roots(
+        Variant.PLANAR, [], [r[:2] for r in _PLANE_ROOTS])))
+    # repeated component roots, given as leading-first coefficient lists
+    for name, variant, coefficients in (("(u-1)^2", Variant.POLAR, (1, -2, 1)),
+                                        ("(u-1)^2", Variant.PLANAR, (1, -2, 1)),
+                                        ("u^2+1", Variant.POLAR, (1, 0, 1)),
+                                        ("(u^2+1)^2", Variant.POLAR, (1, 0, 2, 0, 1)),
+                                        ("u^4+1", Variant.POLAR, (1, 0, 0, 0, 1))):
+        cases.append((f"{variant.value}-{name}", HexaPolynomial.from_coefficient_list(
+            [HexaNumber.from_real(variant, float(c)) for c in coefficients])))
+    return cases
+
+
+@pytest.mark.parametrize("poly", [pytest.param(p, id=name) for name, p in _enumeration_cases()])
+def test_enumeration_matches_unpruned_search(poly):
+    for limit in (1, 7, 100000):
+        expected = [format_factorization(f) for f in _unpruned_enumeration(poly, limit)]
+        got = [format_factorization(f) for f in enumerate_factorizations(poly, limit)]
+        assert got == expected, f"limit {limit}"
+
+
+def test_enumeration_builds_one_candidate_per_result(monkeypatch):
+    # two conjugate pairs on each axis: 8 * 8 * 24 * 24 orderings, 72 distinct results
+    axes = [_axis_roots(4, 2, 0.0), _axis_roots(4, 2, 0.25)]
+    poly = _poly_from_component_roots(Variant.POLAR, axes, _PLANE_ROOTS[:2])
+    built = []
+    init = Factorization.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Factorization, "__init__", counting)
+    found = enumerate_factorizations(poly, 100000)
+    assert len(found) == 72
+    assert len(built) == 72
