@@ -7,19 +7,24 @@ central finite differences.  Line integrals run over sampled polyline
 paths with midpoint quadrature; closed loops pick up 2*pi residues from
 the canonical planes only, weighted by per-plane winding numbers.
 
-The quadrature works in canonical coordinates: one transform moves the
-sampled path to the real axes and complex planes, where the products and
-quotients of f(u) (u - u0)^-1 du act on each axis and plane separately,
-and the sum maps back once.  f is called once per chord midpoint, on a
-HexaNumber, so any evaluator works.  Memory is O(N): besides the path,
-one (N+1)x6 array of canonical offsets and fixed-size blocks of chords.
+A path is an (N+1)x6 array of components.  The quadrature works in
+canonical coordinates: one transform moves the sampled path to the real
+axes and complex planes, where the products and quotients of
+f(u) (u - u0)^-1 du act on each axis and plane separately, and the sum
+maps back once.  The functions in :data:`FUNCTIONS` act there too: each
+carries an elementwise map for the axes and one for the planes, so f is
+evaluated on whole blocks of canonical chord midpoints.  Any other
+callable is called once per chord midpoint, on a HexaNumber.  Memory is
+O(N): the path, one (N+1)x6 array of canonical offsets and fixed-size
+blocks of chords.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import pairwise
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -53,6 +58,7 @@ _PROJECTION_CLEARANCE = 1e-9
 _BLOCK = 256
 
 Evaluator = Callable[[HexaNumber], HexaNumber]
+ElementwiseMap = Callable[[np.ndarray], np.ndarray]
 
 
 def _blocks(n: int) -> Iterable[tuple[int, int]]:
@@ -60,37 +66,73 @@ def _blocks(n: int) -> Iterable[tuple[int, int]]:
     return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
-@dataclass(frozen=True)
+class _Rows(Sequence):
+    """The rows of a component array as HexaNumbers, each built when it is read."""
+
+    def __init__(self, variant: Variant, points: np.ndarray):
+        self._variant = variant
+        self._points = points
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+    def __getitem__(self, index):
+        rows = self._points[index].tolist()
+        if isinstance(index, slice):
+            return [HexaNumber(self._variant, row) for row in rows]
+        return HexaNumber(self._variant, rows)
+
+
+@dataclass(frozen=True, eq=False)
 class Path:
-    """Sampled polyline path; closed paths repeat the first sample last."""
+    """Sampled polyline path; closed paths repeat the first sample last.
+
+    ``points`` holds the components of the samples, one read-only row of
+    six finite floats per sample; ``samples`` reads those rows as
+    HexaNumbers.
+    """
 
     variant: Variant
-    samples: tuple[HexaNumber, ...]
+    points: np.ndarray
     closed: bool
 
-    def __init__(self, variant: Variant, samples: Iterable[HexaNumber], closed: bool):
-        samples = tuple(samples)
-        if len(samples) < 3:
+    def __init__(self, variant: Variant, samples: Iterable[HexaNumber] | np.ndarray,
+                 closed: bool):
+        if isinstance(samples, np.ndarray):
+            points = np.array(samples, dtype=np.float64)
+        else:
+            samples = tuple(samples)
+            for s in samples:
+                if s.variant is not variant:
+                    raise ValueError("path sample variant mismatch")
+            points = np.array([s.components for s in samples], dtype=np.float64).reshape(-1, 6)
+        if points.ndim != 2 or points.shape[1] != 6:
+            raise ValueError(f"path samples need 6 components each, got shape {points.shape}")
+        if len(points) < 3:
             raise ValueError("a path needs at least three samples")
-        for s in samples:
-            if s.variant is not variant:
-                raise ValueError("path sample variant mismatch")
-        if closed and samples[0] != samples[-1]:
+        if not np.isfinite(points).all():
+            raise ValueError("path samples must be finite")
+        if closed and not np.array_equal(points[0], points[-1]):
             raise ValueError("closed paths must repeat the first sample exactly")
+        points.flags.writeable = False
         object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "closed", closed)
 
+    @property
+    def samples(self) -> Sequence[HexaNumber]:
+        return _Rows(self.variant, self.points)
+
     def segments(self):
-        return zip(self.samples[:-1], self.samples[1:])
+        return pairwise(self.samples)
 
     def length(self) -> float:
-        return sum((b - a).modulus() for a, b in self.segments())
+        return float(np.hypot.reduce(np.diff(self.points, axis=0), axis=1).sum())
 
     def to_text(self) -> str:
-        lines = [f"{self.variant.value} {len(self.samples)} {int(self.closed)}"]
-        for s in self.samples:
-            lines.append(" ".join(f"{c:.17g}" for c in s.components))
+        lines = [f"{self.variant.value} {len(self.points)} {int(self.closed)}"]
+        for row in self.points.tolist():
+            lines.append(" ".join(f"{c:.17g}" for c in row))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -106,8 +148,7 @@ class Path:
         closed = bool(int(head[2]))
         if len(lines) - 1 != count:
             raise ValueError(f"expected {count} samples, found {len(lines) - 1}")
-        samples = [HexaNumber(variant, [float(v) for v in ln.split()]) for ln in lines[1:]]
-        return cls(variant, samples, closed)
+        return cls(variant, np.array([[float(v) for v in ln.split()] for ln in lines[1:]]), closed)
 
 
 def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float] | float,
@@ -126,27 +167,33 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
     if samples < 8:
         raise ValueError("need at least 8 samples for a circle")
     rows = tr.rotation_rows(variant.is_planar)
-    directions = [(radius, *rows[tr.plane_slice(variant.is_planar, k)])
-                  for k, radius in radii.items()]
-    loop = []
-    for lo, hi in _blocks(samples):
-        t = 2.0 * np.pi * np.arange(lo, hi) / samples
-        points = np.tile(center.components, (hi - lo, 1))
-        for radius, xi_row, eta_row in directions:
-            points += np.outer(radius * np.cos(t), xi_row)
-            points += np.outer(radius * np.sin(t), eta_row)
-        loop.extend(HexaNumber(variant, p.tolist()) for p in points)
-    loop.append(loop[0])
-    return Path(variant, loop, closed=True)
+    t = 2.0 * np.pi * np.arange(samples) / samples
+    points = np.empty((samples + 1, 6))
+    loop = points[:-1]
+    loop[:] = center.components
+    for k, radius in radii.items():
+        xi_row, eta_row = rows[tr.plane_slice(variant.is_planar, k)]
+        loop += np.outer(radius * np.cos(t), xi_row)
+        loop += np.outer(radius * np.sin(t), eta_row)
+    points[-1] = points[0]
+    return Path(variant, points, closed=True)
 
 
 @dataclass(frozen=True)
 class FunctionUnderTest:
-    """A deterministic map u -> f(u) with a note on where it is regular."""
+    """A deterministic map u -> f(u) with a note on where it is regular.
+
+    ``axis_map`` and ``plane_map``, when given, compute f in canonical
+    coordinates: the first on float64 arrays of real-axis values, the
+    second on complex128 arrays of plane values vk + i vk~.  Quadrature
+    then evaluates f on whole blocks of points through them.
+    """
 
     name: str
     evaluator: Evaluator
     domain: str = "entire"
+    axis_map: ElementwiseMap | None = None
+    plane_map: ElementwiseMap | None = None
 
     def __call__(self, u: HexaNumber) -> HexaNumber:
         return self.evaluator(u)
@@ -156,17 +203,26 @@ def _fn_one(u: HexaNumber) -> HexaNumber:
     return HexaNumber.one(u.variant)
 
 
-FUNCTIONS: dict[str, FunctionUnderTest] = {
-    "one": FunctionUnderTest("one", _fn_one),
-    "u": FunctionUnderTest("u", lambda u: u),
-    "u2": FunctionUnderTest("u2", lambda u: u * u),
-    "u3": FunctionUnderTest("u3", lambda u: u * u * u),
-    "exp": FunctionUnderTest("exp", elementary.exp),
-    "sin": FunctionUnderTest("sin", elementary.sin),
-    "cos": FunctionUnderTest("cos", elementary.cos),
-    "sinh": FunctionUnderTest("sinh", elementary.sinh),
-    "cosh": FunctionUnderTest("cosh", elementary.cosh),
-}
+def _componentwise(name: str, evaluator: Evaluator,
+                   block_map: ElementwiseMap | None = None) -> FunctionUnderTest:
+    """f acting as the same elementwise map on the axes and on the planes.
+
+    Without ``block_map`` the evaluator itself is that map: products of
+    arrays are elementwise, as products are per component in canonical
+    coordinates.
+    """
+    block_map = block_map or evaluator
+    return FunctionUnderTest(name, evaluator, axis_map=block_map, plane_map=block_map)
+
+
+FUNCTIONS: dict[str, FunctionUnderTest] = {f.name: f for f in (
+    _componentwise("one", _fn_one, np.ones_like),
+    _componentwise("u", lambda u: u),
+    _componentwise("u2", lambda u: u * u),
+    _componentwise("u3", lambda u: u * u * u),
+    *(_componentwise(name, getattr(elementary, name), getattr(np, name))
+      for name in elementary.COMPONENTWISE),
+)}
 
 
 def directional_derivative(f: Evaluator, u0: HexaNumber, direction: HexaNumber) -> HexaNumber:
@@ -276,13 +332,6 @@ def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
                     second_order=tuple(second_order))
 
 
-def _sample_array(path: Path, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Samples lo..hi-1 of the path (all by default) as the rows of an array."""
-    samples = path.samples[lo:hi]
-    flat = chain.from_iterable(s.components for s in samples)
-    return np.fromiter(flat, np.float64, 6 * len(samples)).reshape(-1, 6)
-
-
 def _canonical(x: np.ndarray, planar: bool) -> np.ndarray:
     """Canonical components of each row of x, in canonical row order (see _transforms)."""
     return np.einsum("ij,kj->ik", x, tr.canonical_rows(planar))
@@ -300,19 +349,60 @@ def _ring_update(op, a: np.ndarray, b: np.ndarray, planar: bool) -> None:
         op(x, y, out=x)
 
 
+def _moduli(c: np.ndarray, planar: bool) -> np.ndarray:
+    """|u| of each row of a canonical array, by hypot (no overflow or underflow).
+
+    The canonical rows are orthogonal, of squared norm 6 on the axes and
+    3 on the planes, so |u|^2 = sum v_axis^2 / 6 + sum |v_k|^2 / 3.
+    """
+    axes = tr.axis_count(planar)
+    return np.hypot.reduce(np.hstack((c[:, :axes] / tr.SQRT6, c[:, axes:] / tr.SQRT3)), axis=1)
+
+
+def _first_label(hits: np.ndarray, planar: bool) -> str | None:
+    """Label of the first hit, row by row, in a boolean array with one column per component.
+
+    Components are named v+, v- and pair1, pair2, ... as in ZeroDivisorError.
+    """
+    found = np.argwhere(hits)
+    return tr.component_labels(planar)[found[0][1]] if len(found) else None
+
+
+def _magnitudes(c: np.ndarray, planar: bool) -> np.ndarray:
+    """|value| of each canonical component of each row: one column per axis and per plane."""
+    axes, planes = _axes_planes(c, planar)
+    return np.hstack((np.abs(axes), np.abs(planes)))
+
+
 def _first_below(c: np.ndarray, bound, planar: bool, strict: bool) -> str | None:
     """Label of the first canonical component, row by row, whose magnitude is below ``bound``.
 
     ``bound`` is a number or one bound per row; ``strict`` picks < over <=.
-    Components are named v+, v- and pair1, pair2, ... as in ZeroDivisorError.
     """
-    axes, planes = _axes_planes(c, planar)
-    magnitudes = np.hstack((np.abs(axes), np.abs(planes)))
+    magnitudes = _magnitudes(c, planar)
     bound = np.reshape(bound, (-1, 1))
-    hits = np.argwhere(magnitudes < bound if strict else magnitudes <= bound)
-    if not len(hits):
-        return None
-    return tr.component_labels(planar)[hits[0][1]]
+    return _first_label(magnitudes < bound if strict else magnitudes <= bound, planar)
+
+
+def _mapped(f: FunctionUnderTest, c: np.ndarray, planar: bool) -> np.ndarray:
+    """f on each row of a canonical array, through its axis and plane maps."""
+    out = np.empty_like(c)
+    for target, values, fn in zip(_axes_planes(out, planar), _axes_planes(c, planar),
+                                  (f.axis_map, f.plane_map)):
+        target[...] = fn(values)
+    return out
+
+
+def _called(f: Evaluator, x: np.ndarray, variant: Variant) -> np.ndarray:
+    """Canonical components of f on each row of a component array, one HexaNumber per row."""
+    values = np.empty_like(x)
+    for i, point in enumerate(x.tolist()):
+        value = f(HexaNumber(variant, point))
+        if value.variant is not variant:
+            raise VariantError(f"integrand returned a {value.variant.value} value "
+                               f"on a {variant.value} path")
+        values[i] = value.components
+    return _canonical(values, variant.is_planar)
 
 
 def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> HexaNumber:
@@ -320,50 +410,57 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
 
     Each chord contributes F(mid) * delta, divided by mid - pole when a pole
     is given; products and quotients act on each axis and plane
-    separately.  With a pole, a sample within 1e-6 of it in some canonical
-    component raises :class:`DegeneratePathError` before f is called, and
-    a chord midpoint that is a zero divisor of u - pole raises
+    separately.  An f with an axis and a plane map is evaluated on whole
+    blocks of canonical midpoints; any other f is called on each midpoint.
+    With a pole, a sample within 1e-6 of it in some canonical component
+    raises :class:`DegeneratePathError` before f is called, and a chord
+    midpoint that is a zero divisor of u - pole raises
     :class:`ZeroDivisorError` before f is called on its block of chords.
+    A sum that is not finite, as when f overflows, raises
+    :class:`DomainError` naming the first such canonical component.
     """
     variant = path.variant
     planar = variant.is_planar
+    points = path.points
+    mapped = getattr(f, "axis_map", None) is not None
     # One path-sized array, the canonical offsets of the samples from the
     # pole (or from zero); everything else works in blocks of chords.
-    offsets = _sample_array(path)
-    if pole is not None:
-        offsets -= pole.components
-    for lo, hi in _blocks(len(offsets)):
-        offsets[lo:hi] = _canonical(offsets[lo:hi], planar)
-        if pole is not None:
-            label = _first_below(offsets[lo:hi], _PATH_CLEARANCE, planar, strict=True)
-            if label:
-                raise DegeneratePathError(
-                    f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
+    if pole is None:
+        offsets = _canonical(points, planar)
+        origin = 0.0
+    else:
+        offsets = _canonical(points - pole.components, planar)
+        origin = _canonical(np.reshape(pole.components, (1, 6)), planar)
+        label = _first_below(offsets, _PATH_CLEARANCE, planar, strict=True)
+        if label:
+            raise DegeneratePathError(
+                f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
     total = np.zeros(6)
-    for lo, hi in _blocks(len(offsets) - 1):
-        samples = _sample_array(path, lo, hi + 1)
-        values = samples[:-1] + samples[1:]  # chord midpoints, then F(mid)
-        values *= 0.5
-        ends = offsets[lo:hi + 1]
-        weights = ends[1:] - ends[:-1]
-        if pole is not None:
-            quotient = ends[1:] + ends[:-1]
-            quotient *= 0.5
-            shifted = values - pole.components
-            threshold = ZERO_COMPONENT_RTOL * np.sqrt(np.einsum("ij,ij->i", shifted, shifted))
-            label = _first_below(quotient, threshold, planar, strict=False)
-            if label:
-                raise ZeroDivisorError(label)
-            _ring_update(np.divide, weights, quotient, planar)
-        for i, mid in enumerate(values):
-            value = f(HexaNumber(variant, mid.tolist()))
-            if value.variant is not variant:
-                raise VariantError(f"integrand returned a {value.variant.value} value "
-                                   f"on a {variant.value} path")
-            values[i] = value.components
-        terms = _canonical(values, planar)
-        _ring_update(np.multiply, terms, weights, planar)
-        total += terms.sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _blocks(len(offsets) - 1):
+            ends = offsets[lo:hi + 1]
+            weights = ends[1:] - ends[:-1]
+            mids = ends[1:] + ends[:-1]  # canonical chord midpoints, offset from the pole
+            mids *= 0.5
+            if pole is not None:
+                label = _first_below(mids, ZERO_COMPONENT_RTOL * _moduli(mids, planar),
+                                     planar, strict=False)
+                if label:
+                    raise ZeroDivisorError(label)
+            if mapped:
+                terms = _mapped(f, mids + origin, planar)
+            else:
+                x = points[lo:hi] + points[lo + 1:hi + 1]
+                x *= 0.5
+                terms = _called(f, x, variant)
+            if pole is not None:
+                _ring_update(np.divide, weights, mids, planar)
+            _ring_update(np.multiply, terms, weights, planar)
+            total += terms.sum(axis=0)
+    label = _first_label(~np.isfinite(_magnitudes(total.reshape(1, 6), planar)), planar)
+    if label:
+        raise DomainError(f"integrand overflows: canonical component {label} of the sum "
+                          f"is not finite", component=label)
     return from_canonical_components(variant, total)
 
 
@@ -384,11 +481,7 @@ def winding_number(path: Path, u0: HexaNumber, plane: int) -> int:
         raise ValueError("point and path variants differ")
     planar = path.variant.is_planar
     rows = tr.rotation_rows(planar)[tr.plane_slice(planar, plane)]
-    dx, dy = np.empty((2, len(path.samples)))
-    for lo, hi in _blocks(len(path.samples)):
-        points = _sample_array(path, lo, hi)
-        points -= u0.components
-        dx[lo:hi], dy[lo:hi] = np.einsum("ij,kj->ki", points, rows)
+    dx, dy = np.einsum("ij,kj->ki", path.points - u0.components, rows)
     if (np.hypot(dx, dy) < _PROJECTION_CLEARANCE).any():
         raise DegeneratePathError(
             f"projected path touches the projected point in plane {plane}")

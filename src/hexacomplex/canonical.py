@@ -204,6 +204,19 @@ def _plane_polar(z: complex, threshold: float) -> tuple[float, float | None]:
     return rho, tr.azimuth(z)
 
 
+def _amplitude(axes, rhos) -> float:
+    """rho: the 6th root of |v+ v-| rho1^2 rho2^2 (polar), the cube root of rho1 rho2 rho3 (planar).
+
+    Both are the product of |v|^(1/6) over the axes and rho_k^(1/3) over
+    the planes.  Taking each root before multiplying keeps every factor
+    near the scale of rho, so no partial product overflows or underflows.
+    The roots are cbrt and sqrt: x ** (1.0 / 3.0) would carry the rounding
+    of 1/3, a relative error of 2e-17 ln(x) (5e-15 at x = 1e110).
+    """
+    return (math.prod(math.cbrt(math.sqrt(abs(v))) for v in axes)
+            * math.prod(math.cbrt(r) for r in rhos))
+
+
 def geometry(u: HexaNumber) -> PolarGeometry | PlanarGeometry:
     """Modulus, amplitude and angles of ``u``; undefined angles are None.
 
@@ -221,8 +234,7 @@ def geometry(u: HexaNumber) -> PolarGeometry | PlanarGeometry:
         rho1, rho2, rho3 = rhos
         phi1, phi2, phi3 = phis
         psi2 = math.atan2(rho1, rho3) if max(rho1, rho3) > 0.0 else None
-        rho = (rho1 * rho2 * rho3) ** (1.0 / 3.0)
-        return PlanarGeometry(d=d, rho=rho, psi1=psi1, psi2=psi2,
+        return PlanarGeometry(d=d, rho=_amplitude(axes, rhos), psi1=psi1, psi2=psi2,
                               phi1=phi1, phi2=phi2, phi3=phi3,
                               rho1=rho1, rho2=rho2, rho3=rho3)
 
@@ -236,10 +248,10 @@ def geometry(u: HexaNumber) -> PolarGeometry | PlanarGeometry:
     rho: float | None
     if min(rho1, rho2, abs(v_plus), abs(v_minus)) == 0.0:
         rho = 0.0
-    elif v_plus * v_minus < 0.0:
+    elif (v_plus < 0.0) != (v_minus < 0.0):
         rho = None
     else:
-        rho = (v_plus * v_minus * rho1 * rho1 * rho2 * rho2) ** (1.0 / 6.0)
+        rho = _amplitude(axes, rhos)
     return PolarGeometry(d=d, rho=rho, theta_plus=theta_plus, theta_minus=theta_minus,
                          psi1=psi1, phi1=phi1, phi2=phi2, rho1=rho1, rho2=rho2)
 
@@ -287,8 +299,8 @@ def exp_form(u: HexaNumber) -> ExpForm:
         raise DomainError(f"exponential form undefined: {tr.vanished(label)}", component=label)
     axes, planes = tr.split(planar, comps)
     rhos = [tr.radius(z) for z in planes]
+    rho = _amplitude(axes, rhos)
     if planar:
-        rho = (rhos[0] * rhos[1] * rhos[2]) ** (1.0 / 3.0)
         la = math.log(rhos[0] / rhos[1]) / 3.0
         lb = math.log(rhos[0] / rhos[2]) / 6.0
         exponent = _hexa(u.variant, (
@@ -303,7 +315,6 @@ def exp_form(u: HexaNumber) -> ExpForm:
 
     v_plus, v_minus = axes
     rho1, rho2 = rhos
-    rho = (v_plus * v_minus * rho1 * rho1 * rho2 * rho2) ** (1.0 / 6.0)
     la = math.log(v_plus / rho1) / 6.0   # ln(sqrt2 / tan theta+) / 6
     lb = math.log(v_minus / rho1) / 6.0  # ln(sqrt2 / tan theta-) / 6
     lc = math.log(rho1 / rho2) / 6.0     # ln(tan psi1) / 6
@@ -376,7 +387,7 @@ def check_d_rho_relation(u: HexaNumber) -> DRhoReport:
     axes, planes = tr.split(planar, comps)
     rhos = [tr.radius(z) for z in planes]
     if planar:
-        rho = (rhos[0] * rhos[1] * rhos[2]) ** (1.0 / 3.0)
+        rho = _amplitude(axes, rhos)
         t1 = rhos[0] / rhos[1]
         t2 = rhos[0] / rhos[2]
         base = rho * (t1 * t2) ** (1.0 / 3.0) * math.sqrt(1.0 + 1.0 / t1 ** 2 + 1.0 / t2 ** 2)
@@ -389,7 +400,7 @@ def check_d_rho_relation(u: HexaNumber) -> DRhoReport:
     if v_plus < 0.0 or v_minus < 0.0:
         return DRhoReport(u.variant, skipped=True, reason="v+ or v- negative: no real amplitude",
                           d=d, rho=None, rhs=None, rhs_quoted_constant=None)
-    rho = (v_plus * v_minus * rho1 * rho1 * rho2 * rho2) ** (1.0 / 6.0)
+    rho = _amplitude(axes, rhos)
     t_plus = tr.SQRT2 * rho1 / v_plus
     t_minus = tr.SQRT2 * rho1 / v_minus
     t_psi = rho1 / rho2

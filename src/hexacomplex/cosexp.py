@@ -19,16 +19,12 @@ forms for |y| >= 2, where they are accurate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import TextIO
 
 from . import _transforms as tr
 from .algebra import HexaNumber, Variant
 
 __all__ = [
-    "Method",
-    "CosexpEvaluation",
     "g6",
     "g6_series",
     "g6_sumform",
@@ -36,8 +32,6 @@ __all__ = [
     "f6_series",
     "f6_sumform",
     "exp_basis",
-    "evaluate",
-    "evaluate_all_methods",
     "emit_table",
     "table_grid",
     "SERIES_MAX_TERMS",
@@ -46,22 +40,6 @@ __all__ = [
 SERIES_MAX_TERMS = 300
 _SERIES_REL_FLOOR = 1e-17
 _ROW_SERIES_BELOW = 2.0
-
-
-class Method(Enum):
-    SERIES = "series"
-    CLOSED_FORM = "closed"
-    SUM_FORM = "sum"
-
-
-@dataclass(frozen=True)
-class CosexpEvaluation:
-    """One evaluation of a cosexponential function, tagged with its route."""
-
-    k: int
-    y: float
-    value: float
-    method: Method
 
 
 def _check_index(k: int) -> None:
@@ -127,7 +105,7 @@ def _series(k: int, y: float, max_terms: int, alternating: bool) -> float:
     _check_index(k)
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    term = y ** k / math.factorial(k)
+    term = math.prod((y,) * k) / math.factorial(k)  # y^k by multiplication, not libm pow
     total = term
     n = k
     for _ in range(max_terms - 1):
@@ -173,30 +151,6 @@ def f6_sumform(k: int, y: float) -> float:
         total += (math.exp(y * tr.cos_pi6(m))
                   * math.cos(y * tr.sin_pi6(m) - math.pi * m * k / 6.0))
     return total / 6.0
-
-
-# -- evaluation records ----------------------------------------------------------
-
-_DISPATCH = {
-    ("g", Method.SERIES): g6_series,
-    ("g", Method.CLOSED_FORM): g6,
-    ("g", Method.SUM_FORM): g6_sumform,
-    ("f", Method.SERIES): f6_series,
-    ("f", Method.CLOSED_FORM): f6,
-    ("f", Method.SUM_FORM): f6_sumform,
-}
-
-
-def evaluate(family: str, k: int, y: float, method: Method) -> CosexpEvaluation:
-    """Evaluate one cosexponential ('g' polar, 'f' planar) by one route."""
-    if family not in ("g", "f"):
-        raise ValueError("family must be 'g' or 'f'")
-    value = _DISPATCH[(family, method)](k, y)
-    return CosexpEvaluation(k=k, y=y, value=value, method=method)
-
-
-def evaluate_all_methods(family: str, k: int, y: float) -> tuple[CosexpEvaluation, ...]:
-    return tuple(evaluate(family, k, y, m) for m in Method)
 
 
 # -- whole rows -----------------------------------------------------------------

@@ -28,6 +28,7 @@ from .algebra import (
 from .errors import DomainError, ZeroDivisorError
 
 __all__ = [
+    "COMPONENTWISE",
     "exp",
     "ln",
     "pow_real",
@@ -48,25 +49,25 @@ def _apply(u: HexaNumber,
     return from_canonical_components(u.variant, tr.join(map(axis_fn, axes), map(plane_fn, planes)))
 
 
-def exp(u: HexaNumber) -> HexaNumber:
-    """Componentwise exponential; entire on both variants."""
-    return _apply(u, math.exp, cmath.exp)
+# The entire functions that act as the real function of the same name on each
+# axis and as the complex one on each plane.  math, cmath and numpy all define
+# them under these names, so this one table serves values and arrays alike.
+COMPONENTWISE = ("exp", "sin", "cos", "sinh", "cosh")
 
 
-def cos(u: HexaNumber) -> HexaNumber:
-    return _apply(u, math.cos, cmath.cos)
+def _componentwise(name: str) -> Callable[[HexaNumber], HexaNumber]:
+    axis_fn, plane_fn = getattr(math, name), getattr(cmath, name)
+
+    def fn(u: HexaNumber) -> HexaNumber:
+        return _apply(u, axis_fn, plane_fn)
+
+    fn.__name__ = fn.__qualname__ = name
+    fn.__doc__ = (f"Componentwise {name}: math.{name} on each real axis, "
+                  f"cmath.{name} on each plane; entire on both variants.")
+    return fn
 
 
-def sin(u: HexaNumber) -> HexaNumber:
-    return _apply(u, math.sin, cmath.sin)
-
-
-def cosh(u: HexaNumber) -> HexaNumber:
-    return _apply(u, math.cosh, cmath.cosh)
-
-
-def sinh(u: HexaNumber) -> HexaNumber:
-    return _apply(u, math.sinh, cmath.sinh)
+exp, sin, cos, sinh, cosh = map(_componentwise, COMPONENTWISE)
 
 
 def _ln_preconditions(u: HexaNumber) -> None:

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from conftest import BOTH_VARIANTS, max_abs_diff, random_hexa
-from hexacomplex import elementary
-from hexacomplex.algebra import HexaNumber, Variant, from_canonical_components
+from hexacomplex import _transforms as tr
+from hexacomplex import cli, elementary
+from hexacomplex.algebra import (
+    HexaNumber,
+    Variant,
+    canonical_components,
+    from_canonical_components,
+)
 from hexacomplex.calculus import (
     FUNCTIONS,
     FunctionUnderTest,
@@ -375,3 +384,37 @@ def test_path_construction_and_serialization():
                HexaNumber.basis(variant, 1)]
     with pytest.raises(ValueError):
         Path(variant, samples, closed=True)
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_elementwise_maps_agree_with_the_evaluator(name):
+    f = FUNCTIONS[name]
+    rng = random.Random(72)
+    for variant in BOTH_VARIANTS:
+        for _ in range(50):
+            u = random_hexa(rng, variant)
+            axes, planes = tr.split(variant.is_planar, canonical_components(u))
+            mapped = tr.join(f.axis_map(np.array(axes, dtype=np.float64)),
+                             f.plane_map(np.array(planes, dtype=np.complex128)))
+            # rounding of the canonical input, carried through f', plus that of the output
+            scale = max(map(abs, mapped)) * (1.0 + max(map(abs, axes + planes)))
+            assert max_abs_diff(from_canonical_components(variant, mapped), f(u)) \
+                <= 8 * 2.0 ** -52 * scale
+
+
+@pytest.mark.parametrize("argv", [("exp", "0", "1", "1.0"),
+                                  ("--planar", "sin", "h3", "2", "0.5")])
+def test_integrate_builds_no_value_per_sample(monkeypatch, argv):
+    built = []
+    init = HexaNumber.__init__
+
+    def counted(self, *args):
+        built[-1] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(HexaNumber, "__init__", counted)
+    for samples in (1024, 4096):
+        built.append(0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["integrate", *argv, "--samples", str(samples)]) == 0
+    assert built[0] == built[1]

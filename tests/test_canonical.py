@@ -190,6 +190,36 @@ def test_geometry_where_the_squared_modulus_overflows():
     assert g.rho == 0.0  # v- vanishes
 
 
+def _mp_amplitude(u: HexaNumber):
+    """Test-side oracle: rho from the canonical variables of u at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(c) for c in u.components]
+        if u.variant.is_planar:
+            steps, axis_roots = (1, 3, 5), []
+        else:
+            steps = (2, 4)
+            axis_roots = [abs(mpmath.fsum(s ** p * x[p] for p in range(6))) ** (mpmath.mpf(1) / 6)
+                          for s in (1, -1)]
+        rhos = [abs(mpmath.fsum(mpmath.expjpi(m * p * mpmath.mpf(1) / 6) * x[p] for p in range(6)))
+                for m in steps]
+        return float(mpmath.fprod(axis_roots) * mpmath.fprod(r ** (mpmath.mpf(1) / 3) for r in rhos))
+
+
+@pytest.mark.parametrize("variant, components", [
+    (Variant.POLAR, (1e52, 1e51, 0.0, 0.0, 0.0, 0.0)),     # v+ v- rho1^2 rho2^2 overflows
+    (Variant.POLAR, (1e-55, 1e-56, 0.0, 0.0, 0.0, 0.0)),   # ... underflows
+    (Variant.PLANAR, (1e110, 1e109, 0.0, 0.0, 0.0, 0.0)),  # rho1 rho2 rho3 overflows
+    (Variant.PLANAR, (1e-110, 1e-111, 0.0, 0.0, 0.0, 0.0)),
+    (Variant.POLAR, (3e-300, -1e-300, 2e-300, 0.0, 5e-301, 1e-300)),
+])
+def test_amplitude_at_the_ends_of_the_double_range(variant, components):
+    u = HexaNumber(variant, components)
+    expected = _mp_amplitude(u)
+    for rho in (geometry(u).rho, exp_form(u).rho, check_d_rho_relation(u).rho):
+        assert rho == pytest.approx(expected, rel=8 * 2.0 ** -52, abs=0.0)
+
+
 # Exact zero divisors and the component each one loses.
 ZERO_DIVISORS = [
     (Variant.POLAR, "1 + h3", "v-"),
@@ -222,6 +252,8 @@ def test_every_route_names_the_same_vanished_component(variant, text, component)
 def test_geometry_rho_absent_for_mixed_axis_signs():
     g = geometry(HexaNumber.basis(Variant.POLAR, 3))
     assert g.rho is None  # v+ v- = -1 < 0 has no real sixth root
+    # the signs decide, also where the product v+ v- = -1e-340 underflows to -0
+    assert geometry(HexaNumber.basis(Variant.POLAR, 3) * 1e-170).rho is None
     # tan(theta-) = sqrt(2) rho1 / v- with v- = -1 puts theta- past pi/2
     assert g.theta_minus == pytest.approx(math.pi - math.atan(math.sqrt(2.0)), abs=1e-15)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pathlib
+import warnings
 
 import pytest
 
@@ -147,6 +148,10 @@ def test_integrate_command(capsys):
     lines = dict(line.split("=", 1) for line in out.splitlines())
     assert lines["windings"] == "(0, 1, 0)"
 
+    # the zero-divisor test takes |u - u0| by hypot, so a huge loop is no zero divisor
+    code, out, err = run(capsys, "integrate", "one", "0", "1", "1e200", "--samples", "64")
+    assert code == 0 and err == "" and "windings=(1, 0)" in out
+
 
 def test_integrate_rejects_bad_plane(capsys):
     code, _, err = run(capsys, "integrate", "exp", "0", "3", "1.0")
@@ -159,6 +164,20 @@ def test_integrate_rejects_bad_plane(capsys):
     for radius in (("nan",), ("inf",), ("--", "-inf")):
         code, out, err = run(capsys, "integrate", "exp", "0", "1", *radius)
         assert code == 1 and "radius" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, component", [
+    (("--polar", "exp", "800"), "v+"),
+    (("--planar", "cosh", "800"), "pair1"),
+    (("--polar", "u3", "1e110"), "v+"),
+])
+def test_integrate_reports_an_overflowing_integrand(capsys, argv, component):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would end in a traceback
+        code, out, err = run(capsys, "integrate", "--samples", "64", *argv, "1", "1.0")
+    assert code == 1 and out == ""
+    assert err == (f"error: integrand overflows: canonical component {component} "
+                   f"of the sum is not finite\n")
 
 
 def test_repr_command(capsys):
