@@ -12,8 +12,8 @@ canonical coordinates: one transform moves the sampled path to the real
 axes and complex planes, where the products and quotients of
 f(u) (u - u0)^-1 du act on each axis and plane separately, and the sum
 maps back once.  The functions in :data:`FUNCTIONS` act there too: each
-carries an elementwise map for the axes and one for the planes, so f is
-evaluated on whole blocks of canonical chord midpoints.  Any other
+carries one elementwise map that acts on the axes and on the planes, so
+f is evaluated on whole blocks of canonical chord midpoints.  Any other
 callable is called once per chord midpoint, on a HexaNumber.  Memory is
 O(N): the path, one (N+1)x6 array of canonical offsets and fixed-size
 blocks of chords.
@@ -89,7 +89,8 @@ class Path:
 
     ``points`` holds the components of the samples, one read-only row of
     six finite floats per sample; ``samples`` reads those rows as
-    HexaNumbers.
+    HexaNumbers.  Paths are equal when their variants, closure and
+    points are.
     """
 
     variant: Variant
@@ -118,6 +119,15 @@ class Path:
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "closed", closed)
+
+    def __eq__(self, other):
+        if not isinstance(other, Path):
+            return NotImplemented
+        return (self.variant is other.variant and self.closed == other.closed
+                and np.array_equal(self.points, other.points))
+
+    def __hash__(self) -> int:
+        return hash((self.variant, self.closed, tuple(self.points.ravel().tolist())))
 
     @property
     def samples(self) -> Sequence[HexaNumber]:
@@ -183,17 +193,16 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
 class FunctionUnderTest:
     """A deterministic map u -> f(u) with a note on where it is regular.
 
-    ``axis_map`` and ``plane_map``, when given, compute f in canonical
-    coordinates: the first on float64 arrays of real-axis values, the
-    second on complex128 arrays of plane values vk + i vk~.  Quadrature
-    then evaluates f on whole blocks of points through them.
+    ``canonical_map``, when given, computes f in canonical coordinates,
+    elementwise on float64 arrays of real-axis values and on complex128
+    arrays of plane values vk + i vk~.  Quadrature then evaluates f on
+    whole blocks of points through it.
     """
 
     name: str
     evaluator: Evaluator
     domain: str = "entire"
-    axis_map: ElementwiseMap | None = None
-    plane_map: ElementwiseMap | None = None
+    canonical_map: ElementwiseMap | None = None
 
     def __call__(self, u: HexaNumber) -> HexaNumber:
         return self.evaluator(u)
@@ -203,24 +212,17 @@ def _fn_one(u: HexaNumber) -> HexaNumber:
     return HexaNumber.one(u.variant)
 
 
-def _componentwise(name: str, evaluator: Evaluator,
-                   block_map: ElementwiseMap | None = None) -> FunctionUnderTest:
-    """f acting as the same elementwise map on the axes and on the planes.
-
-    Without ``block_map`` the evaluator itself is that map: products of
-    arrays are elementwise, as products are per component in canonical
-    coordinates.
-    """
-    block_map = block_map or evaluator
-    return FunctionUnderTest(name, evaluator, axis_map=block_map, plane_map=block_map)
+def _polynomial(name: str, evaluator: Evaluator) -> FunctionUnderTest:
+    """A product of u's, which is its own canonical map: products act per component."""
+    return FunctionUnderTest(name, evaluator, canonical_map=evaluator)
 
 
 FUNCTIONS: dict[str, FunctionUnderTest] = {f.name: f for f in (
-    _componentwise("one", _fn_one, np.ones_like),
-    _componentwise("u", lambda u: u),
-    _componentwise("u2", lambda u: u * u),
-    _componentwise("u3", lambda u: u * u * u),
-    *(_componentwise(name, getattr(elementary, name), getattr(np, name))
+    FunctionUnderTest("one", _fn_one, canonical_map=np.ones_like),
+    _polynomial("u", lambda u: u),
+    _polynomial("u2", lambda u: u * u),
+    _polynomial("u3", lambda u: u * u * u),
+    *(FunctionUnderTest(name, getattr(elementary, name), canonical_map=getattr(np, name))
       for name in elementary.COMPONENTWISE),
 )}
 
@@ -368,10 +370,9 @@ def _first_label(hits: np.ndarray, planar: bool) -> str | None:
     return tr.component_labels(planar)[found[0][1]] if len(found) else None
 
 
-def _magnitudes(c: np.ndarray, planar: bool) -> np.ndarray:
-    """|value| of each canonical component of each row: one column per axis and per plane."""
-    axes, planes = _axes_planes(c, planar)
-    return np.hstack((np.abs(axes), np.abs(planes)))
+def _per_component(fn, c: np.ndarray, planar: bool) -> np.ndarray:
+    """fn of each canonical component of each row: one column per axis and per plane."""
+    return np.hstack([fn(v) for v in _axes_planes(c, planar)])
 
 
 def _first_below(c: np.ndarray, bound, planar: bool, strict: bool) -> str | None:
@@ -379,17 +380,16 @@ def _first_below(c: np.ndarray, bound, planar: bool, strict: bool) -> str | None
 
     ``bound`` is a number or one bound per row; ``strict`` picks < over <=.
     """
-    magnitudes = _magnitudes(c, planar)
+    magnitudes = _per_component(np.abs, c, planar)
     bound = np.reshape(bound, (-1, 1))
     return _first_label(magnitudes < bound if strict else magnitudes <= bound, planar)
 
 
 def _mapped(f: FunctionUnderTest, c: np.ndarray, planar: bool) -> np.ndarray:
-    """f on each row of a canonical array, through its axis and plane maps."""
+    """f on each row of a canonical array, through its canonical map."""
     out = np.empty_like(c)
-    for target, values, fn in zip(_axes_planes(out, planar), _axes_planes(c, planar),
-                                  (f.axis_map, f.plane_map)):
-        target[...] = fn(values)
+    for target, values in zip(_axes_planes(out, planar), _axes_planes(c, planar)):
+        target[...] = f.canonical_map(values)
     return out
 
 
@@ -410,7 +410,7 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
 
     Each chord contributes F(mid) * delta, divided by mid - pole when a pole
     is given; products and quotients act on each axis and plane
-    separately.  An f with an axis and a plane map is evaluated on whole
+    separately.  An f with a canonical map is evaluated on whole
     blocks of canonical midpoints; any other f is called on each midpoint.
     With a pole, a sample within 1e-6 of it in some canonical component
     raises :class:`DegeneratePathError` before f is called, and a chord
@@ -422,7 +422,7 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
     variant = path.variant
     planar = variant.is_planar
     points = path.points
-    mapped = getattr(f, "axis_map", None) is not None
+    mapped = getattr(f, "canonical_map", None) is not None
     # One path-sized array, the canonical offsets of the samples from the
     # pole (or from zero); everything else works in blocks of chords.
     if pole is None:
@@ -457,7 +457,7 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
                 _ring_update(np.divide, weights, mids, planar)
             _ring_update(np.multiply, terms, weights, planar)
             total += terms.sum(axis=0)
-    label = _first_label(~np.isfinite(_magnitudes(total.reshape(1, 6), planar)), planar)
+    label = _first_label(~_per_component(np.isfinite, total.reshape(1, 6), planar), planar)
     if label:
         raise DomainError(f"integrand overflows: canonical component {label} of the sum "
                           f"is not finite", component=label)

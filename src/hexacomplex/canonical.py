@@ -204,17 +204,28 @@ def _plane_polar(z: complex, threshold: float) -> tuple[float, float | None]:
     return rho, tr.azimuth(z)
 
 
+def _cbrt(x: float) -> float:
+    """Cube root of x >= 0, to about an ulp.
+
+    x ** (1.0 / 3.0) carries the rounding of 1/3, a relative error of
+    2e-17 ln(x) (5e-15 at x = 1e110); one Newton step, written so that no
+    intermediate overflows or underflows, removes it.
+    """
+    if not 0.0 < x < math.inf:
+        return x
+    r = x ** (1.0 / 3.0)
+    return r - (r - x / (r * r)) / 3.0
+
+
 def _amplitude(axes, rhos) -> float:
     """rho: the 6th root of |v+ v-| rho1^2 rho2^2 (polar), the cube root of rho1 rho2 rho3 (planar).
 
     Both are the product of |v|^(1/6) over the axes and rho_k^(1/3) over
     the planes.  Taking each root before multiplying keeps every factor
     near the scale of rho, so no partial product overflows or underflows.
-    The roots are cbrt and sqrt: x ** (1.0 / 3.0) would carry the rounding
-    of 1/3, a relative error of 2e-17 ln(x) (5e-15 at x = 1e110).
     """
-    return (math.prod(math.cbrt(math.sqrt(abs(v))) for v in axes)
-            * math.prod(math.cbrt(r) for r in rhos))
+    return (math.prod(_cbrt(math.sqrt(abs(v))) for v in axes)
+            * math.prod(_cbrt(r) for r in rhos))
 
 
 def geometry(u: HexaNumber) -> PolarGeometry | PlanarGeometry:

@@ -55,19 +55,25 @@ def _apply(u: HexaNumber,
 COMPONENTWISE = ("exp", "sin", "cos", "sinh", "cosh")
 
 
-def _componentwise(name: str) -> Callable[[HexaNumber], HexaNumber]:
-    axis_fn, plane_fn = getattr(math, name), getattr(cmath, name)
-
-    def fn(u: HexaNumber) -> HexaNumber:
-        return _apply(u, axis_fn, plane_fn)
-
-    fn.__name__ = fn.__qualname__ = name
-    fn.__doc__ = (f"Componentwise {name}: math.{name} on each real axis, "
-                  f"cmath.{name} on each plane; entire on both variants.")
-    return fn
+def exp(u: HexaNumber) -> HexaNumber:
+    """Componentwise exponential; entire on both variants."""
+    return _apply(u, math.exp, cmath.exp)
 
 
-exp, sin, cos, sinh, cosh = map(_componentwise, COMPONENTWISE)
+def cos(u: HexaNumber) -> HexaNumber:
+    return _apply(u, math.cos, cmath.cos)
+
+
+def sin(u: HexaNumber) -> HexaNumber:
+    return _apply(u, math.sin, cmath.sin)
+
+
+def cosh(u: HexaNumber) -> HexaNumber:
+    return _apply(u, math.cosh, cmath.cosh)
+
+
+def sinh(u: HexaNumber) -> HexaNumber:
+    return _apply(u, math.sinh, cmath.sinh)
 
 
 def _ln_preconditions(u: HexaNumber) -> None:

@@ -386,6 +386,17 @@ def test_path_construction_and_serialization():
         Path(variant, samples, closed=True)
 
 
+def test_paths_compare_by_value():
+    variant = Variant.PLANAR
+    loop = circle_path(variant, HexaNumber.basis(variant, 3), 0.5, 16, plane=1)
+    same = Path(variant, list(loop.samples), closed=True)
+    assert same == loop and hash(same) == hash(loop) and len({loop, same}) == 1
+    assert Path.from_text(loop.to_text()) == loop
+    assert Path(variant, loop.points, closed=False) != loop
+    assert circle_path(variant, HexaNumber.basis(variant, 3), 0.5, 16, plane=2) != loop
+    assert Path(Variant.POLAR, loop.points, closed=True) != loop
+
+
 @pytest.mark.parametrize("name", FUNCTIONS)
 def test_elementwise_maps_agree_with_the_evaluator(name):
     f = FUNCTIONS[name]
@@ -394,8 +405,8 @@ def test_elementwise_maps_agree_with_the_evaluator(name):
         for _ in range(50):
             u = random_hexa(rng, variant)
             axes, planes = tr.split(variant.is_planar, canonical_components(u))
-            mapped = tr.join(f.axis_map(np.array(axes, dtype=np.float64)),
-                             f.plane_map(np.array(planes, dtype=np.complex128)))
+            mapped = tr.join(f.canonical_map(np.array(axes, dtype=np.float64)),
+                             f.canonical_map(np.array(planes, dtype=np.complex128)))
             # rounding of the canonical input, carried through f', plus that of the output
             scale = max(map(abs, mapped)) * (1.0 + max(map(abs, axes + planes)))
             assert max_abs_diff(from_canonical_components(variant, mapped), f(u)) \

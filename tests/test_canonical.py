@@ -13,6 +13,7 @@ from hexacomplex.algebra import HexaNumber, Variant, from_canonical_components, 
 from hexacomplex.canonical import (
     PlanarCanonical,
     PolarCanonical,
+    _cbrt,
     canonical_basis,
     check_d_rho_relation,
     exp_form,
@@ -437,3 +438,15 @@ def test_geometry_record_planar_keys():
     keys = [line.split("=")[0] for line in record.splitlines()]
     assert keys == ["d", "rho", "psi1", "psi2", "phi1", "phi2", "phi3",
                     "rho1", "rho2", "rho3"]
+
+
+def test_cube_root_is_within_an_ulp_over_the_double_range():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(61)
+    xs = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 8.0, 27.0]
+    xs += [10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2000)]
+    with mpmath.workdps(40):
+        for x in xs:
+            r = _cbrt(x)
+            assert abs(mpmath.mpf(r) - mpmath.cbrt(x)) <= math.ulp(r), x
+    assert (_cbrt(0.0), _cbrt(math.inf)) == (0.0, math.inf)

@@ -149,13 +149,9 @@ def test_pythagorean_and_exponential_identities():
 
 def test_componentwise_consistency():
     rng = random.Random(47)
-    cases = [
-        (elementary.exp, math.exp, cmath.exp),
-        (elementary.cos, math.cos, cmath.cos),
-        (elementary.sin, math.sin, cmath.sin),
-        (elementary.cosh, math.cosh, cmath.cosh),
-        (elementary.sinh, math.sinh, cmath.sinh),
-    ]
+    # every name in the table is the math function on the axes, the cmath one on the planes
+    cases = [(getattr(elementary, name), getattr(math, name), getattr(cmath, name))
+             for name in elementary.COMPONENTWISE]
     for variant in BOTH_VARIANTS:
         for _ in range(50):
             u = random_hexa(rng, variant)
