@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 from . import _transforms as tr
+from . import elementary
 from .algebra import (
     ZERO_COMPONENT_RTOL,
     HexaNumber,
@@ -281,63 +282,23 @@ def geometry_record(g: PolarGeometry | PlanarGeometry, digits: int = 12) -> str:
     return "\n".join(lines)
 
 
-def _hexa(variant: Variant, comps) -> HexaNumber:
-    return HexaNumber(variant, comps)
-
-
-def _add_phases(start: HexaNumber, planes, threshold: float) -> HexaNumber:
-    """start + sum of ek~ * phi_k over the planes whose radius exceeds ``threshold``."""
-    planar = start.variant.is_planar
-    basis = canonical_basis(start.variant)
-    for k, z in enumerate(planes, start=1):
-        if tr.radius(z) > threshold:
-            start = start + basis[tr.plane_slice(planar, k).stop - 1] * tr.azimuth(z)
-    return start
-
-
 def exp_form(u: HexaNumber) -> ExpForm:
     """Amplitude and hypercomplex exponent with u = rho * exp(exponent).
 
     Polar values need v+ > 0, v- > 0 and both plane radii positive;
     planar values need all three plane radii positive.  Violations raise
-    :class:`DomainError` naming the offending component.
+    :class:`DomainError` naming the offending component.  The exponent is
+    ln(u) with its real part, ln(rho), removed.
     """
     planar = u.variant.is_planar
     comps = canonical_components(u)
-    threshold = ZERO_COMPONENT_RTOL * u.modulus()
-    label = tr.first_zero(planar, comps, threshold, positive_axes=True)
+    label = tr.first_zero(planar, comps, ZERO_COMPONENT_RTOL * u.modulus(), positive_axes=True)
     if label:
         raise DomainError(f"exponential form undefined: {tr.vanished(label)}", component=label)
     axes, planes = tr.split(planar, comps)
-    rhos = [tr.radius(z) for z in planes]
-    rho = _amplitude(axes, rhos)
-    if planar:
-        la = math.log(rhos[0] / rhos[1]) / 3.0
-        lb = math.log(rhos[0] / rhos[2]) / 6.0
-        exponent = _hexa(u.variant, (
-            0.0,
-            lb * tr.SQRT3,
-            la - lb,
-            0.0,
-            -la + lb,
-            -lb * tr.SQRT3,
-        ))
-        return ExpForm(rho=rho, exponent=_add_phases(exponent, planes, threshold))
-
-    v_plus, v_minus = axes
-    rho1, rho2 = rhos
-    la = math.log(v_plus / rho1) / 6.0   # ln(sqrt2 / tan theta+) / 6
-    lb = math.log(v_minus / rho1) / 6.0  # ln(sqrt2 / tan theta-) / 6
-    lc = math.log(rho1 / rho2) / 6.0     # ln(tan psi1) / 6
-    exponent = _hexa(u.variant, (
-        0.0,
-        la - lb + lc,
-        la + lb + lc,
-        la - lb - 2.0 * lc,
-        la + lb + lc,
-        la - lb + lc,
-    ))
-    return ExpForm(rho=rho, exponent=_add_phases(exponent, planes, threshold))
+    exponent = elementary.ln(u).components
+    return ExpForm(rho=_amplitude(axes, [tr.radius(z) for z in planes]),
+                   exponent=HexaNumber(u.variant, (0.0, *exponent[1:])))
 
 
 def trig_form(u: HexaNumber) -> TrigForm:
@@ -345,7 +306,8 @@ def trig_form(u: HexaNumber) -> TrigForm:
 
     Requires the first plane radius to be positive (it normalizes every
     ratio of the product form); other vanishing radii contribute a zero
-    coefficient and no phase term.
+    coefficient and no phase term.  The direction has the canonical
+    components of u divided by rho1, each plane turned onto its real axis.
     """
     planar = u.variant.is_planar
     d = u.modulus()
@@ -356,23 +318,12 @@ def trig_form(u: HexaNumber) -> TrigForm:
     if rho1 <= threshold:
         raise DomainError("trigonometric form undefined: plane radius rho1 vanishes",
                           component="pair1")
-    basis = canonical_basis(u.variant)
-    phase = _add_phases(HexaNumber.zero(u.variant), planes, threshold)
-    if planar:
-        rho2, rho3 = rhos[1:]
-        direction = basis[0] + basis[2] * (rho2 / rho1) + basis[4] * (rho3 / rho1)
-        ratios_sq = 1.0 + (rho2 / rho1) ** 2 + (rho3 / rho1) ** 2
-        scale = d * tr.SQRT3 / math.sqrt(ratios_sq)
-        return TrigForm(scale=scale, direction=direction, phase=phase)
-
-    v_plus, v_minus = axes
-    rho2 = rhos[1]
-    direction = (basis[0] * (v_plus / rho1) + basis[1] * (v_minus / rho1)
-                 + basis[2] + basis[4] * (rho2 / rho1))
-    bracket = ((v_plus / rho1) ** 2 / 2.0 + (v_minus / rho1) ** 2 / 2.0
-               + 1.0 + (rho2 / rho1) ** 2)
-    scale = d * tr.SQRT3 / math.sqrt(bracket)
-    return TrigForm(scale=scale, direction=direction, phase=phase)
+    direction = from_canonical_components(
+        u.variant, tr.join([v / rho1 for v in axes], [complex(r / rho1) for r in rhos]))
+    phase = from_canonical_components(u.variant, tr.join(
+        [0.0] * len(axes), [complex(0.0, tr.azimuth(z) if r > threshold else 0.0)
+                            for z, r in zip(planes, rhos)]))
+    return TrigForm(scale=d / direction.modulus(), direction=direction, phase=phase)
 
 
 _QUOTED_CONSTANT = 2.0 ** (1.0 / 3.0) / tr.SQRT6

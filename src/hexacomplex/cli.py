@@ -40,8 +40,12 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad range value: {exc}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError("range values must be finite")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError("range needs stop >= start and step > 0")
+    if not math.isfinite((stop - start) / step):
+        raise argparse.ArgumentTypeError("range has more points than a float can count")
     return start, stop, step
 
 
@@ -177,6 +181,12 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     loop = calculus.circle_path(variant, center, args.radius, args.samples, plane=args.plane)
     f = calculus.FUNCTIONS[args.function]
     comparison = calculus.residue_integral(f, loop, pole)
+    expected = tuple(int(k == args.plane) for k in range(1, plane_count + 1))
+    if comparison.windings != expected:
+        # the samples are rounded at the pole's scale, so the polyline is no longer the loop
+        print(f"integrate: radius {args.radius!r} is below the resolution of the pole: "
+              f"the sampled loop winds {comparison.windings}, not {expected}", file=sys.stderr)
+        return 1
     print(f"windings={comparison.windings}")
     print(f"numeric={format_hexa(comparison.numeric, HUMAN_DIGITS)}")
     print(f"formula={format_hexa(comparison.formula, HUMAN_DIGITS)}")

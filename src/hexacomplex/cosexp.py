@@ -23,6 +23,7 @@ from typing import TextIO
 
 from . import _transforms as tr
 from .algebra import HexaNumber, Variant
+from .errors import DomainError
 
 __all__ = [
     "g6",
@@ -229,22 +230,37 @@ def exp_basis(variant: Variant, k: int, y: float) -> HexaNumber:
 _CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
-def table_grid(start: float, stop: float, step: float) -> list[float]:
-    """Grid points start, start+step, ... up to stop (inclusive, fp-safe)."""
+def _grid_count(start: float, stop: float, step: float) -> int:
     if step <= 0.0:
         raise ValueError("step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(max(count, 1))]
+    return max(int(math.floor((stop - start) / step + 1e-9)) + 1, 1)
+
+
+def table_grid(start: float, stop: float, step: float) -> list[float]:
+    """Grid points start, start+step, ... up to stop (inclusive, fp-safe)."""
+    return [start + i * step for i in range(_grid_count(start, stop, step))]
 
 
 def emit_table(family: str, start: float, stop: float, step: float, out: TextIO) -> None:
     """Write the cosexponential table as CSV with 17 significant digits.
 
     Rows come from :func:`_row`: the series for |y| < 2, the closed forms
-    g6/f6 for |y| >= 2.
+    g6/f6 for |y| >= 2.  Rows grow with |y|, so the row at the end of the
+    grid farthest from 0 is computed first: if it overflows, DomainError
+    names that y before anything is written.  The rows are then streamed
+    one at a time.
     """
     if family not in ("g", "f"):
         raise ValueError("family must be 'g' or 'f'")
+    count = _grid_count(start, stop, step)
+    widest = max(start, start + (count - 1) * step, key=abs)
+    try:
+        finite = all(map(math.isfinite, _row(family, widest)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"table row at y={widest!r} overflows the double range")
     out.write("y,c0,c1,c2,c3,c4,c5\n")
-    for y in table_grid(start, stop, step):
+    for i in range(count):
+        y = start + i * step
         out.write(_CSV_ROW % (y, *_row(family, y)))

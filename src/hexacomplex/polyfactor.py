@@ -7,6 +7,14 @@ full polynomial; since each component's roots can be matched to factor
 slots in any order, the factorization is far from unique and can be
 enumerated.  Complex axis roots cannot live on a 1-dimensional component,
 so in the polar ring they pair into real quadratic factors.
+
+Component roots are the eigenvalues of the companion matrix
+(``numpy.roots``).  Eigenvalues that cluster as tightly as a root of
+multiplicity m spreads under rounding (about eps^(1/m)) merge into one
+root of that multiplicity, placed at the cluster mean, so a repeated root
+comes out repeated exactly and is not enumerated as distinct roots.
+Roots are sorted by their rounded value, so the factors printed do not
+depend on the order in which the eigensolver returns them.
 """
 
 from __future__ import annotations
@@ -29,17 +37,17 @@ __all__ = [
     "Factorization",
     "decompose",
     "component_roots",
-    "durand_kerner",
     "factor",
     "enumerate_factorizations",
     "expand",
     "format_factorization",
 ]
 
-_DK_MAX_ITERATIONS = 500
-_DK_STEP_TOLERANCE = 1e-13
 _RESIDUAL_RTOL = 1e-9
+_EPS = 2.0 ** -52
+_CLUSTER_FACTOR = 16.0
 _REAL_SNAP_RTOL = 1e-10
+_CONJUGATE_RTOL = 1e-6
 _DEDUP_DECIMALS = 9
 _EXPANSION_RTOL = 1e-8
 
@@ -170,84 +178,106 @@ def decompose(p: HexaPolynomial) -> list[ComponentPolynomial]:
             for tag, column in zip(tr.component_tags(planar), columns)]
 
 
-def durand_kerner(coefficients: Sequence[complex]) -> tuple[complex, ...]:
-    """All roots of the monic polynomial z^m + c1 z^(m-1) + ... + cm.
+def _horner(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:
+    """p(z) and p'(z) of the monic z^m + c1 z^(m-1) + ... + cm."""
+    value, slope = 1.0 + 0j, 0j
+    for c in coeffs:
+        slope = slope * z + value
+        value = value * z + c
+    return value, slope
 
-    Simultaneous fixed-point iteration from a circle of starting points at
-    non-symmetric angles; raises :class:`NonConvergenceError` if the step
-    tolerance or the residual bound cannot be met.
+
+def _split(cluster: list[complex]) -> tuple[list[complex], list[complex]]:
+    """Cut the longest edge of the cluster's minimum spanning tree (single linkage)."""
+    inside, outside = [0], list(range(1, len(cluster)))
+    edges: list[tuple[float, int, int]] = []  # Prim's order: each parent precedes its child
+    while outside:
+        edge = min((abs(cluster[i] - cluster[j]), i, j) for i in inside for j in outside)
+        edges.append(edge)
+        inside.append(edge[2])
+        outside.remove(edge[2])
+    cut = max(range(len(edges)), key=lambda e: edges[e][0])
+    side = {edges[cut][2]}
+    for _, i, j in edges[cut + 1:]:
+        if i in side:
+            side.add(j)
+    return ([z for n, z in enumerate(cluster) if n in side],
+            [z for n, z in enumerate(cluster) if n not in side])
+
+
+def _clusters(cluster: list[complex], scale: float) -> Iterator[list[complex]]:
+    """Groups of eigenvalues that each stand for one root, split top down.
+
+    A group of m eigenvalues within 16 eps^(1/m) scale of each other is
+    one root of multiplicity m: perturbing the coefficients by eps moves
+    an m-fold root by about eps^(1/m), symmetrically around it.
     """
-    coeffs = [complex(c) for c in coefficients]
-    m = len(coeffs)
-    if m == 0:
-        raise ValueError("polynomial degree must be at least 1")
-
-    def poly(z: complex) -> complex:
-        acc = complex(1.0, 0.0)
-        for c in coeffs:
-            acc = acc * z + c
-        return acc
-
-    radius = 1.0 + max(abs(c) for c in coeffs)
-    offset = 0.3967  # keeps starts off the roots of unity
-    roots = [radius * cmath.exp(1j * (2.0 * math.pi * p / m + offset)) for p in range(m)]
-
-    converged = False
-    for _ in range(_DK_MAX_ITERATIONS):
-        max_step = 0.0
-        for p in range(m):
-            denom = complex(1.0, 0.0)
-            for q in range(m):
-                if q != p:
-                    diff = roots[p] - roots[q]
-                    if diff == 0:
-                        diff = complex(1e-12, 1e-12)
-                    denom *= diff
-            step = poly(roots[p]) / denom
-            roots[p] -= step
-            max_step = max(max_step, abs(step))
-        if max_step < _DK_STEP_TOLERANCE:
-            converged = True
-            break
-
-    bound = _RESIDUAL_RTOL * max(1.0, max(abs(c) for c in coeffs))
-    worst = max(abs(poly(z)) for z in roots)
-    if worst > bound:
-        state = "converged" if converged else "hit the iteration cap"
-        raise NonConvergenceError(
-            f"root iteration {state} with worst residual {worst:.3e} above {bound:.3e}",
-            residual=worst)
-    return tuple(roots)
+    m = len(cluster)
+    diameter = max(abs(a - b) for a in cluster for b in cluster)
+    if diameter <= _CLUSTER_FACTOR * _EPS ** (1.0 / m) * scale:
+        yield cluster
+        return
+    for part in _split(cluster):
+        yield from _clusters(part, scale)
 
 
 def component_roots(cp: ComponentPolynomial) -> tuple[complex, ...]:
-    """All roots (with multiplicity) of one component polynomial."""
-    return durand_kerner(tuple(complex(c) for c in cp.coefficients))
+    """All roots (with multiplicity) of one component polynomial, sorted by rounded value.
+
+    The eigenvalues of the companion matrix (numpy.roots) are grouped by
+    :func:`_clusters`.  A multiple root becomes the mean of its group,
+    which is well conditioned although each eigenvalue is not; a simple
+    root gets one Newton step.  Raises :class:`NonConvergenceError` when
+    a root's residual exceeds the bound.
+    """
+    import numpy as np
+
+    coeffs = [complex(c) for c in cp.coefficients]
+    if not all(map(cmath.isfinite, coeffs)):
+        raise NonConvergenceError("component polynomial has a non-finite coefficient",
+                                  residual=math.inf)
+    bound = _RESIDUAL_RTOL * max(1.0, max(abs(c) for c in coeffs))
+    eigenvalues = [complex(z) for z in np.roots([1.0, *cp.coefficients])]
+    scale = max(1.0, max(abs(z) for z in eigenvalues))
+    roots: list[complex] = []
+    for cluster in _clusters(eigenvalues, scale):
+        if len(cluster) > 1:
+            roots += [sum(cluster) / len(cluster)] * len(cluster)
+            continue
+        z = cluster[0]
+        value, slope = _horner(coeffs, z)
+        step = value / slope if slope else 0j
+        roots.append(z - step if cmath.isfinite(step) else z)
+    worst = max(abs(_horner(coeffs, z)[0]) for z in roots)
+    if not worst <= bound:
+        raise NonConvergenceError(
+            f"root residual {worst:.3e} above {bound:.3e}", residual=worst)
+    return tuple(sorted(roots, key=_root_key))
 
 
-def _snap_axis_roots(roots: Sequence[complex]) -> tuple[list[tuple[complex, complex]], list[float]]:
-    """Split axis roots into conjugate pairs and (snapped) real roots."""
-    reals: list[float] = []
-    pool: list[complex] = []
-    for z in roots:
-        if abs(z.imag) <= _REAL_SNAP_RTOL * (1.0 + abs(z)):
-            reals.append(z.real)
-        else:
-            pool.append(z)
-    pairs: list[tuple[complex, complex]] = []
+def _is_real(z: complex) -> bool:
+    return abs(z.imag) <= _REAL_SNAP_RTOL * (1.0 + abs(z))
+
+
+def _are_conjugate(z1: complex, z2: complex) -> bool:
+    return abs(z2 - z1.conjugate()) <= _CONJUGATE_RTOL * (1.0 + abs(z1))
+
+
+def _axis_pair_count(roots: Sequence[complex]) -> int:
+    """Number of conjugate pairs among one axis's roots.
+
+    Raises :class:`NonConvergenceError` when a non-real root has no partner.
+    """
+    pool = [z for z in roots if not _is_real(z)]
+    pairs = len(pool) // 2
     while pool:
         z = pool.pop(0)
-        best = -1
-        best_err = math.inf
-        for i, w in enumerate(pool):
-            err = abs(w - z.conjugate())
-            if err < best_err:
-                best, best_err = i, err
-        if best < 0 or best_err > 1e-6 * (1.0 + abs(z)):
-            raise NonConvergenceError(
-                "complex axis root has no conjugate partner", residual=best_err)
-        pairs.append((z, pool.pop(best)))
-    return pairs, reals
+        best = min(range(len(pool)), key=lambda i: abs(pool[i] - z.conjugate()), default=None)
+        if best is None or not _are_conjugate(z, pool[best]):
+            gap = math.inf if best is None else abs(pool[best] - z.conjugate())
+            raise NonConvergenceError("complex axis root has no conjugate partner", residual=gap)
+        del pool[best]
+    return pairs
 
 
 def _tags(variant: Variant) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -294,33 +324,10 @@ def factor(p: HexaPolynomial) -> Factorization:
 
     Planar polynomials always split into ``degree`` linear factors.  Polar
     polynomials split linearly when every axis root is real; conjugate
-    axis roots force real quadratic factors.
+    axis roots force real quadratic factors.  The result is the first one
+    :func:`enumerate_factorizations` finds, checked by expanding it.
     """
-    table = _component_root_table(p)
-    m = p.degree
-    axis_tags, plane_tags = _tags(p.variant)
-    snapped = [_snap_axis_roots(table[tag]) for tag in axis_tags]
-    plane_lists = [table[tag] for tag in plane_tags]
-    q = max((len(pairs) for pairs, _ in snapped), default=0)
-
-    def axis_slots(pairs: list[tuple[complex, complex]], reals: list[float]):
-        """Quad slot contents first (pairs, then reals two at a time), then linears."""
-        quads: list[tuple[complex, complex]] = list(pairs)
-        reals = list(reals)
-        while len(quads) < q:
-            quads.append((complex(reals.pop(0)), complex(reals.pop(0))))
-        return quads, reals
-
-    slots = [axis_slots(pairs, reals) for pairs, reals in snapped]
-    factors: list[LinearOrQuadratic] = []
-    for i in range(q):
-        plane_pairs = [(lst[2 * i], lst[2 * i + 1]) for lst in plane_lists]
-        factors.append(_quadratic_factor(
-            p.variant, [quads[i] for quads, _ in slots], plane_pairs))
-    for j in range(m - 2 * q):
-        plane_values = [lst[2 * q + j] for lst in plane_lists]
-        factors.append(_linear_factor(p.variant, [lin[j] for _, lin in slots], plane_values))
-    result = Factorization(p.variant, tuple(factors))
+    result = enumerate_factorizations(p, 1)[0]
     _verify_expansion(p, result)
     return result
 
@@ -342,6 +349,10 @@ def expand(f: Factorization) -> HexaPolynomial:
 # -- enumeration -----------------------------------------------------------------
 
 
+def _root_key(z: complex) -> tuple[float, float]:
+    return (round(z.real, _DEDUP_DECIMALS), round(z.imag, _DEDUP_DECIMALS))
+
+
 def _round_key(values: Sequence[float]) -> tuple[float, ...]:
     return tuple(0.0 if v == 0 else v
                  for v in (round(x, _DEDUP_DECIMALS) for x in values))
@@ -361,11 +372,9 @@ def _distinct_permutations(
     their rounded value, groups numbered in sorted order, and the
     permutations come in lexicographic order of their group indices.
     """
-    keyed = sorted(items, key=lambda z: (round(z.real, _DEDUP_DECIMALS),
-                                         round(z.imag, _DEDUP_DECIMALS)))
     groups: list[list] = []  # [key, remaining count, representative value]
-    for z in keyed:
-        key = (round(z.real, _DEDUP_DECIMALS), round(z.imag, _DEDUP_DECIMALS))
+    for z in sorted(items, key=_root_key):
+        key = _root_key(z)
         if groups and groups[-1][0] == key:
             groups[-1][1] += 1
         else:
@@ -418,21 +427,13 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
     m = p.degree
     axis_tags, plane_tags = _tags(p.variant)
     tags = axis_tags + plane_tags
-    q = max((len(_snap_axis_roots(table[tag])[0]) for tag in axis_tags), default=0)
+    q = max((_axis_pair_count(table[tag]) for tag in axis_tags), default=0)
 
     def axis_ok(ordering: tuple[complex, ...]) -> bool:
-        for i in range(q):
-            z1, z2 = ordering[2 * i], ordering[2 * i + 1]
-            both_real = (abs(z1.imag) <= _REAL_SNAP_RTOL * (1 + abs(z1))
-                         and abs(z2.imag) <= _REAL_SNAP_RTOL * (1 + abs(z2)))
-            conj = abs(z2 - z1.conjugate()) <= 1e-6 * (1 + abs(z1))
-            if not (both_real or conj):
-                return False
-        for j in range(2 * q, m):
-            z = ordering[j]
-            if abs(z.imag) > _REAL_SNAP_RTOL * (1 + abs(z)):
-                return False
-        return True
+        """Quadratic slots hold two real roots or a conjugate pair, linear slots a real root."""
+        pairs = zip(ordering[0:2 * q:2], ordering[1:2 * q:2])
+        return (all((_is_real(z1) and _is_real(z2)) or _are_conjugate(z1, z2) for z1, z2 in pairs)
+                and all(map(_is_real, ordering[2 * q:])))
 
     def build(assignment: dict[str, tuple[complex, ...]]) -> Factorization:
         factors: list[LinearOrQuadratic] = []
@@ -446,10 +447,6 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
             factors.append(_linear_factor(p.variant, axis_values, plane_values))
         return Factorization(p.variant, tuple(factors))
 
-    # With only linear slots the first component's ordering can stay fixed:
-    # factor slots are freely permutable, so every multiset is still reached.
-    fix_first = q == 0
-
     def first_of_class(ranks: tuple[int, ...], first: bool) -> bool:
         """Whether the search meets no symmetric twin of this ordering earlier."""
         if any(ranks[2 * i] > ranks[2 * i + 1] for i in range(q)):
@@ -461,11 +458,7 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         return quads == sorted(quads) and linears == sorted(linears)
 
     def orderings(tag: str, first: bool) -> Iterator[tuple[complex, ...]]:
-        roots = table[tag]
-        if first and fix_first:
-            yield tuple(roots)
-            return
-        for ranks, ordering in _distinct_permutations(roots):
+        for ranks, ordering in _distinct_permutations(table[tag]):
             if first_of_class(ranks, first):
                 yield ordering
 
@@ -488,6 +481,8 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         return False
 
     search(0, {})
+    if not found:
+        raise NonConvergenceError("no assignment of component roots to factor slots")
     return list(found.values())
 
 

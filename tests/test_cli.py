@@ -84,6 +84,17 @@ def test_factor_single_and_enumerated(capsys):
     assert any("h3" in line for line in lines)
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (("--", "1", "-2", "1"), 1),               # (u - 1)^2
+    (("--planar", "--", "1", "-2", "1"), 1),
+    (("1", "0", "2", "0", "1"), 5),            # (u^2 + 1)^2
+])
+def test_factor_all_counts_a_repeated_root_once(capsys, argv, lines):
+    code, out, err = run(capsys, "factor", "--all", "1000", *argv)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == lines
+
+
 def test_factor_rejects_limit_below_one(capsys):
     for limit in ("0", "-3"):
         code, out, err = run(capsys, "factor", "--all", limit, "1", "2", "3")
@@ -99,6 +110,11 @@ def test_factor_non_monic_and_zero_divisor_leading(capsys):
     # leading coefficient 1 + h2 is a planar zero divisor
     code, out, err = run(capsys, "factor", "--planar", "1 + h2", "1")
     assert code == 1 and "pair" in err
+
+    # v+ of the constant term overflows: no finite component polynomial to solve
+    code, out, err = run(capsys, "factor", "1", "1e308 + 1e308 h1")
+    assert code == 1 and out == ""
+    assert err == "error: component polynomial has a non-finite coefficient\n"
 
 
 def test_table_golden_files(capsys):
@@ -133,6 +149,25 @@ def test_negative_expression_after_separator(capsys):
 def test_table_rejects_bad_range(capsys):
     code, out, err = run(capsys, "table", "g", "--range", "menu")
     assert code == 2
+
+
+@pytest.mark.parametrize("family, grid, y", [
+    ("g", "700:720:1", "720.0"),      # cosh(y) overflows past y = 710.5
+    ("g", "-720:-700:1", "-720.0"),
+    ("f", "0:840:10", "840.0"),       # cosh(sqrt(3) y / 2) overflows past y = 820
+])
+def test_table_fails_before_writing_an_overflowing_row(capsys, family, grid, y):
+    code, out, err = run(capsys, "table", family, "--range", grid)
+    assert code == 1 and out == ""
+    assert err == f"error: table row at y={y} overflows the double range\n"
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:1", "0:1:nan", "-1e308:1e308:1",
+                                  "0:1e300:1e-300", "0:1:0"])
+def test_table_rejects_a_non_finite_range(capsys, grid):
+    code, out, err = run(capsys, "table", "g", "--range", grid)
+    assert code == 2 and out == ""
+    assert "argument --range" in err
 
 
 def test_integrate_command(capsys):
@@ -178,6 +213,19 @@ def test_integrate_reports_an_overflowing_integrand(capsys, argv, component):
     assert code == 1 and out == ""
     assert err == (f"error: integrand overflows: canonical component {component} "
                    f"of the sum is not finite\n")
+
+
+@pytest.mark.parametrize("pole", ["1e17", "1e16"])
+def test_integrate_rejects_a_loop_below_the_pole_resolution(capsys, pole):
+    # at |u0| = 1e16 the samples are rounded to steps of 2, so the radius-1 loop
+    # winds in both planes and the printed integral would be off by 1.8
+    code, out, err = run(capsys, "integrate", "--samples", "64", "one", pole, "1", "1.0")
+    assert code == 1 and out == ""
+    assert err == ("integrate: radius 1.0 is below the resolution of the pole: "
+                   "the sampled loop winds (1, 1), not (1, 0)\n")
+
+    code, out, _ = run(capsys, "integrate", "--samples", "64", "one", "3e15", "1", "1.0")
+    assert code == 0 and "windings=(1, 0)" in out
 
 
 def test_repr_command(capsys):

@@ -22,7 +22,6 @@ from hexacomplex.polyfactor import (
     QuadraticFactor,
     component_roots,
     decompose,
-    durand_kerner,
     enumerate_factorizations,
     expand,
     factor,
@@ -110,23 +109,66 @@ def test_component_roots_simple():
     assert all(abs(z.real) < 1e-12 for z in roots)
 
 
-def test_durand_kerner_planted_cubic():
+def _sorted_roots(roots) -> list[complex]:
+    return sorted(roots, key=_rounded)
+
+
+def test_component_roots_planted_cubic():
     rng = random.Random(61)
     for _ in range(50):
         planted = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
         c1 = -(planted[0] + planted[1] + planted[2])
         c2 = (planted[0] * planted[1] + planted[0] * planted[2] + planted[1] * planted[2])
         c3 = -planted[0] * planted[1] * planted[2]
-        found = sorted(durand_kerner((c1, c2, c3)), key=lambda z: (z.real, z.imag))
-        planted.sort(key=lambda z: (z.real, z.imag))
-        for a, b in zip(found, planted):
-            assert abs(a - b) <= 1e-8
+        found = component_roots(ComponentPolynomial("pair1", (c1, c2, c3)))
+        assert list(found) == _sorted_roots(found)
+        for a, b in zip(found, _sorted_roots(planted)):
+            assert abs(a - b) <= 1e-13
 
 
-def test_durand_kerner_degree_one_and_double_root():
-    assert durand_kerner((complex(-3.0),)) == (3 + 0j,)
-    roots = durand_kerner((0j, 0j))  # z^2: double root at 0
-    assert all(abs(z) < 1e-6 for z in roots)
+def test_component_roots_degree_one_and_double_root():
+    assert component_roots(ComponentPolynomial("plus", (-3.0,))) == (3 + 0j,)
+    assert component_roots(ComponentPolynomial("plus", (0.0, 0.0))) == (0j, 0j)  # z^2
+    # at 1e308 the roots cannot meet the residual bound, and the error says by how much
+    with pytest.raises(NonConvergenceError) as exc:
+        component_roots(ComponentPolynomial("plus", (1e308, 1e308)))
+    assert exc.value.residual > 1e-9 * 1e308
+
+
+def _monic_from_roots(roots, real: bool) -> tuple:
+    c = [1.0 + 0j]
+    for r in roots:
+        c = [a - r * b for a, b in zip(c + [0j], [0j] + c)]
+    return tuple(x.real for x in c[1:]) if real else tuple(c[1:])
+
+
+# exact roots of real polynomials with repeated roots, and of roots close but distinct
+_REPEATED_ROOTS = {
+    "(z-1)^2": [1, 1],
+    "(z-1)^3": [1, 1, 1],
+    "(z-1)^4": [1, 1, 1, 1],
+    "(z^2+1)^2": [1j, 1j, -1j, -1j],
+    "(z-2)^2(z+1)": [2, 2, -1],
+}
+_CLOSE_ROOTS = {
+    "1e-3 apart": [1, 1 + 1e-3, -2],
+    "1e-4 apart": [0.5, 0.5 + 1e-4],
+    "two pairs 1e-4 apart": [1, 1 + 1e-4, 2, 2 + 1e-4],
+}
+
+
+@pytest.mark.parametrize("tag", ["plus", "pair1"])
+@pytest.mark.parametrize("name", list(_REPEATED_ROOTS) + list(_CLOSE_ROOTS))
+def test_component_roots_multiplicity(name, tag):
+    exact = [complex(z) for z in {**_REPEATED_ROOTS, **_CLOSE_ROOTS}[name]]
+    found = component_roots(ComponentPolynomial(tag, _monic_from_roots(exact, tag == "plus")))
+    assert list(found) == _sorted_roots(found)
+    assert len(set(found)) == len(set(exact))
+    # a repeated root is the mean of its eigenvalue cluster, good to rounding; close
+    # simple roots are conditioned by their gap, about eps / gap^(k-1)
+    bound = 1e-13 if name in _REPEATED_ROOTS else 1e-9
+    for a, b in zip(found, _sorted_roots(exact)):
+        assert abs(a - b) <= bound
 
 
 def test_factor_polar_square_minus_one():
@@ -349,7 +391,7 @@ def _unpruned_enumeration(p: HexaPolynomial, limit: int) -> list[Factorization]:
     table = polyfactor._component_root_table(p)
     axis_tags, plane_tags = polyfactor._tags(p.variant)
     m = p.degree
-    q = max((len(polyfactor._snap_axis_roots(table[t])[0]) for t in axis_tags), default=0)
+    q = max((polyfactor._axis_pair_count(table[t]) for t in axis_tags), default=0)
 
     def real(z: complex) -> bool:
         return abs(z.imag) <= polyfactor._REAL_SNAP_RTOL * (1 + abs(z))
@@ -456,3 +498,21 @@ def test_enumeration_builds_one_candidate_per_result(monkeypatch):
     found = enumerate_factorizations(poly, 100000)
     assert len(found) == 72
     assert len(built) == 72
+
+
+# Repeated component roots: one factorization per distinct assignment of the
+# exact roots, not one per rounding of root-finding noise.
+_REPEATED_ROOT_COUNTS = [
+    (Variant.POLAR, (1, -2, 1), 1),
+    (Variant.PLANAR, (1, -2, 1), 1),
+    (Variant.POLAR, (1, 0, 2, 0, 1), 5),
+]
+
+
+@pytest.mark.parametrize("variant, coefficients, count", _REPEATED_ROOT_COUNTS,
+                         ids=["polar-(u-1)^2", "planar-(u-1)^2", "polar-(u^2+1)^2"])
+def test_repeated_roots_are_enumerated_once(variant, coefficients, count):
+    poly = HexaPolynomial.from_coefficient_list(
+        [HexaNumber.from_real(variant, float(c)) for c in coefficients])
+    assert len(enumerate_factorizations(poly, 1000)) == count
+    assert len(_unpruned_enumeration(poly, 1000)) == count
