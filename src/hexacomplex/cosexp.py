@@ -19,6 +19,7 @@ forms for |y| >= 2, where they are accurate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import TextIO
 
 from . import _transforms as tr
@@ -230,15 +231,27 @@ def exp_basis(variant: Variant, k: int, y: float) -> HexaNumber:
 _CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
-def _grid_count(start: float, stop: float, step: float) -> int:
+class _Grid(Sequence):
+    """The points start + i * step for i in range(count), computed on demand."""
+
+    def __init__(self, start: float, step: float, count: int):
+        self._start, self._step, self._indices = start, step, range(count)
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, i: int) -> float:
+        return self._start + self._indices[i] * self._step
+
+
+def table_grid(start: float, stop: float, step: float) -> Sequence[float]:
+    """Grid points start, start+step, ... up to stop (inclusive, fp-safe).
+
+    The points are computed when read, so a long grid takes no memory.
+    """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    return max(int(math.floor((stop - start) / step + 1e-9)) + 1, 1)
-
-
-def table_grid(start: float, stop: float, step: float) -> list[float]:
-    """Grid points start, start+step, ... up to stop (inclusive, fp-safe)."""
-    return [start + i * step for i in range(_grid_count(start, stop, step))]
+    return _Grid(start, step, max(int(math.floor((stop - start) / step + 1e-9)) + 1, 1))
 
 
 def emit_table(family: str, start: float, stop: float, step: float, out: TextIO) -> None:
@@ -252,8 +265,8 @@ def emit_table(family: str, start: float, stop: float, step: float, out: TextIO)
     """
     if family not in ("g", "f"):
         raise ValueError("family must be 'g' or 'f'")
-    count = _grid_count(start, stop, step)
-    widest = max(start, start + (count - 1) * step, key=abs)
+    grid = table_grid(start, stop, step)
+    widest = max(grid[0], grid[-1], key=abs)
     try:
         finite = all(map(math.isfinite, _row(family, widest)))
     except OverflowError:
@@ -261,6 +274,5 @@ def emit_table(family: str, start: float, stop: float, step: float, out: TextIO)
     if not finite:
         raise DomainError(f"table row at y={widest!r} overflows the double range")
     out.write("y,c0,c1,c2,c3,c4,c5\n")
-    for i in range(count):
-        y = start + i * step
+    for y in grid:
         out.write(_CSV_ROW % (y, *_row(family, y)))

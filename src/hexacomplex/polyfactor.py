@@ -11,8 +11,10 @@ so in the polar ring they pair into real quadratic factors.
 Component roots are the eigenvalues of the companion matrix
 (``numpy.roots``).  Eigenvalues that cluster as tightly as a root of
 multiplicity m spreads under rounding (about eps^(1/m)) merge into one
-root of that multiplicity, placed at the cluster mean, so a repeated root
-comes out repeated exactly and is not enumerated as distinct roots.
+root of that multiplicity at the cluster mean, when the mean is also a
+root of the first m-1 derivatives: a repeated root comes out repeated
+exactly, while close simple roots stay apart.  A root is accepted when
+|p(z)| is small beside the polynomial of |c_i| at |z| (backward error).
 Roots are sorted by their rounded value, so the factors printed do not
 depend on the order in which the eigensolver returns them.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from typing import Iterator, Sequence, Union
 
 from . import _transforms as tr
@@ -46,6 +48,7 @@ __all__ = [
 _RESIDUAL_RTOL = 1e-9
 _EPS = 2.0 ** -52
 _CLUSTER_FACTOR = 16.0
+_NEWTON_NOISE_RTOL = 1e-12
 _REAL_SNAP_RTOL = 1e-10
 _CONJUGATE_RTOL = 1e-6
 _DEDUP_DECIMALS = 9
@@ -113,14 +116,6 @@ class ComponentPolynomial:
     tag: str
     coefficients: tuple
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients)
-
-    @property
-    def is_axis(self) -> bool:
-        return self.tag in ("plus", "minus")
-
 
 LinearOrQuadratic = Union["LinearFactor", "QuadraticFactor"]
 
@@ -178,13 +173,28 @@ def decompose(p: HexaPolynomial) -> list[ComponentPolynomial]:
             for tag, column in zip(tr.component_tags(planar), columns)]
 
 
-def _horner(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:
-    """p(z) and p'(z) of the monic z^m + c1 z^(m-1) + ... + cm."""
-    value, slope = 1.0 + 0j, 0j
-    for c in coeffs:
-        slope = slope * z + value
-        value = value * z + c
-    return value, slope
+def _taylor(coeffs: Sequence[complex], z: complex, count: int) -> list[complex]:
+    """p(z), p'(z), ..., p^(count-1)(z)/(count-1)! of z^m + c1 z^(m-1) + ... + cm, by Horner."""
+    row = [1.0 + 0j, *coeffs]
+    taylor = []
+    for _ in range(count):
+        for i in range(1, len(row)):
+            row[i] += row[i - 1] * z
+        taylor.append(row.pop())
+    return taylor
+
+
+def _size(coeffs: Sequence[complex], z: complex) -> float:
+    """The polynomial of |c_i| at |z|: p(z) is computed to about eps times this."""
+    return _taylor([abs(c) for c in coeffs], abs(z), 1)[0].real
+
+
+def _backward_error(coeffs: Sequence[complex], z: complex) -> float:
+    """|p(z)| / :func:`_size`, inf when p(z) is not finite."""
+    value = _taylor(coeffs, z, 1)[0]
+    if not cmath.isfinite(value):
+        return math.inf
+    return abs(value) / _size(coeffs, z) if value else 0.0
 
 
 def _split(cluster: list[complex]) -> tuple[list[complex], list[complex]]:
@@ -192,10 +202,9 @@ def _split(cluster: list[complex]) -> tuple[list[complex], list[complex]]:
     inside, outside = [0], list(range(1, len(cluster)))
     edges: list[tuple[float, int, int]] = []  # Prim's order: each parent precedes its child
     while outside:
-        edge = min((abs(cluster[i] - cluster[j]), i, j) for i in inside for j in outside)
-        edges.append(edge)
-        inside.append(edge[2])
-        outside.remove(edge[2])
+        edges.append(min((abs(cluster[i] - cluster[j]), i, j) for i in inside for j in outside))
+        inside.append(edges[-1][2])
+        outside.remove(edges[-1][2])
     cut = max(range(len(edges)), key=lambda e: edges[e][0])
     side = {edges[cut][2]}
     for _, i, j in edges[cut + 1:]:
@@ -205,20 +214,27 @@ def _split(cluster: list[complex]) -> tuple[list[complex], list[complex]]:
             [z for n, z in enumerate(cluster) if n not in side])
 
 
-def _clusters(cluster: list[complex], scale: float) -> Iterator[list[complex]]:
+def _clusters(cluster: list[complex], coeffs: Sequence[complex],
+              scale: float) -> Iterator[list[complex]]:
     """Groups of eigenvalues that each stand for one root, split top down.
 
-    A group of m eigenvalues within 16 eps^(1/m) scale of each other is
-    one root of multiplicity m: perturbing the coefficients by eps moves
-    an m-fold root by about eps^(1/m), symmetrically around it.
+    Perturbing the coefficients by eps moves an m-fold root by about
+    eps^(1/m), symmetrically around it, so a group of m is one root when
+    it lies within 16 eps^(1/m) scale and its mean is a root of p and its
+    first m-1 derivatives to the 16^m eps that spread stands for: each
+    p^(k)(mean)/k! within 16^m eps of the same for the |c_i| polynomial at
+    |mean|.  Close simple roots pass the first test but not the second.
     """
     m = len(cluster)
+    mean = sum(cluster) / m
     diameter = max(abs(a - b) for a in cluster for b in cluster)
-    if diameter <= _CLUSTER_FACTOR * _EPS ** (1.0 / m) * scale:
+    if m == 1 or (diameter <= _CLUSTER_FACTOR * _EPS ** (1.0 / m) * scale and all(
+            abs(t) <= _CLUSTER_FACTOR ** m * _EPS * size.real for t, size in zip(
+                _taylor(coeffs, mean, m), _taylor([abs(c) for c in coeffs], abs(mean), m)))):
         yield cluster
         return
     for part in _split(cluster):
-        yield from _clusters(part, scale)
+        yield from _clusters(part, coeffs, scale)
 
 
 def component_roots(cp: ComponentPolynomial) -> tuple[complex, ...]:
@@ -226,9 +242,9 @@ def component_roots(cp: ComponentPolynomial) -> tuple[complex, ...]:
 
     The eigenvalues of the companion matrix (numpy.roots) are grouped by
     :func:`_clusters`.  A multiple root becomes the mean of its group,
-    which is well conditioned although each eigenvalue is not; a simple
-    root gets one Newton step.  Raises :class:`NonConvergenceError` when
-    a root's residual exceeds the bound.
+    which is well conditioned although each eigenvalue is not; a well
+    conditioned simple root gets one Newton step.  Raises
+    :class:`NonConvergenceError` when a root's :func:`_backward_error` is too large.
     """
     import numpy as np
 
@@ -236,22 +252,26 @@ def component_roots(cp: ComponentPolynomial) -> tuple[complex, ...]:
     if not all(map(cmath.isfinite, coeffs)):
         raise NonConvergenceError("component polynomial has a non-finite coefficient",
                                   residual=math.inf)
-    bound = _RESIDUAL_RTOL * max(1.0, max(abs(c) for c in coeffs))
     eigenvalues = [complex(z) for z in np.roots([1.0, *cp.coefficients])]
     scale = max(1.0, max(abs(z) for z in eigenvalues))
     roots: list[complex] = []
-    for cluster in _clusters(eigenvalues, scale):
+    for cluster in _clusters(eigenvalues, coeffs, scale):
         if len(cluster) > 1:
             roots += [sum(cluster) / len(cluster)] * len(cluster)
             continue
         z = cluster[0]
-        value, slope = _horner(coeffs, z)
-        step = value / slope if slope else 0j
-        roots.append(z - step if cmath.isfinite(step) else z)
-    worst = max(abs(_horner(coeffs, z)[0]) for z in roots)
-    if not worst <= bound:
+        value, slope = _taylor(coeffs, z, 2)
+        # the step's rounding noise, eps |p|(|z|) / |p'(z)|, is independent of the other
+        # roots: past _NEWTON_NOISE_RTOL they would no longer multiply back to p
+        noise = _EPS * _size(coeffs, z)
+        if slope and noise <= _NEWTON_NOISE_RTOL * max(1.0, abs(z)) * abs(slope):
+            z -= value / slope
+        roots.append(z)
+    worst = max(_backward_error(coeffs, z) for z in roots)
+    if not worst <= _RESIDUAL_RTOL:
         raise NonConvergenceError(
-            f"root residual {worst:.3e} above {bound:.3e}", residual=worst)
+            f"root residual {worst:.3e} above {_RESIDUAL_RTOL:.0e} of the polynomial's size",
+            residual=worst)
     return tuple(sorted(roots, key=_root_key))
 
 
@@ -372,13 +392,8 @@ def _distinct_permutations(
     their rounded value, groups numbered in sorted order, and the
     permutations come in lexicographic order of their group indices.
     """
-    groups: list[list] = []  # [key, remaining count, representative value]
-    for z in sorted(items, key=_root_key):
-        key = _root_key(z)
-        if groups and groups[-1][0] == key:
-            groups[-1][1] += 1
-        else:
-            groups.append([key, 1, z])
+    runs = (list(run) for _, run in groupby(sorted(items, key=_root_key), key=_root_key))
+    groups = [[len(run), run[0]] for run in runs]  # [remaining count, representative value]
     n = len(items)
     rank: list[int] = [0] * n
     slot: list[complex] = [0j] * n
@@ -388,12 +403,12 @@ def _distinct_permutations(
             yield tuple(rank), tuple(slot)
             return
         for index, g in enumerate(groups):
-            if g[1] > 0:
-                g[1] -= 1
+            if g[0] > 0:
+                g[0] -= 1
                 rank[depth] = index
-                slot[depth] = g[2]
+                slot[depth] = g[1]
                 yield from rec(depth + 1)
-                g[1] += 1
+                g[0] += 1
 
     return rec(0)
 
@@ -457,11 +472,6 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         linears = list(ranks[2 * q:])
         return quads == sorted(quads) and linears == sorted(linears)
 
-    def orderings(tag: str, first: bool) -> Iterator[tuple[complex, ...]]:
-        for ranks, ordering in _distinct_permutations(table[tag]):
-            if first_of_class(ranks, first):
-                yield ordering
-
     found: dict[tuple, Factorization] = {}
 
     def search(index: int, assignment: dict[str, tuple[complex, ...]]) -> bool:
@@ -472,8 +482,9 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
                 found[key] = candidate
             return len(found) >= limit
         tag = tags[index]
-        for ordering in orderings(tag, index == 0):
-            if tag in axis_tags and not axis_ok(ordering):
+        for ranks, ordering in _distinct_permutations(table[tag]):
+            if (not first_of_class(ranks, index == 0)
+                    or tag in axis_tags and not axis_ok(ordering)):
                 continue
             assignment[tag] = ordering
             if search(index + 1, assignment):

@@ -95,6 +95,16 @@ def test_factor_all_counts_a_repeated_root_once(capsys, argv, lines):
     assert len(out.splitlines()) == lines
 
 
+@pytest.mark.parametrize("argv, factors", [
+    (("--", "1", "-1002.0002", "2001.2002", "-1000.2"), 3),   # (u - 1)(u - 1.0002)(u - 1000)
+    (("1", "1e308", "1e308"), 2),                             # roots near -1 and -1e308
+])
+def test_factor_close_and_huge_simple_roots(capsys, argv, factors):
+    code, out, err = run(capsys, "factor", *argv)
+    assert code == 0 and err == ""
+    assert out.count("[u") == factors
+
+
 def test_factor_rejects_limit_below_one(capsys):
     for limit in ("0", "-3"):
         code, out, err = run(capsys, "factor", "--all", limit, "1", "2", "3")

@@ -129,10 +129,27 @@ def test_component_roots_planted_cubic():
 def test_component_roots_degree_one_and_double_root():
     assert component_roots(ComponentPolynomial("plus", (-3.0,))) == (3 + 0j,)
     assert component_roots(ComponentPolynomial("plus", (0.0, 0.0))) == (0j, 0j)  # z^2
-    # at 1e308 the roots cannot meet the residual bound, and the error says by how much
+
+
+def test_component_roots_near_the_top_of_the_double_range():
+    # z^2 + 1e308 z + 1e308: |p(z)| at the root -1e308 is rounding of 1e308-sized
+    # terms, small beside the size of p there, so the roots are accepted
+    found = component_roots(ComponentPolynomial("plus", (1e308, 1e308)))
+    assert found[0] == pytest.approx(-1e308, rel=1e-15)
+    assert found[1] == pytest.approx(-1.0, rel=1e-15)
+
+
+def test_component_roots_reports_the_residual_it_cannot_meet(monkeypatch):
+    import numpy
+
     with pytest.raises(NonConvergenceError) as exc:
-        component_roots(ComponentPolynomial("plus", (1e308, 1e308)))
-    assert exc.value.residual > 1e-9 * 1e308
+        component_roots(ComponentPolynomial("plus", (math.inf, 1.0)))
+    assert exc.value.residual == math.inf
+    # an eigensolver off by 4 on both roots of z^2 - 1: one Newton step reaches +-2.6
+    monkeypatch.setattr(numpy, "roots", lambda c: numpy.array([-5.0, 5.0]))
+    with pytest.raises(NonConvergenceError) as exc:
+        component_roots(ComponentPolynomial("plus", (0.0, -1.0)))
+    assert exc.value.residual == pytest.approx((2.6 ** 2 - 1) / (2.6 ** 2 + 1))
 
 
 def _monic_from_roots(roots, real: bool) -> tuple:
@@ -154,6 +171,7 @@ _CLOSE_ROOTS = {
     "1e-3 apart": [1, 1 + 1e-3, -2],
     "1e-4 apart": [0.5, 0.5 + 1e-4],
     "two pairs 1e-4 apart": [1, 1 + 1e-4, 2, 2 + 1e-4],
+    "2e-4 apart beside 1000": [1, 1.0002, 1000],
 }
 
 
@@ -169,6 +187,29 @@ def test_component_roots_multiplicity(name, tag):
     bound = 1e-13 if name in _REPEATED_ROOTS else 1e-9
     for a, b in zip(found, _sorted_roots(exact)):
         assert abs(a - b) <= bound
+
+
+# Simple roots closer than a double root spreads under rounding.  The roots
+# themselves are conditioned only to about 1e-6, so the check is that they
+# stay distinct and that every factorization expands back to the polynomial.
+_CLUSTERED_SIMPLE_ROOTS = {
+    "four within 1.5e-3": [1, 1.0005, 1.001, 1.0015],
+    "three within 4e-5": [1, 1.00002, 1.00004],
+}
+
+
+@pytest.mark.parametrize("variant", BOTH_VARIANTS)
+@pytest.mark.parametrize("name", list(_CLUSTERED_SIMPLE_ROOTS))
+def test_close_simple_roots_stay_distinct(name, variant):
+    exact = _CLUSTERED_SIMPLE_ROOTS[name]
+    coefficients = _monic_from_roots([complex(z) for z in exact], real=True)
+    poly = HexaPolynomial.from_coefficient_list(
+        [HexaNumber.from_real(variant, c) for c in (1.0, *coefficients)])
+    for cp in decompose(poly):
+        assert len(set(component_roots(cp))) == len(exact)
+    factor(poly)
+    for f in enumerate_factorizations(poly, 1000):
+        polyfactor._verify_expansion(poly, f)
 
 
 def test_factor_polar_square_minus_one():
