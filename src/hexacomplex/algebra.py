@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import _transforms as tr
-from .errors import VariantError, ZeroDivisorError
+from .errors import DomainError, VariantError, ZeroDivisorError
 
 __all__ = [
     "Variant",
@@ -77,11 +77,12 @@ def basis_mul(j: int, k: int, variant: Variant) -> BasisProduct:
 
 
 def _check_components(components: tuple[float, ...]) -> None:
+    """Raise :class:`DomainError` for a component that overflowed (or is NaN)."""
     if len(components) != 6:
         raise ValueError(f"expected 6 components, got {len(components)}")
-    for i, value in enumerate(components):
-        if not math.isfinite(value):
-            raise ValueError(f"component {i} is not finite: {value!r}")
+    if not all(map(math.isfinite, components)):
+        i = next(i for i, value in enumerate(components) if not math.isfinite(value))
+        raise DomainError(f"component {i} is not finite: {components[i]!r}")
 
 
 @dataclass(frozen=True)

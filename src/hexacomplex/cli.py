@@ -8,6 +8,7 @@ errors, 2 on parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -49,7 +50,9 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     variant_group = common.add_mutually_exclusive_group()
     variant_group.add_argument("--polar", dest="variant", action="store_const",
@@ -144,8 +147,9 @@ def cmd_factor(args: argparse.Namespace) -> int:
         return 1
     poly = HexaPolynomial.from_coefficient_list(coefficients)
     if args.all_limit is not None:
-        for f in polyfactor.enumerate_factorizations(poly, args.all_limit):
-            print(polyfactor.format_factorization(f, HUMAN_DIGITS))
+        found = polyfactor.enumerate_factorizations(poly, args.all_limit)
+        for line in polyfactor.format_factorizations(found, HUMAN_DIGITS):
+            print(line)
     else:
         print(polyfactor.format_factorization(polyfactor.factor(poly), HUMAN_DIGITS))
     return 0

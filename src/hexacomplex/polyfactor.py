@@ -43,6 +43,7 @@ __all__ = [
     "enumerate_factorizations",
     "expand",
     "format_factorization",
+    "format_factorizations",
 ]
 
 _RESIDUAL_RTOL = 1e-9
@@ -426,10 +427,14 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
     order of group indices, so the first member of each such class has
     every quadratic pair ascending and, in the first component, ascending
     quadratic slots and ascending linear slots; only those orderings are
-    built.  The rounding dedup still catches repeated roots and rounding
-    collisions.  Cost therefore follows the number of distinct results
-    rather than the number of orderings, though that number itself grows
-    factorially with the degree; ``limit`` is the caller's brake.
+    visited.  The rounding dedup still catches repeated roots and rounding
+    collisions.  Each slot's factor and its rounded key are built once per
+    slot contents (the slot index and each component's root or root pair),
+    and a :class:`Factorization` only for a new result, so a visited
+    ordering costs a sort of cached keys.  The number of distinct results
+    still grows factorially with the degree; ``limit`` is the caller's
+    brake.  :func:`format_factorizations` likewise renders each distinct
+    factor once.
 
     The conjugate-pair test scales by the modulus of the pair's first
     root, so it is not exactly symmetric in the pair; the two moduli agree
@@ -450,17 +455,21 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         return (all((_is_real(z1) and _is_real(z2)) or _are_conjugate(z1, z2) for z1, z2 in pairs)
                 and all(map(_is_real, ordering[2 * q:])))
 
-    def build(assignment: dict[str, tuple[complex, ...]]) -> Factorization:
-        factors: list[LinearOrQuadratic] = []
-        for i in range(q):
-            axis_pairs = [(assignment[t][2 * i], assignment[t][2 * i + 1]) for t in axis_tags]
-            plane_pairs = [(assignment[t][2 * i], assignment[t][2 * i + 1]) for t in plane_tags]
-            factors.append(_quadratic_factor(p.variant, axis_pairs, plane_pairs))
-        for j in range(2 * q, m):
-            axis_values = [assignment[t][j].real for t in axis_tags]
-            plane_values = [assignment[t][j] for t in plane_tags]
-            factors.append(_linear_factor(p.variant, axis_values, plane_values))
-        return Factorization(p.variant, tuple(factors))
+    pieces: dict[tuple, tuple[LinearOrQuadratic, tuple]] = {}  # slot contents -> (factor, key)
+
+    def piece(slot: int, assignment: dict[str, tuple[complex, ...]]) -> tuple:
+        """The factor of one slot and its rounded key, built once per slot contents."""
+        end = slot + 2 if slot < 2 * q else slot + 1
+        contents = (slot, *(assignment[t][slot:end] for t in tags))
+        if contents not in pieces:
+            if slot < 2 * q:
+                built = _quadratic_factor(p.variant, [assignment[t][slot:end] for t in axis_tags],
+                                          [assignment[t][slot:end] for t in plane_tags])
+            else:
+                built = _linear_factor(p.variant, [assignment[t][slot].real for t in axis_tags],
+                                       [assignment[t][slot] for t in plane_tags])
+            pieces[contents] = built, _factor_key(built)
+        return pieces[contents]
 
     def first_of_class(ranks: tuple[int, ...], first: bool) -> bool:
         """Whether the search meets no symmetric twin of this ordering earlier."""
@@ -476,10 +485,10 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
 
     def search(index: int, assignment: dict[str, tuple[complex, ...]]) -> bool:
         if index == len(tags):
-            candidate = build(assignment)
-            key = tuple(sorted(_factor_key(f) for f in candidate.factors))
+            slots = [piece(slot, assignment) for slot in chain(range(0, 2 * q, 2), range(2 * q, m))]
+            key = tuple(sorted(k for _, k in slots))
             if key not in found:
-                found[key] = candidate
+                found[key] = Factorization(p.variant, tuple(f for f, _ in slots))
             return len(found) >= limit
         tag = tags[index]
         for ranks, ordering in _distinct_permutations(table[tag]):
@@ -501,27 +510,44 @@ def _wrap_terms(text: str) -> str:
     return f"({text})" if (" + " in text or " - " in text or text.startswith("-")) else text
 
 
+def _format_factor(piece: LinearOrQuadratic, digits: int = 12) -> str:
+    """Render one factor in brackets: ``[u - root]``, ``[u + root]`` or ``[u^2 + (b) u + (c)]``."""
+    if isinstance(piece, LinearFactor):
+        # the sign of the leading nonzero component picks u - root or u + (-root)
+        root = piece.root
+        lead = next((a for a in root.components if a != 0.0), 0.0)
+        if lead == 0.0:
+            return "[u]"
+        if lead > 0.0:
+            return f"[u - {_wrap_terms(format_hexa(root, digits))}]"
+        return f"[u + {_wrap_terms(format_hexa(-root, digits))}]"
+    b_text = format_hexa(piece.b, digits)
+    c_text = format_hexa(piece.c, digits)
+    body = "u^2"
+    if b_text != "0":
+        body += f" + ({b_text}) u"
+    if c_text != "0":
+        body += f" + ({c_text})"
+    return f"[{body}]"
+
+
 def format_factorization(f: Factorization, digits: int = 12) -> str:
     """Render the factorization in the bracketed one-line style."""
-    parts: list[str] = []
-    for piece in f.factors:
-        if isinstance(piece, LinearFactor):
-            # the sign of the leading nonzero component picks u - root or u + (-root)
-            root = piece.root
-            lead = next((a for a in root.components if a != 0.0), 0.0)
-            if lead == 0.0:
-                parts.append("[u]")
-            elif lead > 0.0:
-                parts.append(f"[u - {_wrap_terms(format_hexa(root, digits))}]")
-            else:
-                parts.append(f"[u + {_wrap_terms(format_hexa(-root, digits))}]")
-        else:
-            b_text = format_hexa(piece.b, digits)
-            c_text = format_hexa(piece.c, digits)
-            body = "u^2"
-            if b_text != "0":
-                body += f" + ({b_text}) u"
-            if c_text != "0":
-                body += f" + ({c_text})"
-            parts.append(f"[{body}]")
-    return "".join(parts)
+    return "".join(_format_factor(piece, digits) for piece in f.factors)
+
+
+def format_factorizations(fs: Sequence[Factorization], digits: int = 12) -> list[str]:
+    """:func:`format_factorization` of each, rendering every distinct factor once.
+
+    :func:`enumerate_factorizations` shares one factor object among the
+    results with the same slot contents, so the text is kept per object
+    (all of them stay alive in ``fs``) for the length of this call.
+    """
+    texts: dict[int, str] = {}
+
+    def text(piece: LinearOrQuadratic) -> str:
+        if id(piece) not in texts:
+            texts[id(piece)] = _format_factor(piece, digits)
+        return texts[id(piece)]
+
+    return ["".join(map(text, f.factors)) for f in fs]

@@ -8,7 +8,10 @@ import warnings
 
 import pytest
 
+from hexacomplex import cli
+from hexacomplex.algebra import HexaNumber, Variant
 from hexacomplex.cli import main
+from hexacomplex.polyfactor import HexaPolynomial, enumerate_factorizations, format_factorization
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -93,6 +96,22 @@ def test_factor_all_counts_a_repeated_root_once(capsys, argv, lines):
     code, out, err = run(capsys, "factor", "--all", "1000", *argv)
     assert code == 0 and err == ""
     assert len(out.splitlines()) == lines
+
+
+@pytest.mark.parametrize("variant, coefficients", [
+    (Variant.POLAR, (1, 0, -7, 6)),      # (u - 1)(u - 2)(u + 3): 216 results
+    (Variant.PLANAR, (1, 0, -7, 6)),
+    (Variant.POLAR, (1, 0, 2, 0, 1)),    # (u^2 + 1)^2: quadratic factors
+])
+def test_factor_all_prints_each_result_as_format_factorization(capsys, variant, coefficients):
+    code, out, err = run(capsys, "factor", f"--{variant.value}", "--all", "1000", "--",
+                         *map(str, coefficients))
+    poly = HexaPolynomial.from_coefficient_list(
+        [HexaNumber.from_real(variant, float(c)) for c in coefficients])
+    expected = [format_factorization(f, cli.HUMAN_DIGITS)
+                for f in enumerate_factorizations(poly, 1000)]
+    assert code == 0 and err == ""
+    assert out.splitlines() == expected
 
 
 @pytest.mark.parametrize("argv, factors", [
@@ -273,3 +292,33 @@ def test_tol_flag_widens_zero_divisor_detection(capsys):
     # a huge relative tolerance makes its smallest canonical component count as zero
     code, _, err = run(capsys, "eval", "--tol", "0.8", "inv(1 + 0.4h3)")
     assert code == 1 and "zero divisor" in err
+
+
+@pytest.mark.parametrize("expression", ["1e400", "(1e200 + h1)*(1e200 + h1)"])
+def test_eval_overflow_is_an_error(capsys, expression):
+    code, out, err = run(capsys, "eval", expression)
+    assert code == 1 and out == ""
+    assert err == "error: component 0 is not finite: inf\n"
+
+
+@pytest.mark.xfail(raises=OverflowError, strict=True,
+                   reason="exp overflows inside the componentwise map (elementary._apply); "
+                          "perfbench's test_edge_inputs_show_the_known_overflow_defect pins "
+                          "this traceback until the benchmark is updated with the fix")
+def test_eval_exp_overflow_is_an_error(capsys):
+    code, out, err = run(capsys, "eval", "exp(800)")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_main_parses_in_sequence_as_with_a_fresh_parser(capsys):
+    # the parser is built once per process; no default may carry over between calls
+    sequence = [("eval", "--bogus", "1"), ("eval", "--planar", "h3*h3"), ("eval", "h3*h3")]
+    reused = [run(capsys, *argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0]
+    assert reused[1][1] == "-1\n" and reused[2][1] == "1\n"
+    assert cli.build_parser() is cli.build_parser()

@@ -541,6 +541,35 @@ def test_enumeration_builds_one_candidate_per_result(monkeypatch):
     assert len(built) == 72
 
 
+# Linear and quadratic factors built by a full enumeration: one per distinct
+# slot contents (slot index and each component's root or root pair).  Building
+# every slot of every visited ordering would take 2,304, 55,296, 648 and 144.
+_BUILD_COUNTS = [
+    ("planar-deg4", 64, 0),
+    ("polar-deg4-pairs0", 256, 0),
+    ("polar-deg3-pairs0", 81, 0),
+    ("polar-deg4-pairs2", 0, 144),
+]
+
+
+@pytest.mark.parametrize("name, linear, quadratic", _BUILD_COUNTS,
+                         ids=[name for name, _, _ in _BUILD_COUNTS])
+def test_enumeration_builds_each_slot_contents_once(monkeypatch, name, linear, quadratic):
+    if name == "planar-deg4":
+        poly = _poly_from_component_roots(Variant.PLANAR, [], _PLANE_ROOTS)
+    else:
+        poly = dict(_enumeration_cases())[name]
+    built = {"_linear_factor": 0, "_quadratic_factor": 0}
+    for builder in built:
+        def counting(*args, _builder=builder, _build=getattr(polyfactor, builder)):
+            built[_builder] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(polyfactor, builder, counting)
+    enumerate_factorizations(poly, 100000)
+    assert built == {"_linear_factor": linear, "_quadratic_factor": quadratic}
+
+
 # Repeated component roots: one factorization per distinct assignment of the
 # exact roots, not one per rounding of root-finding noise.
 _REPEATED_ROOT_COUNTS = [
