@@ -8,7 +8,6 @@ errors, 2 on parse errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 
@@ -50,9 +49,7 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     variant_group = common.add_mutually_exclusive_group()
     variant_group.add_argument("--polar", dest="variant", action="store_const",

@@ -310,15 +310,8 @@ def test_eval_exp_overflow_is_an_error(capsys):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
-def test_main_parses_in_sequence_as_with_a_fresh_parser(capsys):
-    # the parser is built once per process; no default may carry over between calls
+def test_main_keeps_no_default_between_calls(capsys):
     sequence = [("eval", "--bogus", "1"), ("eval", "--planar", "h3*h3"), ("eval", "h3*h3")]
-    reused = [run(capsys, *argv) for argv in sequence]
-    fresh = []
-    for argv in sequence:
-        cli.build_parser.cache_clear()
-        fresh.append(run(capsys, *argv))
-    assert reused == fresh
-    assert [code for code, _, _ in reused] == [2, 0, 0]
-    assert reused[1][1] == "-1\n" and reused[2][1] == "1\n"
-    assert cli.build_parser() is cli.build_parser()
+    outcomes = [run(capsys, *argv)[:2] for argv in sequence]
+    assert outcomes[0][0] == 2
+    assert outcomes[1:] == [(0, "-1\n"), (0, "1\n")]  # the third call is polar again
