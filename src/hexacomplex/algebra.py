@@ -19,12 +19,13 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import _transforms as tr
 from .errors import DomainError, VariantError, ZeroDivisorError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Variant",
@@ -209,8 +210,11 @@ class HexaNumber:
         """Multiplicative inverse, built by inverting each canonical component.
 
         Raises :class:`ZeroDivisorError` naming the first canonical component
-        whose magnitude falls at or below ``zero_rtol`` times the modulus.
+        whose magnitude falls at or below ``zero_rtol`` times the modulus, and
+        :class:`DomainError` when ``zero_rtol`` is not a finite number >= 0.
         """
+        if not 0.0 <= zero_rtol < math.inf:
+            raise DomainError(f"zero-divisor tolerance must be finite and >= 0, got {zero_rtol!r}")
         planar = self.variant.is_planar
         comps = canonical_components(self)
         label = tr.first_zero(planar, comps, zero_rtol * self.modulus())
@@ -224,6 +228,8 @@ class HexaNumber:
 
     def to_matrix(self) -> np.ndarray:
         """6x6 matrix representing this value; U(u v) = U(u) U(v)."""
+        import numpy as np
+
         planar = self.variant.is_planar
         x = self.components
         m = np.empty((6, 6))
@@ -235,6 +241,8 @@ class HexaNumber:
 
     def irreducible_rep(self) -> "IrreducibleRep":
         """Block-diagonal form T U T^-1 over the rotated orthonormal axes."""
+        import numpy as np
+
         t = rotation_matrix(self.variant)
         m = t @ self.to_matrix() @ t.T
         mask = np.ones((6, 6), dtype=bool)
@@ -287,6 +295,8 @@ def _convolve(x, y, planar: bool) -> tuple[float, ...]:
 
 def rotation_matrix(variant: Variant) -> np.ndarray:
     """Orthogonal matrix onto the rotated axes (rows are the new basis)."""
+    import numpy as np
+
     return np.array(tr.rotation_rows(variant.is_planar))
 
 

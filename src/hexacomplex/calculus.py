@@ -25,14 +25,15 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable, Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .algebra import ZERO_COMPONENT_RTOL, HexaNumber, Variant, from_canonical_components
 from .errors import DegeneratePathError, DomainError, VariantError, ZeroDivisorError
 from . import _transforms as tr
 from . import elementary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Path",
@@ -58,7 +59,7 @@ _PROJECTION_CLEARANCE = 1e-9
 _BLOCK = 256
 
 Evaluator = Callable[[HexaNumber], HexaNumber]
-ElementwiseMap = Callable[[np.ndarray], np.ndarray]
+ElementwiseMap = Callable[["np.ndarray"], "np.ndarray"]
 
 
 def _blocks(n: int) -> Iterable[tuple[int, int]]:
@@ -99,6 +100,8 @@ class Path:
 
     def __init__(self, variant: Variant, samples: Iterable[HexaNumber] | np.ndarray,
                  closed: bool):
+        import numpy as np
+
         if isinstance(samples, np.ndarray):
             points = np.array(samples, dtype=np.float64)
         else:
@@ -123,6 +126,8 @@ class Path:
     def __eq__(self, other):
         if not isinstance(other, Path):
             return NotImplemented
+        import numpy as np
+
         return (self.variant is other.variant and self.closed == other.closed
                 and np.array_equal(self.points, other.points))
 
@@ -137,6 +142,8 @@ class Path:
         return pairwise(self.samples)
 
     def length(self) -> float:
+        import numpy as np
+
         return float(np.hypot.reduce(np.diff(self.points, axis=0), axis=1).sum())
 
     def to_text(self) -> str:
@@ -158,6 +165,8 @@ class Path:
         closed = bool(int(head[2]))
         if len(lines) - 1 != count:
             raise ValueError(f"expected {count} samples, found {len(lines) - 1}")
+        import numpy as np
+
         return cls(variant, np.array([[float(v) for v in ln.split()] for ln in lines[1:]]), closed)
 
 
@@ -176,6 +185,8 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
         radii = {plane: float(radii)}
     if samples < 8:
         raise ValueError("need at least 8 samples for a circle")
+    import numpy as np
+
     rows = tr.rotation_rows(variant.is_planar)
     t = 2.0 * np.pi * np.arange(samples) / samples
     points = np.empty((samples + 1, 6))
@@ -212,17 +223,29 @@ def _fn_one(u: HexaNumber) -> HexaNumber:
     return HexaNumber.one(u.variant)
 
 
+def _numpy_map(name: str) -> ElementwiseMap:
+    """numpy's elementwise function ``name``, looked up on each call so that
+    building :data:`FUNCTIONS` does not import numpy."""
+
+    def mapped(values):
+        import numpy as np
+
+        return getattr(np, name)(values)
+
+    return mapped
+
+
 def _polynomial(name: str, evaluator: Evaluator) -> FunctionUnderTest:
     """A product of u's, which is its own canonical map: products act per component."""
     return FunctionUnderTest(name, evaluator, canonical_map=evaluator)
 
 
 FUNCTIONS: dict[str, FunctionUnderTest] = {f.name: f for f in (
-    FunctionUnderTest("one", _fn_one, canonical_map=np.ones_like),
+    FunctionUnderTest("one", _fn_one, canonical_map=_numpy_map("ones_like")),
     _polynomial("u", lambda u: u),
     _polynomial("u2", lambda u: u * u),
     _polynomial("u3", lambda u: u * u * u),
-    *(FunctionUnderTest(name, getattr(elementary, name), canonical_map=getattr(np, name))
+    *(FunctionUnderTest(name, getattr(elementary, name), canonical_map=_numpy_map(name))
       for name in elementary.COMPONENTWISE),
 )}
 
@@ -336,11 +359,15 @@ def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
 
 def _canonical(x: np.ndarray, planar: bool) -> np.ndarray:
     """Canonical components of each row of x, in canonical row order (see _transforms)."""
+    import numpy as np
+
     return np.einsum("ij,kj->ik", x, tr.canonical_rows(planar))
 
 
 def _axes_planes(c: np.ndarray, planar: bool) -> tuple[np.ndarray, np.ndarray]:
     """Views of a canonical array: real axis columns and complex plane columns vk + i vk~."""
+    import numpy as np
+
     axes = tr.axis_count(planar)
     return c[:, :axes], c.view(np.complex128)[:, axes // 2:]
 
@@ -357,6 +384,8 @@ def _moduli(c: np.ndarray, planar: bool) -> np.ndarray:
     The canonical rows are orthogonal, of squared norm 6 on the axes and
     3 on the planes, so |u|^2 = sum v_axis^2 / 6 + sum |v_k|^2 / 3.
     """
+    import numpy as np
+
     axes = tr.axis_count(planar)
     return np.hypot.reduce(np.hstack((c[:, :axes] / tr.SQRT6, c[:, axes:] / tr.SQRT3)), axis=1)
 
@@ -366,12 +395,16 @@ def _first_label(hits: np.ndarray, planar: bool) -> str | None:
 
     Components are named v+, v- and pair1, pair2, ... as in ZeroDivisorError.
     """
+    import numpy as np
+
     found = np.argwhere(hits)
     return tr.component_labels(planar)[found[0][1]] if len(found) else None
 
 
 def _per_component(fn, c: np.ndarray, planar: bool) -> np.ndarray:
     """fn of each canonical component of each row: one column per axis and per plane."""
+    import numpy as np
+
     return np.hstack([fn(v) for v in _axes_planes(c, planar)])
 
 
@@ -380,6 +413,8 @@ def _first_below(c: np.ndarray, bound, planar: bool, strict: bool) -> str | None
 
     ``bound`` is a number or one bound per row; ``strict`` picks < over <=.
     """
+    import numpy as np
+
     magnitudes = _per_component(np.abs, c, planar)
     bound = np.reshape(bound, (-1, 1))
     return _first_label(magnitudes < bound if strict else magnitudes <= bound, planar)
@@ -387,6 +422,8 @@ def _first_below(c: np.ndarray, bound, planar: bool, strict: bool) -> str | None
 
 def _mapped(f: FunctionUnderTest, c: np.ndarray, planar: bool) -> np.ndarray:
     """f on each row of a canonical array, through its canonical map."""
+    import numpy as np
+
     out = np.empty_like(c)
     for target, values in zip(_axes_planes(out, planar), _axes_planes(c, planar)):
         target[...] = f.canonical_map(values)
@@ -395,6 +432,8 @@ def _mapped(f: FunctionUnderTest, c: np.ndarray, planar: bool) -> np.ndarray:
 
 def _called(f: Evaluator, x: np.ndarray, variant: Variant) -> np.ndarray:
     """Canonical components of f on each row of a component array, one HexaNumber per row."""
+    import numpy as np
+
     values = np.empty_like(x)
     for i, point in enumerate(x.tolist()):
         value = f(HexaNumber(variant, point))
@@ -419,6 +458,8 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
     A sum that is not finite, as when f overflows, raises
     :class:`DomainError` naming the first such canonical component.
     """
+    import numpy as np
+
     variant = path.variant
     planar = variant.is_planar
     points = path.points
@@ -479,6 +520,8 @@ def winding_number(path: Path, u0: HexaNumber, plane: int) -> int:
         raise ValueError("winding numbers need a closed path")
     if u0.variant is not path.variant:
         raise ValueError("point and path variants differ")
+    import numpy as np
+
     planar = path.variant.is_planar
     rows = tr.rotation_rows(planar)[tr.plane_slice(planar, plane)]
     dx, dy = np.einsum("ij,kj->ki", path.points - u0.components, rows)

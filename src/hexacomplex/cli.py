@@ -49,6 +49,16 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad tolerance value: {exc}") from None
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     variant_group = common.add_mutually_exclusive_group()
@@ -57,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     variant_group.add_argument("--planar", dest="variant", action="store_const",
                                const=Variant.PLANAR, help="use the planar ring")
     common.set_defaults(variant=Variant.POLAR)
-    common.add_argument("--tol", type=float, default=ZERO_COMPONENT_RTOL, metavar="REAL",
+    common.add_argument("--tol", type=_parse_tol, default=ZERO_COMPONENT_RTOL, metavar="REAL",
                         help="relative threshold treating a canonical component as zero")
 
     parser = argparse.ArgumentParser(

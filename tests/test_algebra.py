@@ -20,7 +20,7 @@ from hexacomplex.algebra import (
     format_hexa,
     parse_hexa,
 )
-from hexacomplex.errors import VariantError, ZeroDivisorError
+from hexacomplex.errors import DomainError, VariantError, ZeroDivisorError
 
 # The fifteen nontrivial basis products of each variant.  The planar wrap
 # sign makes h3^2 = -1: the product formula term -x3 x3', the identity
@@ -198,6 +198,13 @@ def test_inverse_at_the_ends_of_the_double_range():
         inv = HexaNumber.from_real(variant, 1e-300).inverse()
         assert inv.components[0] == pytest.approx(1e300, rel=1e-15)
         assert max(abs(c) for c in inv.components[1:]) <= 1e-15 * 1e300
+
+
+@pytest.mark.parametrize("zero_rtol", [math.nan, -1.0, math.inf])
+def test_inverse_rejects_a_tolerance_that_is_not_finite_and_nonnegative(zero_rtol):
+    # nan and -1 would let a vanished component through to 1 / 0; inf would reject every value
+    with pytest.raises(DomainError, match="tolerance"):
+        HexaNumber.basis(Variant.POLAR, 3).inverse(zero_rtol)
 
 
 def test_inverse_roundtrip_random():

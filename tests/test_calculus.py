@@ -413,6 +413,17 @@ def test_elementwise_maps_agree_with_the_evaluator(name):
                 <= 8 * 2.0 ** -52 * scale
 
 
+@pytest.mark.parametrize("name, numpy_name",
+                         [("one", "ones_like"), *((n, n) for n in elementary.COMPONENTWISE)])
+def test_canonical_maps_are_numpys_functions(name, numpy_name):
+    rng = np.random.default_rng(9)
+    real = rng.normal(scale=3.0, size=40)
+    for values in (real, real[:20] + 1j * real[20:]):
+        mapped = FUNCTIONS[name].canonical_map(values)
+        expected = getattr(np, numpy_name)(values)
+        assert mapped.dtype == expected.dtype and mapped.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("argv", [("exp", "0", "1", "1.0"),
                                   ("--planar", "sin", "h3", "2", "0.5")])
 def test_integrate_builds_no_value_per_sample(monkeypatch, argv):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import hexacomplex
 from hexacomplex import cli
 from hexacomplex.algebra import HexaNumber, Variant
 from hexacomplex.cli import main
@@ -294,6 +299,14 @@ def test_tol_flag_widens_zero_divisor_detection(capsys):
     assert code == 1 and "zero divisor" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400"])
+def test_tol_must_be_finite_and_nonnegative(capsys, tol):
+    for argv in (("eval", "inv(1 + h3)"), ("eval", "1/(1 + h3)"), ("canon", "1 + h3")):
+        code, out, err = run(capsys, argv[0], "--tol", tol, argv[1])
+        assert code == 2 and out == ""
+        assert f"argument --tol: tolerance must be finite and >= 0, got '{tol}'" in err
+
+
 @pytest.mark.parametrize("expression", ["1e400", "(1e200 + h1)*(1e200 + h1)"])
 def test_eval_overflow_is_an_error(capsys, expression):
     code, out, err = run(capsys, "eval", expression)
@@ -302,12 +315,53 @@ def test_eval_overflow_is_an_error(capsys, expression):
 
 
 @pytest.mark.xfail(raises=OverflowError, strict=True,
-                   reason="exp overflows inside the componentwise map (elementary._apply); "
-                          "perfbench's test_edge_inputs_show_the_known_overflow_defect pins "
-                          "this traceback until the benchmark is updated with the fix")
-def test_eval_exp_overflow_is_an_error(capsys):
-    code, out, err = run(capsys, "eval", "exp(800)")
+                   reason="the function overflows inside the componentwise map "
+                          "(elementary._apply); perfbench's "
+                          "test_edge_inputs_show_the_known_overflow_defect pins this "
+                          "traceback until the benchmark is updated with the fix")
+@pytest.mark.parametrize("expression", ["exp(800)", "cosh(1000)", "sinh(800 h3)", "exp(710 h1)",
+                                        "pow(1 + h1, 1e308)"])
+def test_eval_exp_overflow_is_an_error(capsys, expression):
+    code, out, err = run(capsys, "eval", expression)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+# Runs in a fresh interpreter: prints whether numpy is loaded after each step.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+steps = {}
+import hexacomplex
+steps["import hexacomplex"] = "numpy" in sys.modules
+from hexacomplex import cli
+steps["import hexacomplex.cli"] = "numpy" in sys.modules
+loaded = sorted(name for name in sys.modules if name.startswith("hexacomplex."))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps[" ".join(argv)] = (code, "numpy" in sys.modules)
+print(json.dumps({"steps": steps, "loaded": loaded}))
+"""
+
+
+def test_scalar_commands_do_not_import_numpy():
+    scalar = [[command, variant, *rest]
+              for variant in ("--polar", "--planar")
+              for command, *rest in (("eval", "exp(h1) / (2 + h3) + pow(3 + h2, 0.5)"),
+                                     ("canon", "ln(2 + h1)"), ("table", "g"))]
+    # repr builds matrices: it must load numpy, which shows the probe can see it
+    argvs = [*scalar, ["repr", "h1"]]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hexacomplex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    report = json.loads(proc.stdout)
+    modules = ("_transforms", "algebra", "calculus", "canonical", "cli", "cosexp",
+               "elementary", "errors", "expressions", "polyfactor")
+    assert report["loaded"] == sorted(f"hexacomplex.{m}" for m in modules)
+    steps = report["steps"]
+    assert steps.pop("import hexacomplex") is False
+    assert steps.pop("import hexacomplex.cli") is False
+    assert steps.pop("repr h1") == [0, True]
+    assert steps == {" ".join(argv): [0, False] for argv in scalar}
 
 
 def test_main_keeps_no_default_between_calls(capsys):
