@@ -8,15 +8,15 @@ paths with midpoint quadrature; closed loops pick up 2*pi residues from
 the canonical planes only, weighted by per-plane winding numbers.
 
 A path is an (N+1)x6 array of components.  The quadrature works in
-canonical coordinates: one transform moves the sampled path to the real
-axes and complex planes, where the products and quotients of
-f(u) (u - u0)^-1 du act on each axis and plane separately, and the sum
-maps back once.  The functions in :data:`FUNCTIONS` act there too: each
-carries one elementwise map that acts on the axes and on the planes, so
-f is evaluated on whole blocks of canonical chord midpoints.  Any other
-callable is called once per chord midpoint, on a HexaNumber.  Memory is
-O(N): the path, one (N+1)x6 array of canonical offsets and fixed-size
-blocks of chords.
+canonical coordinates: one transform moves the sampled path to one
+complex column per canonical component (the real axes with zero
+imaginary part, then the planes vk + i vk~), where the products and
+quotients of f(u) (u - u0)^-1 du act column by column, and the sum maps
+back once.  The functions in :data:`FUNCTIONS` act there too: each
+carries one elementwise map, so f is evaluated on whole blocks of
+canonical chord midpoints.  Any other callable is called once per chord
+midpoint, on a HexaNumber.  Memory is O(N): the path, one (N+1)-row
+array of canonical offsets and fixed-size blocks of chords.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .algebra import ZERO_COMPONENT_RTOL, HexaNumber, Variant, from_canonical_components
+from .algebra import (ZERO_COMPONENT_RTOL, HexaNumber, Variant, basis_mul,
+                      from_canonical_components)
 from .errors import DegeneratePathError, DomainError, VariantError, ZeroDivisorError
 from . import _transforms as tr
 from . import elementary
@@ -54,7 +55,7 @@ _SECOND_ORDER_STEP = 1e-4
 _PATH_CLEARANCE = 1e-6
 _PROJECTION_CLEARANCE = 1e-9
 # Rows per block of the array arithmetic on sampled paths: its temporaries
-# stay near 12 kB each whatever the sample count, which keeps peak memory
+# stay near 12-16 kB each whatever the sample count, which keeps peak memory
 # at the path itself plus one array of canonical offsets.
 _BLOCK = 256
 
@@ -202,17 +203,16 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
 
 @dataclass(frozen=True)
 class FunctionUnderTest:
-    """A deterministic map u -> f(u) with a note on where it is regular.
+    """A deterministic map u -> f(u).
 
     ``canonical_map``, when given, computes f in canonical coordinates,
-    elementwise on float64 arrays of real-axis values and on complex128
-    arrays of plane values vk + i vk~.  Quadrature then evaluates f on
-    whole blocks of points through it.
+    elementwise on one complex128 array of canonical components: the real
+    axes with zero imaginary part and the planes vk + i vk~.  Quadrature
+    then evaluates f on whole blocks of points through it.
     """
 
     name: str
     evaluator: Evaluator
-    domain: str = "entire"
     canonical_map: ElementwiseMap | None = None
 
     def __call__(self, u: HexaNumber) -> HexaNumber:
@@ -304,7 +304,6 @@ def _shift(u: HexaNumber, p: int, h: float) -> HexaNumber:
 def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
     """Check the component-derivative equality chains of an analytic f at u0."""
     variant = u0.variant
-    planar = variant.is_planar
     h1 = _FIRST_ORDER_STEP
     plus = [f(_shift(u0, p, h1)) for p in range(6)]
     minus = [f(_shift(u0, p, -h1)) for p in range(6)]
@@ -315,9 +314,8 @@ def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
     for c in range(6):
         values = []
         for p in range(6):
-            s = c + p
-            sign = -1.0 if planar and s >= 6 else 1.0
-            values.append(sign * jac[(s) % 6][p])
+            product = basis_mul(c, p, variant)
+            values.append(product.sign * jac[product.index][p])
         first_order.append(max(values) - min(values))
 
     h2 = _SECOND_ORDER_STEP
@@ -345,11 +343,9 @@ def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
             values = []
             for a in range(6):
                 for b in range(a, 6):
-                    s = a + b
-                    if s % 6 != lam:
-                        continue
-                    sign = -1.0 if planar and s >= 6 else 1.0
-                    values.append(sign * mixed[(a, b)][k])
+                    product = basis_mul(a, b, variant)
+                    if product.index == lam:
+                        values.append(product.sign * mixed[(a, b)][k])
             row.append(max(values) - min(values) if len(values) > 1 else 0.0)
         second_order.append(tuple(row))
 
@@ -358,36 +354,16 @@ def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
 
 
 def _canonical(x: np.ndarray, planar: bool) -> np.ndarray:
-    """Canonical components of each row of x, in canonical row order (see _transforms)."""
-    import numpy as np
+    """Canonical components of each row of x: one complex128 column per component.
 
-    return np.einsum("ij,kj->ik", x, tr.canonical_rows(planar))
-
-
-def _axes_planes(c: np.ndarray, planar: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Views of a canonical array: real axis columns and complex plane columns vk + i vk~."""
-    import numpy as np
-
-    axes = tr.axis_count(planar)
-    return c[:, :axes], c.view(np.complex128)[:, axes // 2:]
-
-
-def _ring_update(op, a: np.ndarray, b: np.ndarray, planar: bool) -> None:
-    """a = op(a, b) in place, per canonical component: real on the axes, complex on the planes."""
-    for x, y in zip(_axes_planes(a, planar), _axes_planes(b, planar)):
-        op(x, y, out=x)
-
-
-def _moduli(c: np.ndarray, planar: bool) -> np.ndarray:
-    """|u| of each row of a canonical array, by hypot (no overflow or underflow).
-
-    The canonical rows are orthogonal, of squared norm 6 on the axes and
-    3 on the planes, so |u|^2 = sum v_axis^2 / 6 + sum |v_k|^2 / 3.
+    Column j is component ``tr.component_labels(planar)[j]``: the real axes
+    first, with zero imaginary part, then the planes vk + i vk~.
     """
     import numpy as np
 
+    c = np.einsum("ij,kj->ik", x, tr.canonical_rows(planar))
     axes = tr.axis_count(planar)
-    return np.hypot.reduce(np.hstack((c[:, :axes] / tr.SQRT6, c[:, axes:] / tr.SQRT3)), axis=1)
+    return np.hstack((c[:, :axes], c[:, axes:].view(np.complex128)))
 
 
 def _first_label(hits: np.ndarray, planar: bool) -> str | None:
@@ -399,35 +375,6 @@ def _first_label(hits: np.ndarray, planar: bool) -> str | None:
 
     found = np.argwhere(hits)
     return tr.component_labels(planar)[found[0][1]] if len(found) else None
-
-
-def _per_component(fn, c: np.ndarray, planar: bool) -> np.ndarray:
-    """fn of each canonical component of each row: one column per axis and per plane."""
-    import numpy as np
-
-    return np.hstack([fn(v) for v in _axes_planes(c, planar)])
-
-
-def _first_below(c: np.ndarray, bound, planar: bool, strict: bool) -> str | None:
-    """Label of the first canonical component, row by row, whose magnitude is below ``bound``.
-
-    ``bound`` is a number or one bound per row; ``strict`` picks < over <=.
-    """
-    import numpy as np
-
-    magnitudes = _per_component(np.abs, c, planar)
-    bound = np.reshape(bound, (-1, 1))
-    return _first_label(magnitudes < bound if strict else magnitudes <= bound, planar)
-
-
-def _mapped(f: FunctionUnderTest, c: np.ndarray, planar: bool) -> np.ndarray:
-    """f on each row of a canonical array, through its canonical map."""
-    import numpy as np
-
-    out = np.empty_like(c)
-    for target, values in zip(_axes_planes(out, planar), _axes_planes(c, planar)):
-        target[...] = f.canonical_map(values)
-    return out
 
 
 def _called(f: Evaluator, x: np.ndarray, variant: Variant) -> np.ndarray:
@@ -448,15 +395,16 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
     """Midpoint rule on the chords of ``path``, summed in canonical coordinates.
 
     Each chord contributes F(mid) * delta, divided by mid - pole when a pole
-    is given; products and quotients act on each axis and plane
-    separately.  An f with a canonical map is evaluated on whole
-    blocks of canonical midpoints; any other f is called on each midpoint.
-    With a pole, a sample within 1e-6 of it in some canonical component
-    raises :class:`DegeneratePathError` before f is called, and a chord
-    midpoint that is a zero divisor of u - pole raises
-    :class:`ZeroDivisorError` before f is called on its block of chords.
-    A sum that is not finite, as when f overflows, raises
-    :class:`DomainError` naming the first such canonical component.
+    is given, on one complex column per canonical component.  An f with a
+    canonical map is evaluated on whole blocks of canonical midpoints; any
+    other f is called on each midpoint.  A canonical offset of the path
+    that is not finite raises :class:`DomainError`.  With a pole, a sample
+    within 1e-6 of it in some canonical component raises
+    :class:`DegeneratePathError` before f is called, and a chord midpoint
+    that is a zero divisor of u - pole raises :class:`ZeroDivisorError`
+    before f is called on its block of chords.  A sum that is not finite,
+    as when f overflows, raises :class:`DomainError`.  Both DomainErrors
+    name the first such canonical component.
     """
     import numpy as np
 
@@ -472,11 +420,20 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
     else:
         offsets = _canonical(points - pole.components, planar)
         origin = _canonical(np.reshape(pole.components, (1, 6)), planar)
-        label = _first_below(offsets, _PATH_CLEARANCE, planar, strict=True)
+    label = _first_label(~np.isfinite(offsets), planar)
+    if label:
+        raise DomainError(f"path overflows: its canonical component {label} is not finite",
+                          component=label)
+    if pole is not None:
+        label = _first_label(np.abs(offsets) < _PATH_CLEARANCE, planar)
         if label:
             raise DegeneratePathError(
                 f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
-    total = np.zeros(6)
+    axes = tr.axis_count(planar)
+    # |u| is the hypot (no overflow or underflow) of |v| / sqrt6 on the axes and
+    # |v| / sqrt3 on the planes, the norms of the orthogonal canonical rows.
+    norms = np.array([tr.SQRT6] * axes + [tr.SQRT3] * tr.pair_count(planar))
+    total = np.zeros(len(norms), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _blocks(len(offsets) - 1):
             ends = offsets[lo:hi + 1]
@@ -484,25 +441,24 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
             mids = ends[1:] + ends[:-1]  # canonical chord midpoints, offset from the pole
             mids *= 0.5
             if pole is not None:
-                label = _first_below(mids, ZERO_COMPONENT_RTOL * _moduli(mids, planar),
-                                     planar, strict=False)
+                radii = np.abs(mids)
+                moduli = np.hypot.reduce(radii / norms, axis=1, keepdims=True)
+                label = _first_label(radii <= ZERO_COMPONENT_RTOL * moduli, planar)
                 if label:
                     raise ZeroDivisorError(label)
+                weights /= mids
             if mapped:
-                terms = _mapped(f, mids + origin, planar)
+                terms = f.canonical_map(mids + origin)
             else:
                 x = points[lo:hi] + points[lo + 1:hi + 1]
                 x *= 0.5
                 terms = _called(f, x, variant)
-            if pole is not None:
-                _ring_update(np.divide, weights, mids, planar)
-            _ring_update(np.multiply, terms, weights, planar)
-            total += terms.sum(axis=0)
-    label = _first_label(~_per_component(np.isfinite, total.reshape(1, 6), planar), planar)
+            total += (terms * weights).sum(axis=0)
+    label = _first_label(~np.isfinite(total).reshape(1, -1), planar)
     if label:
         raise DomainError(f"integrand overflows: canonical component {label} of the sum "
                           f"is not finite", component=label)
-    return from_canonical_components(variant, total)
+    return from_canonical_components(variant, tr.join(total[:axes].real, total[axes:]))
 
 
 def line_integral(f: Evaluator, path: Path) -> HexaNumber:

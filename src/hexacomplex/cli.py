@@ -30,6 +30,9 @@ __all__ = ["main", "build_parser"]
 HUMAN_DIGITS = 12
 DEFAULT_TABLE_RANGE = (-4.0, 4.0, 0.05)
 DEFAULT_SAMPLES = 4096
+# The loop and its canonical offsets take a few hundred bytes per sample, so a
+# mistyped count is refused before numpy is asked for gigabytes.
+MAX_SAMPLES = 1024 * DEFAULT_SAMPLES
 
 
 def _parse_range(text: str) -> tuple[float, float, float]:
@@ -108,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("plane", type=int, help="canonical plane index the loop winds in")
     p_int.add_argument("radius", type=float, help="loop radius in that plane")
     p_int.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, metavar="N",
-                       help=f"loop sample count (default {DEFAULT_SAMPLES})")
+                       help=f"loop sample count, 8..{MAX_SAMPLES} (default {DEFAULT_SAMPLES})")
 
     p_repr = sub.add_parser("repr", parents=[common],
                             help="matrix representation and its irreducible blocks")
@@ -178,6 +181,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         return 1
     if args.samples < 8:
         print(f"integrate: --samples must be at least 8, got {args.samples}", file=sys.stderr)
+        return 1
+    if args.samples > MAX_SAMPLES:
+        print(f"integrate: --samples must be at most {MAX_SAMPLES}, got {args.samples}",
+              file=sys.stderr)
         return 1
     if not math.isfinite(args.radius):
         print(f"integrate: radius must be finite, got {args.radius}", file=sys.stderr)

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from typing import TextIO
 
 from . import _transforms as tr
-from .algebra import HexaNumber, Variant
+from .algebra import HexaNumber, Variant, basis_mul
 from .errors import DomainError
 
 __all__ = [
@@ -193,36 +193,20 @@ def _row(family: str, y: float) -> list[float]:
 # -- exponentials of basis multiples --------------------------------------------
 
 def exp_basis(variant: Variant, k: int, y: float) -> HexaNumber:
-    """e^(h_k y) written through cosexponential components, k = 1..5."""
+    """e^(h_k y) written through cosexponential components, k = 1..5.
+
+    Grouping the series of e^(h_k y) by n mod 6 gives the sum of c_j(y) h_k^j
+    for j = 0..5, with c the polar family, or the planar one when h_k^6 = -1
+    (planar k odd).
+    """
     if not 1 <= k <= 5:
         raise ValueError("basis index must lie in 1..5")
-    if variant.is_planar:
-        f = _row("f", y)
-        if k == 1:
-            comps = (f[0], f[1], f[2], f[3], f[4], f[5])
-        elif k == 2:
-            g = _row("g", y)
-            comps = (g[0] - g[3], 0.0, g[1] - g[4], 0.0, g[2] - g[5], 0.0)
-        elif k == 3:
-            comps = (f[0] - f[2] + f[4], 0.0, 0.0, f[1] - f[3] + f[5], 0.0, 0.0)
-        elif k == 4:
-            g = _row("g", y)
-            comps = (g[0] + g[3], 0.0, -(g[2] + g[5]), 0.0, g[1] + g[4], 0.0)
-        else:
-            comps = (f[0], f[5], -f[4], f[3], -f[2], f[1])
-        return HexaNumber(variant, comps)
-
-    g = _row("g", y)
-    if k == 1:
-        comps = (g[0], g[1], g[2], g[3], g[4], g[5])
-    elif k == 2:
-        comps = (g[0] + g[3], 0.0, g[1] + g[4], 0.0, g[2] + g[5], 0.0)
-    elif k == 3:
-        comps = (g[0] + g[2] + g[4], 0.0, 0.0, g[1] + g[3] + g[5], 0.0, 0.0)
-    elif k == 4:
-        comps = (g[0] + g[3], 0.0, g[2] + g[5], 0.0, g[1] + g[4], 0.0)
-    else:
-        comps = (g[0], g[5], g[4], g[3], g[2], g[1])
+    comps = [0.0] * 6
+    index, sign = 0, 1  # h_k^j = sign * h[index]
+    for value in _row("f" if variant.is_planar and k % 2 else "g", y):
+        comps[index] += sign * value
+        power = basis_mul(index, k, variant)
+        index, sign = power.index, sign * power.sign
     return HexaNumber(variant, comps)
 
 

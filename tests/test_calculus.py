@@ -24,6 +24,7 @@ from hexacomplex.calculus import (
     FUNCTIONS,
     FunctionUnderTest,
     Path,
+    _canonical,
     circle_path,
     cr_check,
     directional_derivative,
@@ -422,6 +423,19 @@ def test_canonical_maps_are_numpys_functions(name, numpy_name):
         mapped = FUNCTIONS[name].canonical_map(values)
         expected = getattr(np, numpy_name)(values)
         assert mapped.dtype == expected.dtype and mapped.tobytes() == expected.tobytes()
+
+
+def test_canonical_columns_match_the_scalar_transform():
+    rng = random.Random(73)
+    for variant in BOTH_VARIANTS:
+        planar = variant.is_planar
+        values = [random_hexa(rng, variant, -5.0, 5.0) for _ in range(50)]
+        columns = _canonical(np.array([u.components for u in values]), planar)
+        assert columns.dtype == np.complex128 and columns.shape == (50, 3 if planar else 4)
+        for u, got in zip(values, columns):
+            axes, planes = tr.split(planar, canonical_components(u))
+            expected = np.array([*axes, *planes], dtype=np.complex128)
+            assert np.abs(got - expected).max() <= 1e-15 * (1.0 + max(map(abs, u.components)))
 
 
 @pytest.mark.parametrize("argv", [("exp", "0", "1", "1.0"),

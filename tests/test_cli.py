@@ -235,6 +235,27 @@ def test_integrate_rejects_bad_plane(capsys):
         assert code == 1 and "radius" in err and out == ""
 
 
+@pytest.mark.parametrize("samples", ["4194305", "100000000000"])
+def test_integrate_rejects_too_many_samples(capsys, monkeypatch, samples):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the loop was built")
+
+    monkeypatch.setattr(cli.calculus, "circle_path", unbuilt)
+    code, out, err = run(capsys, "integrate", "--samples", samples, "exp", "0", "1", "1")
+    assert code == 1 and out == ""
+    assert err == f"integrate: --samples must be at most 4194304, got {samples}\n"
+
+
+def test_integrate_reports_an_overflowing_path(capsys):
+    # the samples are finite, but their canonical offsets in pair2 are not:
+    # no zero divisor is reported for the overflowed midpoints
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "integrate", "--planar", "one", "0", "2", "1.7e308")
+    assert code == 1 and out == ""
+    assert err == "error: path overflows: its canonical component pair2 is not finite\n"
+
+
 @pytest.mark.parametrize("argv, component", [
     (("--polar", "exp", "800"), "v+"),
     (("--planar", "cosh", "800"), "pair1"),
