@@ -8,12 +8,10 @@ matrix representations, and a small expression-language CLI.
 
 from .algebra import BasisProduct, HexaNumber, Variant, basis_mul, format_hexa, parse_hexa
 from .canonical import (
+    Canonical,
     DRhoReport,
     ExpForm,
-    PlanarCanonical,
-    PlanarGeometry,
-    PolarCanonical,
-    PolarGeometry,
+    Geometry,
     RotatedCoords,
     TrigForm,
     canonical_basis,
@@ -45,11 +43,9 @@ __all__ = [
     "basis_mul",
     "format_hexa",
     "parse_hexa",
-    "PolarCanonical",
-    "PlanarCanonical",
+    "Canonical",
     "RotatedCoords",
-    "PolarGeometry",
-    "PlanarGeometry",
+    "Geometry",
     "ExpForm",
     "TrigForm",
     "DRhoReport",

@@ -301,9 +301,19 @@ def rotation_matrix(variant: Variant) -> np.ndarray:
 
 
 def canonical_components(u: HexaNumber) -> tuple[float, ...]:
-    """Raw canonical variables in canonical row order (see _transforms)."""
-    rows = tr.canonical_rows(u.variant.is_planar)
-    return tuple(tr.dot(row, u.components) for row in rows)
+    """Raw canonical variables in canonical row order (see _transforms).
+
+    The components of ``u`` are finite but their sums need not be: raises
+    :class:`DomainError` naming the first canonical component that overflows.
+    """
+    planar = u.variant.is_planar
+    values = tuple(tr.dot(row, u.components) for row in tr.canonical_rows(planar))
+    if not all(map(math.isfinite, values)):
+        label = next(label for label, part in zip(tr.component_labels(planar),
+                                                  tr.component_slices(planar))
+                     if not all(map(math.isfinite, values[part])))
+        raise DomainError(f"canonical component {label} is not finite", component=label)
+    return values
 
 
 def from_canonical_components(variant: Variant, values) -> HexaNumber:

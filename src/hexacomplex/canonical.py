@@ -1,12 +1,13 @@
 """Canonical decomposition and geometry of 6-dimensional hypercomplex values.
 
-The canonical variables diagonalize multiplication: the polar ring splits
-into two real axes (v+, v-) and two complex-like planes, the planar ring
-into three complex-like planes.  On top of the raw linear transforms this
-module derives the geometric parameters (modulus, amplitude, angles), the
-idempotent basis, and the exponential and trigonometric product forms.
+The canonical variables diagonalize multiplication: real axes (polar v+,
+v-; planar none), then complex planes (polar two, planar three).  Every
+count and name comes from the layout in ``_transforms``, so each function
+here has one body for both rings.  On top of the raw linear transforms
+this module derives the geometric parameters (modulus, amplitude,
+angles), the idempotent basis, and the exponential and trigonometric
+product forms.
 """
-
 from __future__ import annotations
 
 import math
@@ -24,11 +25,9 @@ from .algebra import (
 from .errors import DomainError
 
 __all__ = [
-    "PolarCanonical",
-    "PlanarCanonical",
+    "Canonical",
     "RotatedCoords",
-    "PolarGeometry",
-    "PlanarGeometry",
+    "Geometry",
     "ExpForm",
     "TrigForm",
     "DRhoReport",
@@ -45,42 +44,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PolarCanonical:
-    """Canonical variables of a polar value: two axes plus two planes."""
+class Canonical:
+    """Canonical variables: the real axes (polar v+, v-; planar none), then planes vk + i vk~."""
 
-    v_plus: float
-    v_minus: float
-    pairs: tuple[tuple[float, float], tuple[float, float]]
-
-    @property
-    def variant(self) -> Variant:
-        return Variant.POLAR
-
-    def as_sequence(self) -> tuple[float, ...]:
-        (v1, t1), (v2, t2) = self.pairs
-        return (self.v_plus, self.v_minus, v1, t1, v2, t2)
-
-    def pair_complex(self, k: int) -> complex:
-        v, t = self.pairs[k - 1]
-        return complex(v, t)
-
-
-@dataclass(frozen=True)
-class PlanarCanonical:
-    """Canonical variables of a planar value: three planes."""
-
-    pairs: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
-
-    @property
-    def variant(self) -> Variant:
-        return Variant.PLANAR
-
-    def as_sequence(self) -> tuple[float, ...]:
-        return tuple(x for pair in self.pairs for x in pair)
-
-    def pair_complex(self, k: int) -> complex:
-        v, t = self.pairs[k - 1]
-        return complex(v, t)
+    variant: Variant
+    axes: tuple[float, ...]
+    planes: tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -102,38 +71,26 @@ class RotatedCoords:
 
 
 @dataclass(frozen=True)
-class PolarGeometry:
-    """Geometric parameters of a polar value.
+class Geometry:
+    """Modulus d, amplitude rho and the angles of a value, in printed order.
 
-    Angles that would require 0/0 are absent (None) rather than defaulted.
-    ``rho`` is absent when v+ v- < 0, where no real sixth root exists.
+    A field the ring lacks (theta+/- on planar, psi2, phi3 and rho3 on
+    polar) is None, and so is an angle that would require 0/0.  ``rho``
+    is None when the axes differ in sign, where no real sixth root exists.
     """
 
     d: float
-    rho: float | None
-    theta_plus: float | None
-    theta_minus: float | None
-    psi1: float | None
-    phi1: float | None
-    phi2: float | None
-    rho1: float
-    rho2: float
-
-
-@dataclass(frozen=True)
-class PlanarGeometry:
-    """Geometric parameters of a planar value; absent angles are None."""
-
-    d: float
-    rho: float
-    psi1: float | None
-    psi2: float | None
-    phi1: float | None
-    phi2: float | None
-    phi3: float | None
-    rho1: float
-    rho2: float
-    rho3: float
+    rho: float | None = None
+    theta_plus: float | None = None
+    theta_minus: float | None = None
+    psi1: float | None = None
+    psi2: float | None = None
+    phi1: float | None = None
+    phi2: float | None = None
+    phi3: float | None = None
+    rho1: float | None = None
+    rho2: float | None = None
+    rho3: float | None = None
 
 
 @dataclass(frozen=True)
@@ -173,17 +130,14 @@ class DRhoReport:
     rhs_quoted_constant: float | None
 
 
-def to_canonical(u: HexaNumber) -> PolarCanonical | PlanarCanonical:
+def to_canonical(u: HexaNumber) -> Canonical:
     """Canonical variables of ``u`` (the diagonalizing linear map)."""
-    planar = u.variant.is_planar
-    axes, planes = tr.split(planar, canonical_components(u))
-    pairs = tuple((z.real, z.imag) for z in planes)
-    return (PlanarCanonical if planar else PolarCanonical)(*axes, pairs=pairs)
+    return Canonical(u.variant, *tr.split(u.variant.is_planar, canonical_components(u)))
 
 
-def from_canonical(c: PolarCanonical | PlanarCanonical) -> HexaNumber:
+def from_canonical(c: Canonical) -> HexaNumber:
     """Inverse of :func:`to_canonical`."""
-    return from_canonical_components(c.variant, c.as_sequence())
+    return from_canonical_components(c.variant, tr.join(c.axes, c.planes))
 
 
 def canonical_basis(variant: Variant) -> tuple[HexaNumber, ...]:
@@ -195,14 +149,6 @@ def rotated_coords(u: HexaNumber) -> RotatedCoords:
     """Coordinates of ``u`` over the rotated orthonormal axes."""
     rows = tr.rotation_rows(u.variant.is_planar)
     return RotatedCoords(u.variant, tuple(tr.dot(row, u.components) for row in rows))
-
-
-def _plane_polar(z: complex, threshold: float) -> tuple[float, float | None]:
-    """(radius, azimuth-or-None) for one canonical plane; tiny radii snap to 0."""
-    rho = tr.radius(z)
-    if rho <= threshold:
-        return 0.0, None
-    return rho, tr.azimuth(z)
 
 
 def _cbrt(x: float) -> float:
@@ -229,57 +175,54 @@ def _amplitude(axes, rhos) -> float:
             * math.prod(_cbrt(r) for r in rhos))
 
 
-def geometry(u: HexaNumber) -> PolarGeometry | PlanarGeometry:
+def _theta(rho1: float, v: float) -> float | None:
+    """Angle with tan(theta) = sqrt(2) rho1 / v; None at 0/0.
+
+    Both sides are first scaled by the same power of two, so sqrt(2) rho1
+    neither overflows near the top of the double range nor rounds among
+    the subnormals.
+    """
+    if rho1 == 0.0 and v == 0.0:
+        return None
+    e = -math.frexp(max(rho1, abs(v)))[1]
+    return math.atan2(tr.SQRT2 * math.ldexp(rho1, e), math.ldexp(v, e))
+
+
+def geometry(u: HexaNumber) -> Geometry:
     """Modulus, amplitude and angles of ``u``; undefined angles are None.
 
     Components within the zero threshold snap to exactly zero first, so
     the limiting angles (e.g. theta+ = 0 at rho1 = 0, pi/2 at v+ = 0)
-    come out exact.
+    come out exact.  Each axis gives a theta, each plane after the first a
+    psi with tan(psi_k) = rho1 / rho_{k+1}, and each plane its phi and rho.
     """
     d = u.modulus()
     threshold = ZERO_COMPONENT_RTOL * d
     planar = u.variant.is_planar
     axes, planes = tr.split(planar, canonical_components(u))
-    rhos, phis = zip(*(_plane_polar(z, threshold) for z in planes))
-    psi1 = math.atan2(rhos[0], rhos[1]) if max(rhos[0], rhos[1]) > 0.0 else None
-    if planar:
-        rho1, rho2, rho3 = rhos
-        phi1, phi2, phi3 = phis
-        psi2 = math.atan2(rho1, rho3) if max(rho1, rho3) > 0.0 else None
-        return PlanarGeometry(d=d, rho=_amplitude(axes, rhos), psi1=psi1, psi2=psi2,
-                              phi1=phi1, phi2=phi2, phi3=phi3,
-                              rho1=rho1, rho2=rho2, rho3=rho3)
-
-    v_plus, v_minus = (0.0 if abs(v) <= threshold else v for v in axes)
-    rho1, rho2 = rhos
-    phi1, phi2 = phis
-    theta_plus = (math.atan2(tr.SQRT2 * rho1, v_plus)
-                  if rho1 > 0.0 or v_plus != 0.0 else None)
-    theta_minus = (math.atan2(tr.SQRT2 * rho1, v_minus)
-                   if rho1 > 0.0 or v_minus != 0.0 else None)
+    axes = [v if abs(v) > threshold else 0.0 for v in axes]
+    rhos = [r if r > threshold else 0.0 for r in map(tr.radius, planes)]
+    rho1 = rhos[0]
+    parts = {f"theta_{tag}": _theta(rho1, v) for tag, v in zip(tr.component_tags(planar), axes)}
+    for k, r in enumerate(rhos[1:], start=1):
+        parts[f"psi{k}"] = math.atan2(rho1, r) if max(rho1, r) > 0.0 else None
+    for k, (z, r) in enumerate(zip(planes, rhos), start=1):
+        parts[f"phi{k}"] = tr.azimuth(z) if r > 0.0 else None
+        parts[f"rho{k}"] = r
     rho: float | None
-    if min(rho1, rho2, abs(v_plus), abs(v_minus)) == 0.0:
+    if 0.0 in axes or 0.0 in rhos:
         rho = 0.0
-    elif (v_plus < 0.0) != (v_minus < 0.0):
+    elif len({v < 0.0 for v in axes}) > 1:
         rho = None
     else:
         rho = _amplitude(axes, rhos)
-    return PolarGeometry(d=d, rho=rho, theta_plus=theta_plus, theta_minus=theta_minus,
-                         psi1=psi1, phi1=phi1, phi2=phi2, rho1=rho1, rho2=rho2)
+    return Geometry(d=d, rho=rho, **parts)
 
 
-_RECORD_KEYS = ("d", "rho", "theta_plus", "theta_minus", "psi1", "psi2",
-                "phi1", "phi2", "phi3", "rho1", "rho2", "rho3")
-
-
-def geometry_record(g: PolarGeometry | PlanarGeometry, digits: int = 12) -> str:
-    """Flat key=value text record; absent fields are omitted."""
-    present = {f.name: getattr(g, f.name) for f in fields(g)}
-    lines = []
-    for key in _RECORD_KEYS:
-        if key in present and present[key] is not None:
-            lines.append(f"{key}={present[key]:.{digits}g}")
-    return "\n".join(lines)
+def geometry_record(g: Geometry, digits: int = 12) -> str:
+    """Flat key=value text record in field order; absent fields are omitted."""
+    values = ((f.name, getattr(g, f.name)) for f in fields(g))
+    return "\n".join(f"{key}={value:.{digits}g}" for key, value in values if value is not None)
 
 
 def exp_form(u: HexaNumber) -> ExpForm:
@@ -332,11 +275,13 @@ _QUOTED_CONSTANT = 2.0 ** (1.0 / 3.0) / tr.SQRT6
 def check_d_rho_relation(u: HexaNumber) -> DRhoReport:
     """Evaluate the modulus-amplitude relation for ``u``.
 
-    Substituting the defining equations gives the constant 2^(1/3)/sqrt(6)
-    for the polar relation but 1/sqrt(3) for the planar one, although the
-    same 2^(1/3)/sqrt(6) is commonly quoted for both.  ``rhs`` carries the
-    derived value, ``rhs_quoted_constant`` the commonly quoted one, so the
-    planar discrepancy stays observable.
+    With tan(theta) = sqrt(2) rho1 / v on each of the a axes and
+    tan(psi_k) = rho1 / rho_{k+1}, the defining equations give
+    d = C rho prod tan(theta)^(1/6) prod tan(psi)^(1/3) sqrt(1 + sum 1/tan^2)
+    with C = 2^(a/6) / sqrt(3 * 2^(a/2)): 2^(1/3)/sqrt(6) for polar but
+    1/sqrt(3) for planar, though 2^(1/3)/sqrt(6) is commonly quoted for
+    both.  ``rhs`` uses C and ``rhs_quoted_constant`` the quoted constant,
+    so the planar discrepancy stays observable.
     """
     planar = u.variant.is_planar
     comps = canonical_components(u)
@@ -347,26 +292,17 @@ def check_d_rho_relation(u: HexaNumber) -> DRhoReport:
                           reason=f"canonical component {label} vanishes (rho=0)",
                           d=d, rho=0.0, rhs=None, rhs_quoted_constant=None)
     axes, planes = tr.split(planar, comps)
-    rhos = [tr.radius(z) for z in planes]
-    if planar:
-        rho = _amplitude(axes, rhos)
-        t1 = rhos[0] / rhos[1]
-        t2 = rhos[0] / rhos[2]
-        base = rho * (t1 * t2) ** (1.0 / 3.0) * math.sqrt(1.0 + 1.0 / t1 ** 2 + 1.0 / t2 ** 2)
-        return DRhoReport(u.variant, skipped=False, reason=None, d=d, rho=rho,
-                          rhs=base / tr.SQRT3,
-                          rhs_quoted_constant=base * _QUOTED_CONSTANT)
-
-    v_plus, v_minus = axes
-    rho1, rho2 = rhos
-    if v_plus < 0.0 or v_minus < 0.0:
+    if any(v < 0.0 for v in axes):
         return DRhoReport(u.variant, skipped=True, reason="v+ or v- negative: no real amplitude",
                           d=d, rho=None, rhs=None, rhs_quoted_constant=None)
+    rhos = [tr.radius(z) for z in planes]
     rho = _amplitude(axes, rhos)
-    t_plus = tr.SQRT2 * rho1 / v_plus
-    t_minus = tr.SQRT2 * rho1 / v_minus
-    t_psi = rho1 / rho2
-    rhs = (rho * _QUOTED_CONSTANT * (t_plus * t_minus * t_psi ** 2) ** (1.0 / 6.0)
-           * math.sqrt(1.0 / t_plus ** 2 + 1.0 / t_minus ** 2 + 1.0 + 1.0 / t_psi ** 2))
+    t_theta = [tr.SQRT2 * rhos[0] / v for v in axes]
+    t_psi = [rhos[0] / r for r in rhos[1:]]
+    base = (rho * math.prod(t ** (1.0 / 6.0) for t in t_theta)
+            * math.prod(t ** (1.0 / 3.0) for t in t_psi)
+            * math.sqrt(1.0 + sum(1.0 / t ** 2 for t in t_theta + t_psi)))
+    a = len(axes)
     return DRhoReport(u.variant, skipped=False, reason=None, d=d, rho=rho,
-                      rhs=rhs, rhs_quoted_constant=rhs)
+                      rhs=base * (2.0 ** (a / 6.0) / math.sqrt(3.0 * 2.0 ** (a / 2.0))),
+                      rhs_quoted_constant=base * _QUOTED_CONSTANT)

@@ -11,8 +11,8 @@ from conftest import BOTH_VARIANTS, assert_hexa_close, invertible_hexa, max_abs_
 from hexacomplex import elementary
 from hexacomplex.algebra import HexaNumber, Variant, from_canonical_components, parse_hexa
 from hexacomplex.canonical import (
-    PlanarCanonical,
-    PolarCanonical,
+    Canonical,
+    Geometry,
     _cbrt,
     canonical_basis,
     check_d_rho_relation,
@@ -33,27 +33,26 @@ TWO_PI = 2.0 * math.pi
 
 def test_to_canonical_examples():
     one = to_canonical(HexaNumber.one(Variant.POLAR))
-    assert one == PolarCanonical(1.0, 1.0, ((1.0, 0.0), (1.0, 0.0)))
+    assert one == Canonical(Variant.POLAR, (1.0, 1.0), (1 + 0j, 1 + 0j))
 
     one_planar = to_canonical(HexaNumber.one(Variant.PLANAR))
-    assert one_planar == PlanarCanonical(((1.0, 0.0), (1.0, 0.0), (1.0, 0.0)))
+    assert one_planar == Canonical(Variant.PLANAR, (), (1 + 0j, 1 + 0j, 1 + 0j))
 
     h3 = to_canonical(HexaNumber.basis(Variant.POLAR, 3))
-    assert h3.v_plus == 1.0 and h3.v_minus == -1.0
-    assert h3.pairs[0] == (-1.0, 0.0)
-    assert h3.pairs[1] == (1.0, 0.0)
+    assert h3.axes == (1.0, -1.0)
+    assert h3.planes == (-1 + 0j, 1 + 0j)
 
 
 def test_from_canonical_examples():
-    e_plus = from_canonical(PolarCanonical(1.0, 0.0, ((0.0, 0.0), (0.0, 0.0))))
+    e_plus = from_canonical(Canonical(Variant.POLAR, (1.0, 0.0), (0j, 0j)))
     assert_hexa_close(e_plus, HexaNumber(Variant.POLAR, (1 / 6,) * 6), 1e-16)
 
-    e1 = from_canonical(PlanarCanonical(((1.0, 0.0), (0.0, 0.0), (0.0, 0.0))))
+    e1 = from_canonical(Canonical(Variant.PLANAR, (), (1 + 0j, 0j, 0j)))
     expected = HexaNumber(Variant.PLANAR,
                           (1 / 3, SQRT3 / 6, 1 / 6, 0.0, -1 / 6, -SQRT3 / 6))
     assert_hexa_close(e1, expected, 1e-16)
 
-    zero = from_canonical(PlanarCanonical(((0.0, 0.0),) * 3))
+    zero = from_canonical(Canonical(Variant.PLANAR, (), (0j,) * 3))
     assert zero == HexaNumber.zero(Variant.PLANAR)
 
 
@@ -137,17 +136,12 @@ def test_rotated_coords_norm_and_scaling():
             norm = math.sqrt(sum(x * x for x in coords.xi))
             assert math.isclose(norm, abs(u), rel_tol=1e-12, abs_tol=1e-14)
             c = to_canonical(u)
-            if variant.is_planar:
-                for k in range(1, 4):
-                    xi_k, eta_k = coords.plane(k)
-                    v, t = c.pairs[k - 1]
-                    assert math.isclose(v, SQRT3 * xi_k, rel_tol=1e-12, abs_tol=1e-13)
-                    assert math.isclose(t, SQRT3 * eta_k, rel_tol=1e-12, abs_tol=1e-13)
-            else:
-                assert math.isclose(c.v_plus, SQRT6 * coords.xi[0],
-                                    rel_tol=1e-12, abs_tol=1e-13)
-                assert math.isclose(c.v_minus, SQRT6 * coords.xi[1],
-                                    rel_tol=1e-12, abs_tol=1e-13)
+            for v, xi in zip(c.axes, coords.xi):
+                assert math.isclose(v, SQRT6 * xi, rel_tol=1e-12, abs_tol=1e-13)
+            for k, z in enumerate(c.planes, start=1):
+                xi_k, eta_k = coords.plane(k)
+                assert math.isclose(z.real, SQRT3 * xi_k, rel_tol=1e-12, abs_tol=1e-13)
+                assert math.isclose(z.imag, SQRT3 * eta_k, rel_tol=1e-12, abs_tol=1e-13)
 
 
 def test_geometry_of_one():
@@ -265,12 +259,9 @@ def test_geometry_d_squared_decomposition():
         for _ in range(200):
             u = random_hexa(rng, variant)
             g = geometry(u)
-            if variant.is_planar:
-                expected = (g.rho1 ** 2 + g.rho2 ** 2 + g.rho3 ** 2) / 3.0
-            else:
-                c = to_canonical(u)
-                expected = (c.v_plus ** 2 / 6.0 + c.v_minus ** 2 / 6.0
-                            + (g.rho1 ** 2 + g.rho2 ** 2) / 3.0)
+            rhos = [r for r in (g.rho1, g.rho2, g.rho3) if r is not None]
+            expected = (sum(v ** 2 for v in to_canonical(u).axes) / 6.0
+                        + sum(r ** 2 for r in rhos) / 3.0)
             assert math.isclose(g.d ** 2, expected, rel_tol=1e-12, abs_tol=1e-14)
 
 
@@ -282,11 +273,10 @@ def test_multiplicative_parameter_relations():
             v = random_hexa(rng, variant)
             cu, cv, cp = to_canonical(u), to_canonical(v), to_canonical(u * v)
             scale = 1e-11 * (1.0 + abs(u) * abs(v))
-            if not variant.is_planar:
-                assert abs(cp.v_plus - cu.v_plus * cv.v_plus) <= scale
-                assert abs(cp.v_minus - cu.v_minus * cv.v_minus) <= scale
-            for k in range(len(cp.pairs)):
-                zu, zv, zp = cu.pair_complex(k + 1), cv.pair_complex(k + 1), cp.pair_complex(k + 1)
+            assert len(cp.axes) == (0 if variant.is_planar else 2)
+            for a, b, p in zip(cu.axes, cv.axes, cp.axes):
+                assert abs(p - a * b) <= scale
+            for zu, zv, zp in zip(cu.planes, cv.planes, cp.planes):
                 assert abs(zp - zu * zv) <= scale
                 assert abs(abs(zp) - abs(zu) * abs(zv)) <= scale
 
@@ -433,11 +423,30 @@ def test_d_rho_relation_skipped_for_degenerate():
     assert "v-" in report.reason
 
 
-def test_geometry_record_planar_keys():
-    record = geometry_record(geometry(HexaNumber.one(Variant.PLANAR)))
-    keys = [line.split("=")[0] for line in record.splitlines()]
-    assert keys == ["d", "rho", "psi1", "psi2", "phi1", "phi2", "phi3",
-                    "rho1", "rho2", "rho3"]
+@pytest.mark.parametrize("variant, keys, absent", [
+    pytest.param(Variant.POLAR, ["d", "rho", "theta_plus", "theta_minus", "psi1",
+                                 "phi1", "phi2", "rho1", "rho2"],
+                 ("psi2", "phi3", "rho3"), id="polar"),
+    pytest.param(Variant.PLANAR, ["d", "rho", "psi1", "psi2", "phi1", "phi2", "phi3",
+                                  "rho1", "rho2", "rho3"],
+                 ("theta_plus", "theta_minus"), id="planar"),
+])
+def test_geometry_record_keys(variant, keys, absent):
+    g = geometry(HexaNumber.one(variant))
+    assert isinstance(g, Geometry)
+    assert all(getattr(g, name) is None for name in absent)
+    record = geometry_record(g)
+    assert [line.split("=")[0] for line in record.splitlines()] == keys
+
+
+@pytest.mark.parametrize("x", [1.5e308, 1e-320, 5e-324])
+def test_theta_at_the_ends_of_the_double_range(x):
+    """tan(theta) = sqrt(2) rho1 / v is sqrt(2) for every positive polar scalar."""
+    mpmath = pytest.importorskip("mpmath")
+    expected = float(mpmath.atan(mpmath.sqrt(2)))
+    g = geometry(HexaNumber(Variant.POLAR, (x, 0.0, 0.0, 0.0, 0.0, 0.0)))
+    assert abs(g.theta_plus - expected) <= 1e-15
+    assert abs(g.theta_minus - expected) <= 1e-15
 
 
 def test_cube_root_is_within_an_ulp_over_the_double_range():

@@ -148,7 +148,7 @@ def test_factor_non_monic_and_zero_divisor_leading(capsys):
     # v+ of the constant term overflows: no finite component polynomial to solve
     code, out, err = run(capsys, "factor", "1", "1e308 + 1e308 h1")
     assert code == 1 and out == ""
-    assert err == "error: component polynomial has a non-finite coefficient\n"
+    assert err == "error: canonical component v+ is not finite\n"
 
 
 def test_table_golden_files(capsys):
@@ -345,6 +345,19 @@ def test_eval_overflow_is_an_error(capsys, expression):
 def test_eval_exp_overflow_is_an_error(capsys, expression):
     code, out, err = run(capsys, "eval", expression)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("args, component", [
+    (("canon", "--", "1.2e308 + 1.2e308 h3"), "v+"),
+    (("eval", "--", "sin(1.2e308 + 1.2e308 h3)"), "v+"),
+    (("eval", "--", "ln(1.5e308 + 1.5e308 h1)"), "v+"),
+    (("canon", "--planar", "--", "1.2e308 + 1.2e308 h2"), "pair1"),
+])
+def test_overflowing_canonical_component_is_named(capsys, args, component):
+    # every component is finite, but a sum of them in the canonical transform is not
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert err == f"error: canonical component {component} is not finite\n"
 
 
 # Runs in a fresh interpreter: prints whether numpy is loaded after each step.

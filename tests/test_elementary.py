@@ -158,15 +158,12 @@ def test_componentwise_consistency():
             for hexa_fn, real_fn, complex_fn in cases:
                 result = to_canonical(hexa_fn(u))
                 source = to_canonical(u)
-                if not variant.is_planar:
-                    assert result.v_plus == pytest.approx(real_fn(source.v_plus), rel=1e-11,
-                                                          abs=1e-11)
-                    assert result.v_minus == pytest.approx(real_fn(source.v_minus), rel=1e-11,
-                                                           abs=1e-11)
-                for k in range(1, len(source.pairs) + 1):
-                    expected = complex_fn(source.pair_complex(k))
-                    assert abs(result.pair_complex(k) - expected) <= 1e-11 * (
-                        1.0 + abs(expected))
+                assert len(result.axes) == len(source.axes) == (0 if variant.is_planar else 2)
+                for v, w in zip(result.axes, source.axes):
+                    assert v == pytest.approx(real_fn(w), rel=1e-11, abs=1e-11)
+                for z, w in zip(result.planes, source.planes):
+                    expected = complex_fn(w)
+                    assert abs(z - expected) <= 1e-11 * (1.0 + abs(expected))
 
 
 def test_growth_bound_for_powers():
