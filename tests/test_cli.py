@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -158,6 +159,26 @@ def test_table_golden_files(capsys):
         golden = (GOLDEN / f"table_{family}.csv").read_text()
         assert out == golden
 
+
+
+def test_factor_golden_file(capsys):
+    """``factor`` and ``factor --all`` on literal polynomials, byte for byte.
+
+    Each ``$ hexacomplex ...`` line of the file is a command and the lines
+    below it are its stdout.  The polynomials have seeded, well separated
+    simple roots: degrees 2-4 on both rings, polar ones with 0, 1 and 2
+    conjugate pairs on an axis (so with quadratic factors).
+    """
+    golden = (GOLDEN / "factor.txt").read_text()
+    transcript = []
+    for line in golden.splitlines():
+        if line.startswith("$ hexacomplex "):
+            argv = shlex.split(line[len("$ hexacomplex "):])
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            transcript.append(f"{line}\n{out}")
+    assert len(transcript) == 22
+    assert "".join(transcript) == golden
 
 def test_table_custom_range(capsys):
     code, out, _ = run(capsys, "table", "g", "--range", "0:1:0.5")
