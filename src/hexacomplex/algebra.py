@@ -217,7 +217,7 @@ class HexaNumber:
             raise DomainError(f"zero-divisor tolerance must be finite and >= 0, got {zero_rtol!r}")
         planar = self.variant.is_planar
         comps = canonical_components(self)
-        label = tr.first_zero(planar, comps, zero_rtol * self.modulus())
+        label = tr.first_zero(planar, comps, zero_threshold(self, zero_rtol))
         if label:
             raise ZeroDivisorError(label)
         axes, planes = tr.split(planar, comps)
@@ -314,6 +314,27 @@ def canonical_components(u: HexaNumber) -> tuple[float, ...]:
                      if not all(map(math.isfinite, values[part])))
         raise DomainError(f"canonical component {label} is not finite", component=label)
     return values
+
+
+def zero_threshold(u: HexaNumber, rtol: float = ZERO_COMPONENT_RTOL) -> float:
+    """rtol |u|, below which a canonical component of ``u`` counts as zero.
+
+    Only when |u| overflows (it can reach sqrt(6) DBL_MAX) is it taken from u / 4.
+    """
+    d = u.modulus()
+    if d < math.inf:
+        return rtol * d
+    return rtol * math.hypot(*(0.25 * x for x in u.components)) * 4.0
+
+
+def plane_radii(planar: bool, planes) -> list[float]:
+    """Radius of each plane value; raises :class:`DomainError` naming the first that overflows."""
+    rhos = [tr.radius(z) for z in planes]
+    if math.inf in rhos:
+        label = tr.component_labels(planar)[tr.axis_count(planar) + rhos.index(math.inf)]
+        raise DomainError(f"plane radius of canonical component {label} is not finite",
+                          component=label)
+    return rhos
 
 
 def from_canonical_components(variant: Variant, values) -> HexaNumber:

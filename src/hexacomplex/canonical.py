@@ -16,11 +16,12 @@ from dataclasses import dataclass, fields
 from . import _transforms as tr
 from . import elementary
 from .algebra import (
-    ZERO_COMPONENT_RTOL,
     HexaNumber,
     Variant,
     canonical_components,
     from_canonical_components,
+    plane_radii,
+    zero_threshold,
 )
 from .errors import DomainError
 
@@ -195,13 +196,17 @@ def geometry(u: HexaNumber) -> Geometry:
     the limiting angles (e.g. theta+ = 0 at rho1 = 0, pi/2 at v+ = 0)
     come out exact.  Each axis gives a theta, each plane after the first a
     psi with tan(psi_k) = rho1 / rho_{k+1}, and each plane its phi and rho.
+    Raises :class:`DomainError` when a plane radius or d overflows.
     """
-    d = u.modulus()
-    threshold = ZERO_COMPONENT_RTOL * d
     planar = u.variant.is_planar
     axes, planes = tr.split(planar, canonical_components(u))
+    rhos = plane_radii(planar, planes)
+    d = u.modulus()
+    if not d < math.inf:
+        raise DomainError("modulus d is not finite")
+    threshold = zero_threshold(u)
     axes = [v if abs(v) > threshold else 0.0 for v in axes]
-    rhos = [r if r > threshold else 0.0 for r in map(tr.radius, planes)]
+    rhos = [r if r > threshold else 0.0 for r in rhos]
     rho1 = rhos[0]
     parts = {f"theta_{tag}": _theta(rho1, v) for tag, v in zip(tr.component_tags(planar), axes)}
     for k, r in enumerate(rhos[1:], start=1):
@@ -235,12 +240,12 @@ def exp_form(u: HexaNumber) -> ExpForm:
     """
     planar = u.variant.is_planar
     comps = canonical_components(u)
-    label = tr.first_zero(planar, comps, ZERO_COMPONENT_RTOL * u.modulus(), positive_axes=True)
+    label = tr.first_zero(planar, comps, zero_threshold(u), positive_axes=True)
     if label:
         raise DomainError(f"exponential form undefined: {tr.vanished(label)}", component=label)
     axes, planes = tr.split(planar, comps)
     exponent = elementary.ln(u).components
-    return ExpForm(rho=_amplitude(axes, [tr.radius(z) for z in planes]),
+    return ExpForm(rho=_amplitude(axes, plane_radii(planar, planes)),
                    exponent=HexaNumber(u.variant, (0.0, *exponent[1:])))
 
 
@@ -253,10 +258,9 @@ def trig_form(u: HexaNumber) -> TrigForm:
     components of u divided by rho1, each plane turned onto its real axis.
     """
     planar = u.variant.is_planar
-    d = u.modulus()
-    threshold = ZERO_COMPONENT_RTOL * d
+    threshold = zero_threshold(u)
     axes, planes = tr.split(planar, canonical_components(u))
-    rhos = [tr.radius(z) for z in planes]
+    rhos = plane_radii(planar, planes)
     rho1 = rhos[0]
     if rho1 <= threshold:
         raise DomainError("trigonometric form undefined: plane radius rho1 vanishes",
@@ -266,7 +270,7 @@ def trig_form(u: HexaNumber) -> TrigForm:
     phase = from_canonical_components(u.variant, tr.join(
         [0.0] * len(axes), [complex(0.0, tr.azimuth(z) if r > threshold else 0.0)
                             for z, r in zip(planes, rhos)]))
-    return TrigForm(scale=d / direction.modulus(), direction=direction, phase=phase)
+    return TrigForm(scale=u.modulus() / direction.modulus(), direction=direction, phase=phase)
 
 
 _QUOTED_CONSTANT = 2.0 ** (1.0 / 3.0) / tr.SQRT6
@@ -286,7 +290,7 @@ def check_d_rho_relation(u: HexaNumber) -> DRhoReport:
     planar = u.variant.is_planar
     comps = canonical_components(u)
     d = u.modulus()
-    label = tr.first_zero(planar, comps, ZERO_COMPONENT_RTOL * d)
+    label = tr.first_zero(planar, comps, zero_threshold(u))
     if label:
         return DRhoReport(u.variant, skipped=True,
                           reason=f"canonical component {label} vanishes (rho=0)",
@@ -295,14 +299,15 @@ def check_d_rho_relation(u: HexaNumber) -> DRhoReport:
     if any(v < 0.0 for v in axes):
         return DRhoReport(u.variant, skipped=True, reason="v+ or v- negative: no real amplitude",
                           d=d, rho=None, rhs=None, rhs_quoted_constant=None)
-    rhos = [tr.radius(z) for z in planes]
+    rhos = plane_radii(planar, planes)
     rho = _amplitude(axes, rhos)
-    t_theta = [tr.SQRT2 * rhos[0] / v for v in axes]
+    t_theta = [tr.SQRT2 * (rhos[0] / v) for v in axes]
     t_psi = [rhos[0] / r for r in rhos[1:]]
-    base = (rho * math.prod(t ** (1.0 / 6.0) for t in t_theta)
-            * math.prod(t ** (1.0 / 3.0) for t in t_psi)
-            * math.sqrt(1.0 + sum(1.0 / t ** 2 for t in t_theta + t_psi)))
+    # rho multiplies in last: the factor and C are near 1, rho may be near DBL_MAX
+    factor = (math.prod(t ** (1.0 / 6.0) for t in t_theta)
+              * math.prod(t ** (1.0 / 3.0) for t in t_psi)
+              * math.sqrt(1.0 + sum(1.0 / t ** 2 for t in t_theta + t_psi)))
     a = len(axes)
     return DRhoReport(u.variant, skipped=False, reason=None, d=d, rho=rho,
-                      rhs=base * (2.0 ** (a / 6.0) / math.sqrt(3.0 * 2.0 ** (a / 2.0))),
-                      rhs_quoted_constant=base * _QUOTED_CONSTANT)
+                      rhs=rho * (factor * (2.0 ** (a / 6.0) / math.sqrt(3.0 * 2.0 ** (a / 2.0)))),
+                      rhs_quoted_constant=rho * (factor * _QUOTED_CONSTANT))

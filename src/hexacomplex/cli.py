@@ -141,9 +141,8 @@ def _canonical_lines(value: HexaNumber) -> list[str]:
 
 def cmd_canon(args: argparse.Namespace) -> int:
     value = _eval_text(args.expression, args)
-    for line in _canonical_lines(value):
-        print(line)
-    print(canonical.geometry_record(canonical.geometry(value), HUMAN_DIGITS))
+    record = canonical.geometry_record(canonical.geometry(value), HUMAN_DIGITS)
+    print("\n".join([*_canonical_lines(value), record]))
     return 0
 
 

@@ -19,11 +19,12 @@ from typing import Callable, Sequence
 
 from . import _transforms as tr
 from .algebra import (
-    ZERO_COMPONENT_RTOL,
     HexaNumber,
     Variant,
     canonical_components,
     from_canonical_components,
+    plane_radii,
+    zero_threshold,
 )
 from .errors import DomainError, ZeroDivisorError
 
@@ -77,14 +78,16 @@ def sinh(u: HexaNumber) -> HexaNumber:
 
 
 def _ln_preconditions(u: HexaNumber) -> None:
-    label = tr.first_zero(u.variant.is_planar, canonical_components(u),
-                          ZERO_COMPONENT_RTOL * u.modulus(), positive_axes=True)
+    planar = u.variant.is_planar
+    comps = canonical_components(u)
+    label = tr.first_zero(planar, comps, zero_threshold(u), positive_axes=True)
     if label:
         raise DomainError(f"logarithm undefined: {tr.vanished(label)}", component=label)
+    plane_radii(planar, tr.split(planar, comps)[1])
 
 
 def _principal_log(z: complex) -> complex:
-    return complex(math.log(abs(z)), tr.azimuth(z))
+    return complex(math.log(tr.radius(z)), tr.azimuth(z))
 
 
 def ln(u: HexaNumber) -> HexaNumber:
@@ -110,8 +113,7 @@ def pow_real(u: HexaNumber, m: float) -> HexaNumber:
     if m.is_integer():
         n = int(m)
         if n < 0:
-            label = tr.first_zero(u.variant.is_planar, canonical_components(u),
-                                  ZERO_COMPONENT_RTOL * u.modulus())
+            label = tr.first_zero(u.variant.is_planar, canonical_components(u), zero_threshold(u))
             if label:
                 raise ZeroDivisorError(label)
         return _apply(u, lambda v: math.pow(v, n), lambda z: z ** n)
@@ -119,7 +121,7 @@ def pow_real(u: HexaNumber, m: float) -> HexaNumber:
     _ln_preconditions(u)
 
     def plane_frac(z: complex) -> complex:
-        return cmath.rect(math.pow(abs(z), m), m * tr.azimuth(z))
+        return cmath.rect(math.pow(tr.radius(z), m), m * tr.azimuth(z))
 
     return _apply(u, lambda v: math.pow(v, m), plane_frac)
 

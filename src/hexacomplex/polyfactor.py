@@ -6,7 +6,9 @@ plane.  Roots of those component polynomials recombine into roots of the
 full polynomial; since each component's roots can be matched to factor
 slots in any order, the factorization is far from unique and can be
 enumerated.  Complex axis roots cannot live on a 1-dimensional component,
-so in the polar ring they pair into real quadratic factors.
+so in the polar ring they pair into real quadratic factors.  A factor is
+itself a monic :class:`HexaPolynomial`, of degree 1 or 2, and a component
+polynomial is the tuple of its coefficients below the leading 1.
 
 Component roots are the eigenvalues of the companion matrix
 (``numpy.roots``).  Eigenvalues that cluster as tightly as a root of
@@ -25,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain, groupby
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from . import _transforms as tr
 from .algebra import HexaNumber, Variant, canonical_components, from_canonical_components, format_hexa
@@ -33,9 +35,6 @@ from .errors import NonConvergenceError
 
 __all__ = [
     "HexaPolynomial",
-    "ComponentPolynomial",
-    "LinearFactor",
-    "QuadraticFactor",
     "Factorization",
     "decompose",
     "component_roots",
@@ -106,72 +105,31 @@ class HexaPolynomial:
 
 
 @dataclass(frozen=True)
-class ComponentPolynomial:
-    """One canonical component of a monic polynomial.
-
-    Axis components ("plus"/"minus", polar only) carry real coefficients;
-    plane components ("pair1"...) carry complex ones.  Coefficients run
-    c1..cm below the implied leading 1.
-    """
-
-    tag: str
-    coefficients: tuple
-
-
-LinearOrQuadratic = Union["LinearFactor", "QuadraticFactor"]
-
-
-@dataclass(frozen=True)
-class LinearFactor:
-    """Monic factor (u - root)."""
-
-    root: HexaNumber
-
-    @property
-    def degree(self) -> int:
-        return 1
-
-    def coefficient_list(self) -> tuple[HexaNumber, ...]:
-        return (HexaNumber.one(self.root.variant), -self.root)
-
-
-@dataclass(frozen=True)
-class QuadraticFactor:
-    """Monic factor (u^2 + b u + c) irreducible over the linear slots."""
-
-    b: HexaNumber
-    c: HexaNumber
-
-    @property
-    def degree(self) -> int:
-        return 2
-
-    def coefficient_list(self) -> tuple[HexaNumber, ...]:
-        return (HexaNumber.one(self.b.variant), self.b, self.c)
-
-
-@dataclass(frozen=True)
 class Factorization:
-    """Ordered factors whose product reproduces the source polynomial."""
+    """Ordered monic factors (u + a, or u^2 + b u + c) whose product is the source polynomial."""
 
     variant: Variant
-    factors: tuple[LinearOrQuadratic, ...]
+    factors: tuple[HexaPolynomial, ...]
 
     @property
     def roots(self) -> tuple[HexaNumber, ...]:
-        return tuple(f.root for f in self.factors if isinstance(f, LinearFactor))
+        return tuple(-f.coeffs[0] for f in self.factors if f.degree == 1)
 
     @property
     def degree(self) -> int:
         return sum(f.degree for f in self.factors)
 
 
-def decompose(p: HexaPolynomial) -> list[ComponentPolynomial]:
-    """Component polynomials of ``p`` (4 for polar, 3 for planar)."""
+def decompose(p: HexaPolynomial) -> dict[str, tuple]:
+    """Component polynomials of ``p`` (4 for polar, 3 for planar), by component tag.
+
+    Each is the tuple of coefficients c1..cm below the implied leading 1,
+    in component order: real on an axis ("plus"/"minus", polar only),
+    complex on a plane ("pair1"...).
+    """
     planar = p.variant.is_planar
     columns = zip(*(chain(*tr.split(planar, canonical_components(a))) for a in p.coeffs))
-    return [ComponentPolynomial(tag, column)
-            for tag, column in zip(tr.component_tags(planar), columns)]
+    return dict(zip(tr.component_tags(planar), columns))
 
 
 def _taylor(coeffs: Sequence[complex], z: complex, count: int) -> list[complex]:
@@ -238,8 +196,10 @@ def _clusters(cluster: list[complex], coeffs: Sequence[complex],
         yield from _clusters(part, coeffs, scale)
 
 
-def component_roots(cp: ComponentPolynomial) -> tuple[complex, ...]:
-    """All roots (with multiplicity) of one component polynomial, sorted by rounded value.
+def component_roots(coefficients: Sequence[complex]) -> tuple[complex, ...]:
+    """All roots (with multiplicity) of z^m + c1 z^(m-1) + ... + cm, sorted by rounded value.
+
+    ``coefficients`` is c1..cm, one value of :func:`decompose`.
 
     The eigenvalues of the companion matrix (numpy.roots) are grouped by
     :func:`_clusters`.  A multiple root becomes the mean of its group,
@@ -249,11 +209,11 @@ def component_roots(cp: ComponentPolynomial) -> tuple[complex, ...]:
     """
     import numpy as np
 
-    coeffs = [complex(c) for c in cp.coefficients]
+    coeffs = [complex(c) for c in coefficients]
     if not all(map(cmath.isfinite, coeffs)):
         raise NonConvergenceError("component polynomial has a non-finite coefficient",
                                   residual=math.inf)
-    eigenvalues = [complex(z) for z in np.roots([1.0, *cp.coefficients])]
+    eigenvalues = [complex(z) for z in np.roots([1.0, *coefficients])]
     scale = max(1.0, max(abs(z) for z in eigenvalues))
     roots: list[complex] = []
     for cluster in _clusters(eigenvalues, coeffs, scale):
@@ -301,32 +261,17 @@ def _axis_pair_count(roots: Sequence[complex]) -> int:
     return pairs
 
 
-def _tags(variant: Variant) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Tags of the axis components and of the plane components."""
-    tags = tr.component_tags(variant.is_planar)
-    a = tr.axis_count(variant.is_planar)
-    return tags[:a], tags[a:]
+def _slot_factor(variant: Variant, groups: Sequence[Sequence[complex]]) -> HexaPolynomial:
+    """The monic factor of one slot: (u - z) or (u - z1)(u - z2) on every component.
 
-
-def _component_root_table(p: HexaPolynomial) -> dict[str, tuple[complex, ...]]:
-    return {cp.tag: component_roots(cp) for cp in decompose(p)}
-
-
-def _linear_factor(variant: Variant, axis_values: Sequence[float],
-                   plane_values: Sequence[complex]) -> LinearFactor:
-    return LinearFactor(root=from_canonical_components(variant, tr.join(axis_values, plane_values)))
-
-
-def _quadratic_factor(variant: Variant, axis_pairs: Sequence[tuple[complex, complex]],
-                      plane_pairs: Sequence[tuple[complex, complex]]) -> QuadraticFactor:
-    """(u - z1)(u - z2) on every component; an axis keeps the real part of b and c."""
-
-    def coefficient(fn) -> HexaNumber:
-        return from_canonical_components(variant, tr.join(
-            [fn(z1, z2).real for z1, z2 in axis_pairs], [fn(z1, z2) for z1, z2 in plane_pairs]))
-
-    return QuadraticFactor(b=coefficient(lambda z1, z2: -(z1 + z2)),
-                           c=coefficient(lambda z1, z2: z1 * z2))
+    ``groups[j]`` holds the slot's one or two roots on canonical component
+    j, axes first; an axis keeps the real part of each coefficient.
+    """
+    axes = tr.axis_count(variant.is_planar)
+    columns = [(-zs[0],) if len(zs) == 1 else (-(zs[0] + zs[1]), zs[0] * zs[1]) for zs in groups]
+    return HexaPolynomial(variant, [
+        from_canonical_components(variant, tr.join([c.real for c in row[:axes]], row[axes:]))
+        for row in zip(*columns)])
 
 
 def _verify_expansion(p: HexaPolynomial, f: Factorization) -> None:
@@ -358,7 +303,7 @@ def expand(f: Factorization) -> HexaPolynomial:
     variant = f.variant
     acc: list[HexaNumber] = [HexaNumber.one(variant)]
     for piece in f.factors:
-        factor_coeffs = piece.coefficient_list()
+        factor_coeffs = (HexaNumber.one(variant), *piece.coeffs)
         out = [HexaNumber.zero(variant) for _ in range(len(acc) + len(factor_coeffs) - 1)]
         for i, a in enumerate(acc):
             for j, b in enumerate(factor_coeffs):
@@ -379,10 +324,8 @@ def _round_key(values: Sequence[float]) -> tuple[float, ...]:
                  for v in (round(x, _DEDUP_DECIMALS) for x in values))
 
 
-def _factor_key(piece: LinearOrQuadratic) -> tuple:
-    if isinstance(piece, LinearFactor):
-        return ("L", _round_key(piece.root.components))
-    return ("Q", _round_key(piece.b.components), _round_key(piece.c.components))
+def _factor_key(piece: HexaPolynomial) -> tuple:
+    return tuple(_round_key(a.components) for a in piece.coeffs)
 
 
 def _distinct_permutations(
@@ -443,10 +386,10 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
     """
     if limit < 1:
         return []
-    table = _component_root_table(p)
+    table = {tag: component_roots(c) for tag, c in decompose(p).items()}
     m = p.degree
-    axis_tags, plane_tags = _tags(p.variant)
-    tags = axis_tags + plane_tags
+    tags = list(table)  # component order: axes first
+    axis_tags = tags[:tr.axis_count(p.variant.is_planar)]
     q = max((_axis_pair_count(table[tag]) for tag in axis_tags), default=0)
 
     def axis_ok(ordering: tuple[complex, ...]) -> bool:
@@ -455,19 +398,14 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         return (all((_is_real(z1) and _is_real(z2)) or _are_conjugate(z1, z2) for z1, z2 in pairs)
                 and all(map(_is_real, ordering[2 * q:])))
 
-    pieces: dict[tuple, tuple[LinearOrQuadratic, tuple]] = {}  # slot contents -> (factor, key)
+    pieces: dict[tuple, tuple[HexaPolynomial, tuple]] = {}  # slot contents -> (factor, key)
 
     def piece(slot: int, assignment: dict[str, tuple[complex, ...]]) -> tuple:
         """The factor of one slot and its rounded key, built once per slot contents."""
         end = slot + 2 if slot < 2 * q else slot + 1
         contents = (slot, *(assignment[t][slot:end] for t in tags))
         if contents not in pieces:
-            if slot < 2 * q:
-                built = _quadratic_factor(p.variant, [assignment[t][slot:end] for t in axis_tags],
-                                          [assignment[t][slot:end] for t in plane_tags])
-            else:
-                built = _linear_factor(p.variant, [assignment[t][slot].real for t in axis_tags],
-                                       [assignment[t][slot] for t in plane_tags])
+            built = _slot_factor(p.variant, contents[1:])
             pieces[contents] = built, _factor_key(built)
         return pieces[contents]
 
@@ -510,19 +448,18 @@ def _wrap_terms(text: str) -> str:
     return f"({text})" if (" + " in text or " - " in text or text.startswith("-")) else text
 
 
-def _format_factor(piece: LinearOrQuadratic, digits: int = 12) -> str:
-    """Render one factor in brackets: ``[u - root]``, ``[u + root]`` or ``[u^2 + (b) u + (c)]``."""
-    if isinstance(piece, LinearFactor):
-        # the sign of the leading nonzero component picks u - root or u + (-root)
-        root = piece.root
-        lead = next((a for a in root.components if a != 0.0), 0.0)
+def _format_factor(piece: HexaPolynomial, digits: int = 12) -> str:
+    """Render one factor in brackets: ``[u - root]``, ``[u + a]`` or ``[u^2 + (b) u + (c)]``."""
+    if piece.degree == 1:
+        # the sign of the leading nonzero component of a picks u - (-a) or u + a
+        a = piece.coeffs[0]
+        lead = next((x for x in a.components if x != 0.0), 0.0)
         if lead == 0.0:
             return "[u]"
-        if lead > 0.0:
-            return f"[u - {_wrap_terms(format_hexa(root, digits))}]"
-        return f"[u + {_wrap_terms(format_hexa(-root, digits))}]"
-    b_text = format_hexa(piece.b, digits)
-    c_text = format_hexa(piece.c, digits)
+        if lead < 0.0:
+            return f"[u - {_wrap_terms(format_hexa(-a, digits))}]"
+        return f"[u + {_wrap_terms(format_hexa(a, digits))}]"
+    b_text, c_text = (format_hexa(x, digits) for x in piece.coeffs)
     body = "u^2"
     if b_text != "0":
         body += f" + ({b_text}) u"
@@ -545,7 +482,7 @@ def format_factorizations(fs: Sequence[Factorization], digits: int = 12) -> list
     """
     texts: dict[int, str] = {}
 
-    def text(piece: LinearOrQuadratic) -> str:
+    def text(piece: HexaPolynomial) -> str:
         if id(piece) not in texts:
             texts[id(piece)] = _format_factor(piece, digits)
         return texts[id(piece)]

@@ -449,6 +449,13 @@ def test_theta_at_the_ends_of_the_double_range(x):
     assert abs(g.theta_minus - expected) <= 1e-15
 
 
+
+@pytest.mark.parametrize("variant", BOTH_VARIANTS)
+def test_d_rho_relation_at_the_top_of_the_double_range(variant):
+    report = check_d_rho_relation(HexaNumber(variant, (1.5e308, 0.0, 0.0, 0.0, 0.0, 0.0)))
+    assert report.d == 1.5e308
+    assert math.isfinite(report.rhs) and abs(report.rhs - report.d) <= 1e-12 * report.d
+
 def test_cube_root_is_within_an_ulp_over_the_double_range():
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(61)

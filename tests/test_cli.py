@@ -381,6 +381,38 @@ def test_overflowing_canonical_component_is_named(capsys, args, component):
     assert err == f"error: canonical component {component} is not finite\n"
 
 
+
+# Canonical pair1 of each is 1.3e308 (1 + i), so its radius overflows although
+# every component and |u| (1.06e308) are finite; the other components are near 1e300.
+_WIDE_PAIR1 = {
+    "planar": "4.3333334e+307 + 5.91944338753172e+307 h1 + 5.919443399732567e+307 h2"
+              " + 4.3333333333333333e+307 h3 + 1.5861100997325675e+307 h4"
+              " - 1.5861100541983874e+307 h5",
+    "polar": "4.3333334e+307 + 5.919443399732567e+307 h1 + 1.5861100997325675e+307 h2"
+             " - 4.3333333e+307 h3 - 5.919443399732567e+307 h4 - 1.5861100997325675e+307 h5",
+}
+# planar: every canonical component is +-1.5e308; |u| and every plane radius overflow
+_WIDE_ALL = "1.5e308 + 1.5e308 h3"
+_RADIUS_ERROR = "error: plane radius of canonical component pair1 is not finite\n"
+
+
+@pytest.mark.parametrize("args, code, out, err", [
+    (("eval", "--planar", "--", f"ln({_WIDE_PAIR1['planar']})"), 1, "", _RADIUS_ERROR),
+    (("eval", "--planar", "--", f"pow({_WIDE_PAIR1['planar']}, 0.5)"), 1, "", _RADIUS_ERROR),
+    (("canon", "--planar", "--", _WIDE_PAIR1["planar"]), 1, "", _RADIUS_ERROR),
+    (("eval", "--polar", "--", f"ln({_WIDE_PAIR1['polar']})"), 1, "", _RADIUS_ERROR),
+    (("canon", "--planar", "--", _WIDE_ALL), 1, "", _RADIUS_ERROR),
+    (("eval", "--planar", "--", f"ln({_WIDE_ALL})"), 1, "", _RADIUS_ERROR),
+    (("eval", "--planar", "--", f"inv({_WIDE_PAIR1['planar']})"), 0,
+     "6.66666663343e-301 - 2.88675130052e-301 h1 - 1.66666668331e-301 h2"
+     " - 1.66320025796e-309 h3 + 1.66666668331e-301 h4 + 2.88675133379e-301 h5\n", ""),
+    (("eval", "--planar", "--", f"inv({_WIDE_ALL})"), 0, None, ""),  # no false zero divisor
+], ids=["ln", "pow", "canon", "ln-polar", "canon-wide-all", "ln-wide-all", "inv", "inv-wide-all"])
+def test_plane_radius_beyond_the_double_range(capsys, args, code, out, err):
+    got = run(capsys, *args)
+    assert got[0] == code and got[2] == err
+    assert out is None or got[1] == out
+
 # Runs in a fresh interpreter: prints whether numpy is loaded after each step.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys

@@ -15,11 +15,8 @@ from hexacomplex.algebra import HexaNumber, Variant, format_hexa, from_canonical
 from hexacomplex.canonical import canonical_basis
 from hexacomplex.errors import NonConvergenceError, ZeroDivisorError
 from hexacomplex.polyfactor import (
-    ComponentPolynomial,
     Factorization,
     HexaPolynomial,
-    LinearFactor,
-    QuadraticFactor,
     component_roots,
     decompose,
     enumerate_factorizations,
@@ -67,19 +64,19 @@ def u_squared_plus_one(variant=Variant.PLANAR) -> HexaPolynomial:
 
 
 def test_decompose_polar_square_minus_one():
-    parts = {cp.tag: cp for cp in decompose(u_squared_minus_one())}
-    assert set(parts) == {"plus", "minus", "pair1", "pair2"}
-    assert parts["plus"].coefficients == (0.0, -1.0)
-    assert parts["minus"].coefficients == (0.0, -1.0)
-    assert parts["pair1"].coefficients == (0j, -1 + 0j)
-    assert parts["pair2"].coefficients == (0j, -1 + 0j)
+    parts = decompose(u_squared_minus_one())
+    assert list(parts) == ["plus", "minus", "pair1", "pair2"]
+    assert parts["plus"] == (0.0, -1.0)
+    assert parts["minus"] == (0.0, -1.0)
+    assert parts["pair1"] == (0j, -1 + 0j)
+    assert parts["pair2"] == (0j, -1 + 0j)
 
 
 def test_decompose_planar_square_plus_one():
-    parts = {cp.tag: cp for cp in decompose(u_squared_plus_one())}
-    assert set(parts) == {"pair1", "pair2", "pair3"}
+    parts = decompose(u_squared_plus_one())
+    assert list(parts) == ["pair1", "pair2", "pair3"]
     for k in range(1, 4):
-        assert parts[f"pair{k}"].coefficients == (0j, 1 + 0j)
+        assert parts[f"pair{k}"] == (0j, 1 + 0j)
 
 
 def test_decompose_linear_shift():
@@ -89,8 +86,8 @@ def test_decompose_linear_shift():
         from hexacomplex.algebra import canonical_components
         parts = decompose(HexaPolynomial(variant, [-c]))
         flat = []
-        for cp in parts:
-            for value in cp.coefficients:
+        for coefficients in parts.values():
+            for value in coefficients:
                 if isinstance(value, complex):
                     flat.extend((value.real, value.imag))
                 else:
@@ -100,11 +97,11 @@ def test_decompose_linear_shift():
 
 
 def test_component_roots_simple():
-    roots = component_roots(ComponentPolynomial("plus", (0.0, -1.0)))
+    roots = component_roots((0.0, -1.0))
     assert sorted(z.real for z in roots) == pytest.approx([-1.0, 1.0], abs=1e-12)
     assert all(abs(z.imag) < 1e-12 for z in roots)
 
-    roots = component_roots(ComponentPolynomial("pair1", (0j, 1 + 0j)))
+    roots = component_roots((0j, 1 + 0j))
     assert sorted(z.imag for z in roots) == pytest.approx([-1.0, 1.0], abs=1e-12)
     assert all(abs(z.real) < 1e-12 for z in roots)
 
@@ -120,21 +117,21 @@ def test_component_roots_planted_cubic():
         c1 = -(planted[0] + planted[1] + planted[2])
         c2 = (planted[0] * planted[1] + planted[0] * planted[2] + planted[1] * planted[2])
         c3 = -planted[0] * planted[1] * planted[2]
-        found = component_roots(ComponentPolynomial("pair1", (c1, c2, c3)))
+        found = component_roots((c1, c2, c3))
         assert list(found) == _sorted_roots(found)
         for a, b in zip(found, _sorted_roots(planted)):
             assert abs(a - b) <= 1e-13
 
 
 def test_component_roots_degree_one_and_double_root():
-    assert component_roots(ComponentPolynomial("plus", (-3.0,))) == (3 + 0j,)
-    assert component_roots(ComponentPolynomial("plus", (0.0, 0.0))) == (0j, 0j)  # z^2
+    assert component_roots((-3.0,)) == (3 + 0j,)
+    assert component_roots((0.0, 0.0)) == (0j, 0j)  # z^2
 
 
 def test_component_roots_near_the_top_of_the_double_range():
     # z^2 + 1e308 z + 1e308: |p(z)| at the root -1e308 is rounding of 1e308-sized
     # terms, small beside the size of p there, so the roots are accepted
-    found = component_roots(ComponentPolynomial("plus", (1e308, 1e308)))
+    found = component_roots((1e308, 1e308))
     assert found[0] == pytest.approx(-1e308, rel=1e-15)
     assert found[1] == pytest.approx(-1.0, rel=1e-15)
 
@@ -143,12 +140,12 @@ def test_component_roots_reports_the_residual_it_cannot_meet(monkeypatch):
     import numpy
 
     with pytest.raises(NonConvergenceError) as exc:
-        component_roots(ComponentPolynomial("plus", (math.inf, 1.0)))
+        component_roots((math.inf, 1.0))
     assert exc.value.residual == math.inf
     # an eigensolver off by 4 on both roots of z^2 - 1: one Newton step reaches +-2.6
     monkeypatch.setattr(numpy, "roots", lambda c: numpy.array([-5.0, 5.0]))
     with pytest.raises(NonConvergenceError) as exc:
-        component_roots(ComponentPolynomial("plus", (0.0, -1.0)))
+        component_roots((0.0, -1.0))
     assert exc.value.residual == pytest.approx((2.6 ** 2 - 1) / (2.6 ** 2 + 1))
 
 
@@ -179,7 +176,7 @@ _CLOSE_ROOTS = {
 @pytest.mark.parametrize("name", list(_REPEATED_ROOTS) + list(_CLOSE_ROOTS))
 def test_component_roots_multiplicity(name, tag):
     exact = [complex(z) for z in {**_REPEATED_ROOTS, **_CLOSE_ROOTS}[name]]
-    found = component_roots(ComponentPolynomial(tag, _monic_from_roots(exact, tag == "plus")))
+    found = component_roots(_monic_from_roots(exact, tag == "plus"))
     assert list(found) == _sorted_roots(found)
     assert len(set(found)) == len(set(exact))
     # a repeated root is the mean of its eigenvalue cluster, good to rounding; close
@@ -205,8 +202,8 @@ def test_close_simple_roots_stay_distinct(name, variant):
     coefficients = _monic_from_roots([complex(z) for z in exact], real=True)
     poly = HexaPolynomial.from_coefficient_list(
         [HexaNumber.from_real(variant, c) for c in (1.0, *coefficients)])
-    for cp in decompose(poly):
-        assert len(set(component_roots(cp))) == len(exact)
+    for coefficients in decompose(poly).values():
+        assert len(set(component_roots(coefficients))) == len(exact)
     factor(poly)
     for f in enumerate_factorizations(poly, 1000):
         polyfactor._verify_expansion(poly, f)
@@ -214,9 +211,9 @@ def test_close_simple_roots_stay_distinct(name, variant):
 
 def test_factor_polar_square_minus_one():
     f = factor(u_squared_minus_one())
-    assert all(isinstance(piece, LinearFactor) for piece in f.factors)
+    assert all(piece.degree == 1 for piece in f.factors)
     assert len(f.factors) == 2
-    assert_hexa_close(f.factors[0].root, -f.factors[1].root, 1e-9)
+    assert_hexa_close(f.roots[0], -f.roots[1], 1e-9)
     back = expand(f)
     assert max_abs_diff(back.coeffs[1], HexaNumber(Variant.POLAR, (-1, 0, 0, 0, 0, 0))) <= 1e-9
 
@@ -224,7 +221,7 @@ def test_factor_polar_square_minus_one():
 def test_factor_planar_square_plus_one():
     f = factor(u_squared_plus_one())
     assert len(f.factors) == 2
-    assert all(isinstance(piece, LinearFactor) for piece in f.factors)
+    assert all(piece.degree == 1 for piece in f.factors)
     poly = u_squared_plus_one()
     for root in f.roots:
         assert abs(poly.evaluate(root)) <= 1e-8
@@ -234,9 +231,10 @@ def test_factor_polar_square_plus_one_is_irreducible_quadratic():
     f = factor(u_squared_plus_one(Variant.POLAR))
     assert len(f.factors) == 1
     piece = f.factors[0]
-    assert isinstance(piece, QuadraticFactor)
-    assert max(abs(c) for c in piece.b.components) <= 1e-9
-    assert_hexa_close(piece.c, HexaNumber.one(Variant.POLAR), 1e-9)
+    assert piece.degree == 2
+    b, c = piece.coeffs
+    assert max(abs(x) for x in b.components) <= 1e-9
+    assert_hexa_close(c, HexaNumber.one(Variant.POLAR), 1e-9)
 
 
 def _root_key(components):
@@ -289,7 +287,8 @@ def test_enumerate_respects_limit():
 
 def test_expand_of_sign_pattern_root():
     root = HexaNumber(Variant.POLAR, tuple(v / 3.0 for v in (1, 1, 1, -2, 1, 1)))
-    f = Factorization(Variant.POLAR, (LinearFactor(root), LinearFactor(-root)))
+    f = Factorization(Variant.POLAR,
+                      tuple(HexaPolynomial(Variant.POLAR, [-r]) for r in (root, -root)))
     back = expand(f)
     assert max_abs_diff(back.coeffs[0], HexaNumber.zero(Variant.POLAR)) <= 1e-12
     assert max_abs_diff(back.coeffs[1],
@@ -352,9 +351,9 @@ def test_root_residuals_reported_on_failure():
     assert isinstance(good, Factorization)
     with pytest.raises(NonConvergenceError):
         from hexacomplex.polyfactor import _verify_expansion
-        bad = Factorization(Variant.POLAR,
-                            (LinearFactor(HexaNumber.one(Variant.POLAR)),
-                             LinearFactor(HexaNumber.one(Variant.POLAR))))
+        one = HexaNumber.one(Variant.POLAR)
+        bad = Factorization(Variant.POLAR, (HexaPolynomial(Variant.POLAR, [-one]),
+                                            HexaPolynomial(Variant.POLAR, [-one])))
         _verify_expansion(poly, bad)
 
 
@@ -385,7 +384,7 @@ def test_format_linear_factor_matches_negated_root_rule():
              HexaNumber(Variant.POLAR, (3.0, 0.0, 0.0, 0.0, 0.0, 0.0))]
     roots += [random_hexa(rng, variant) for variant in BOTH_VARIANTS for _ in range(20)]
     for root in roots:
-        f = Factorization(root.variant, (LinearFactor(root),))
+        f = Factorization(root.variant, (HexaPolynomial(root.variant, [-root]),))
         assert format_factorization(f) == reference(root)
 
 
@@ -429,8 +428,9 @@ def _every_distinct_ordering(roots):
 def _unpruned_enumeration(p: HexaPolynomial, limit: int) -> list[Factorization]:
     """The search without symmetry pruning: every distinct ordering of every
     component, the axis test, then the rounded-key dict."""
-    table = polyfactor._component_root_table(p)
-    axis_tags, plane_tags = polyfactor._tags(p.variant)
+    table = {tag: component_roots(c) for tag, c in decompose(p).items()}
+    a = tr.axis_count(p.variant.is_planar)
+    axis_tags, plane_tags = list(table)[:a], list(table)[a:]
     m = p.degree
     q = max((polyfactor._axis_pair_count(table[t]) for t in axis_tags), default=0)
 
@@ -456,13 +456,7 @@ def _unpruned_enumeration(p: HexaPolynomial, limit: int) -> list[Factorization]:
         end = slot + 2 if slot < 2 * q else slot + 1
         contents = (slot, tuple(o[slot:end] for o in axes), tuple(o[slot:end] for o in planes))
         if contents not in pieces:
-            if slot < 2 * q:
-                built = polyfactor._quadratic_factor(
-                    p.variant, [(o[slot], o[slot + 1]) for o in axes],
-                    [(o[slot], o[slot + 1]) for o in planes])
-            else:
-                built = polyfactor._linear_factor(p.variant, [o[slot].real for o in axes],
-                                                  [o[slot] for o in planes])
+            built = polyfactor._slot_factor(p.variant, contents[1] + contents[2])
             pieces[contents] = built, polyfactor._factor_key(built)
         return pieces[contents]
 
@@ -559,15 +553,16 @@ def test_enumeration_builds_each_slot_contents_once(monkeypatch, name, linear, q
         poly = _poly_from_component_roots(Variant.PLANAR, [], _PLANE_ROOTS)
     else:
         poly = dict(_enumeration_cases())[name]
-    built = {"_linear_factor": 0, "_quadratic_factor": 0}
-    for builder in built:
-        def counting(*args, _builder=builder, _build=getattr(polyfactor, builder)):
-            built[_builder] += 1
-            return _build(*args)
+    built = {1: 0, 2: 0}  # slot width (roots per component) -> factors built
+    build = polyfactor._slot_factor
 
-        monkeypatch.setattr(polyfactor, builder, counting)
+    def counting(variant, groups):
+        built[len(groups[0])] += 1
+        return build(variant, groups)
+
+    monkeypatch.setattr(polyfactor, "_slot_factor", counting)
     enumerate_factorizations(poly, 100000)
-    assert built == {"_linear_factor": linear, "_quadratic_factor": quadratic}
+    assert built == {1: linear, 2: quadratic}
 
 
 # Repeated component roots: one factorization per distinct assignment of the
