@@ -202,8 +202,8 @@ def test_close_simple_roots_stay_distinct(name, variant):
     coefficients = _monic_from_roots([complex(z) for z in exact], real=True)
     poly = HexaPolynomial.from_coefficient_list(
         [HexaNumber.from_real(variant, c) for c in (1.0, *coefficients)])
-    for coefficients in decompose(poly).values():
-        assert len(set(component_roots(coefficients))) == len(exact)
+    for component in decompose(poly).values():
+        assert len(set(component_roots(component))) == len(exact)
     factor(poly)
     for f in enumerate_factorizations(poly, 1000):
         polyfactor._verify_expansion(poly, f)
