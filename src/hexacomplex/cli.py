@@ -8,6 +8,7 @@ errors, 2 on parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -62,7 +63,15 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built once and shared by the process.
+
+    Nothing in it depends on argv, so :func:`main` parses each call with the
+    same parser.  Callers must not modify it: a change would reach every
+    later call.  ``build_parser.cache_clear()`` makes the next call build a
+    new one.
+    """
     common = argparse.ArgumentParser(add_help=False)
     variant_group = common.add_mutually_exclusive_group()
     variant_group.add_argument("--polar", dest="variant", action="store_const",

@@ -199,6 +199,35 @@ def test_inverse_at_the_ends_of_the_double_range():
         assert inv.components[0] == pytest.approx(1e300, rel=1e-15)
         assert max(abs(c) for c in inv.components[1:]) <= 1e-15 * 1e300
 
+    # each plane's reciprocal, about 7e309, is beyond the range: an error, not a value
+    with pytest.raises(DomainError):
+        HexaNumber(Variant.PLANAR, (1e-310, 0.0, 0.0, 1e-310, 0.0, 0.0)).inverse()
+
+
+@pytest.mark.parametrize("components, residual_tol", [
+    # every canonical plane is 1.5e308 (1 +- i), where 1 / z of each plane value is zero
+    ((1.5e308, 0.0, 0.0, 1.5e308, 0.0, 0.0), 1e-14),
+    # pair1 is 1.3e308 (1 + i); the other canonical components, near 1e300, are sums
+    # of 1e307 terms and carry relative errors near 1e-9, which bound the residual
+    ((4.3333334e+307, 5.91944338753172e+307, 5.919443399732567e+307,
+      4.3333333333333333e+307, 1.5861100997325675e+307, -1.5861100541983874e+307), 1e-6),
+])
+def test_planar_inverse_at_the_top_of_the_double_range(components, residual_tol):
+    mpmath = pytest.importorskip("mpmath")
+    inv = HexaNumber(Variant.PLANAR, components).inverse().components
+    with mpmath.workdps(40):
+        x, y = [mpmath.mpf(c) for c in components], [mpmath.mpf(c) for c in inv]
+        # u inv(u) - 1 in exact arithmetic; the planar wrap h6 = -1 flips the sign
+        residual = max(abs(mpmath.fsum((-1 if i > k else 1) * x[i] * y[(k - i) % 6]
+                                       for i in range(6)) - (k == 0)) for k in range(6))
+        if components[1:3] == components[4:] == (0.0, 0.0):
+            # a + b h3 with h3^2 = -1 inverts to (a - b h3) / (a^2 + b^2)
+            a, b = x[0], x[3]
+            expected = [a / (a * a + b * b), 0, 0, -b / (a * a + b * b), 0, 0]
+            # the scaled quotient rounds once, then again into the subnormals
+            assert all(abs(g - e) <= 2 * 5e-324 for g, e in zip(inv, expected))
+    assert residual <= residual_tol
+
 
 @pytest.mark.parametrize("zero_rtol", [math.nan, -1.0, math.inf])
 def test_inverse_rejects_a_tolerance_that_is_not_finite_and_nonnegative(zero_rtol):

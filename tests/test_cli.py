@@ -9,6 +9,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
@@ -404,14 +405,14 @@ _RADIUS_ERROR = "error: plane radius of canonical component pair1 is not finite\
     (("canon", "--planar", "--", _WIDE_ALL), 1, "", _RADIUS_ERROR),
     (("eval", "--planar", "--", f"ln({_WIDE_ALL})"), 1, "", _RADIUS_ERROR),
     (("eval", "--planar", "--", f"inv({_WIDE_PAIR1['planar']})"), 0,
-     "6.66666663343e-301 - 2.88675130052e-301 h1 - 1.66666668331e-301 h2"
-     " - 1.66320025796e-309 h3 + 1.66666668331e-301 h4 + 2.88675133379e-301 h5\n", ""),
-    (("eval", "--planar", "--", f"inv({_WIDE_ALL})"), 0, None, ""),  # no false zero divisor
+     "6.66666664625e-301 - 2.88675129583e-301 h1 - 1.666666688e-301 h2"
+     " - 2.94525154001e-309 h3 + 1.66666666579e-301 h4 + 2.88675131627e-301 h5\n", ""),
+    # no false zero divisor, and 1 / z of each plane value (zero) is not taken as it is
+    (("eval", "--planar", "--", f"inv({_WIDE_ALL})"), 0,
+     "3.33333333333e-309 - 3.33333333333e-309 h3\n", ""),
 ], ids=["ln", "pow", "canon", "ln-polar", "canon-wide-all", "ln-wide-all", "inv", "inv-wide-all"])
 def test_plane_radius_beyond_the_double_range(capsys, args, code, out, err):
-    got = run(capsys, *args)
-    assert got[0] == code and got[2] == err
-    assert out is None or got[1] == out
+    assert run(capsys, *args) == (code, out, err)
 
 # Runs in a fresh interpreter: prints whether numpy is loaded after each step.
 _NUMPY_PROBE = """
@@ -456,3 +457,83 @@ def test_main_keeps_no_default_between_calls(capsys):
     outcomes = [run(capsys, *argv)[:2] for argv in sequence]
     assert outcomes[0][0] == 2
     assert outcomes[1:] == [(0, "-1\n"), (0, "1\n")]  # the third call is polar again
+
+
+# Every command with and without its options, and the --range folding
+_ACCEPTED_ARGVS = [
+    ["eval", "1 + 2h1"], ["eval", "--planar", "--tol", "1e-10", "h3*h3"],
+    ["canon", "exp(h1)"], ["canon", "--polar", "--", "-h1"],
+    ["factor", "1", "0", "-1"], ["factor", "--planar", "1", "0", "1", "--all", "10"],
+    ["table", "g"], ["table", "f", "--range", "-4:4:0.05"], ["table", "g", "--range=0:1:0.5"],
+    ["integrate", "exp", "0", "1", "1.0"],
+    ["integrate", "--planar", "one", "2", "2", "1.5", "--samples", "64"],
+    ["repr", "h1"], ["repr", "--planar", "--tol", "0", "h2"],
+]
+# a bad --tol, an unknown option, missing positionals and a missing command
+_REJECTED_ARGVS = [["eval", "--tol", "-1", "h1"], ["eval", "--bogus", "1"], ["canon"],
+                   ["integrate", "exp", "0", "1"], []]
+
+
+def _parse(parser, argv):
+    """vars() of the Namespace ``main`` would get, or the code argparse exits with."""
+    try:
+        return vars(parser.parse_args(cli._fold_range_values(argv)))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_shared_parser_parses_as_a_freshly_built_one(capsys):
+    shared = cli.build_parser()
+    cached = []
+    for argv in _ACCEPTED_ARGVS + _REJECTED_ARGVS:
+        cached.append((_parse(shared, argv), *capsys.readouterr()))
+    fresh = []
+    for argv in _ACCEPTED_ARGVS + _REJECTED_ARGVS:
+        cli.build_parser.cache_clear()
+        fresh.append((_parse(cli.build_parser(), argv), *capsys.readouterr()))
+    assert cli.build_parser() is not shared
+    assert cached == fresh
+    outcomes = [outcome for outcome, _, _ in cached]
+    assert outcomes[len(_ACCEPTED_ARGVS):] == [2] * len(_REJECTED_ARGVS)
+    folded = _ACCEPTED_ARGVS.index(["table", "f", "--range", "-4:4:0.05"])
+    assert outcomes[folded]["table_range"] == (-4.0, 4.0, 0.05)
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    codes = [main(argv) for argv in [["eval", "h3*h3"], ["eval", "--tol", "-1", "h1"],
+                                     ["eval", "--bogus", "1"], ["canon"], ["--help"]] * 4]
+    capsys.readouterr()
+    assert codes == [0, 2, 2, 2, 0] * 4
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+def test_help_is_the_same_on_every_call(capsys, argv):
+    outcomes = [run(capsys, *argv) for _ in range(3)]
+    assert outcomes[0][0] == 0 and outcomes[0][1].startswith("usage: hexacomplex")
+    assert outcomes == [outcomes[0]] * 3
+
+
+def test_threads_parse_with_the_shared_parser():
+    serial = [_parse(cli.build_parser(), argv) for argv in _ACCEPTED_ARGVS] * 20
+    results = [None] * 4
+    start = threading.Barrier(len(results))
+
+    def work(k):
+        start.wait(timeout=30)
+        results[k] = [_parse(cli.build_parser(), argv)
+                      for _ in range(20) for argv in _ACCEPTED_ARGVS]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * len(results)
