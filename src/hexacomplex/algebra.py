@@ -211,7 +211,9 @@ class HexaNumber:
 
         Raises :class:`ZeroDivisorError` naming the first canonical component
         whose magnitude falls at or below ``zero_rtol`` times the modulus, and
-        :class:`DomainError` when ``zero_rtol`` is not a finite number >= 0.
+        :class:`DomainError` when ``zero_rtol`` is not a finite number >= 0 or
+        when a component's reciprocal is beyond the double range (naming the
+        first such canonical component).
         """
         if not 0.0 <= zero_rtol < math.inf:
             raise DomainError(f"zero-divisor tolerance must be finite and >= 0, got {zero_rtol!r}")
@@ -221,8 +223,9 @@ class HexaNumber:
         if label:
             raise ZeroDivisorError(label)
         axes, planes = tr.split(planar, comps)
-        return from_canonical_components(self.variant, tr.join([1.0 / v for v in axes],
-                                                               [_reciprocal(z) for z in planes]))
+        values = tr.join([1.0 / v for v in axes], [_reciprocal(z) for z in planes])
+        _require_finite(planar, values)
+        return from_canonical_components(self.variant, values)
 
     # -- matrix representations ----------------------------------------------
 
@@ -308,12 +311,17 @@ def canonical_components(u: HexaNumber) -> tuple[float, ...]:
     """
     planar = u.variant.is_planar
     values = tuple(tr.dot(row, u.components) for row in tr.canonical_rows(planar))
+    _require_finite(planar, values)
+    return values
+
+
+def _require_finite(planar: bool, values) -> None:
+    """Raise :class:`DomainError` naming the first canonical component that is not finite."""
     if not all(map(math.isfinite, values)):
         label = next(label for label, part in zip(tr.component_labels(planar),
                                                   tr.component_slices(planar))
                      if not all(map(math.isfinite, values[part])))
         raise DomainError(f"canonical component {label} is not finite", component=label)
-    return values
 
 
 def zero_threshold(u: HexaNumber, rtol: float = ZERO_COMPONENT_RTOL) -> float:

@@ -27,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain, groupby
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import _transforms as tr
 from .algebra import HexaNumber, Variant, canonical_components, from_canonical_components, format_hexa
@@ -328,33 +328,41 @@ def _factor_key(piece: HexaPolynomial) -> tuple:
     return tuple(_round_key(a.components) for a in piece.coeffs)
 
 
-def _distinct_permutations(
-        items: Sequence[complex]) -> Iterator[tuple[tuple[int, ...], tuple[complex, ...]]]:
-    """Permutations distinct under the dedup rounding of root values.
+def _rank_groups(items: Sequence[complex]) -> tuple[list[complex], list[int]]:
+    """Group the items by their rounded value.
 
-    Each is yielded as (group indices, values): the roots are grouped by
-    their rounded value, groups numbered in sorted order, and the
-    permutations come in lexicographic order of their group indices.
+    Returns the first value of each group, groups in sorted order, and the
+    group index of each item in that order (so nondecreasing).
     """
-    runs = (list(run) for _, run in groupby(sorted(items, key=_root_key), key=_root_key))
-    groups = [[len(run), run[0]] for run in runs]  # [remaining count, representative value]
-    n = len(items)
-    rank: list[int] = [0] * n
-    slot: list[complex] = [0j] * n
+    values: list[complex] = []
+    ranks: list[int] = []
+    for _, run in groupby(sorted(items, key=_root_key), key=_root_key):
+        run = list(run)
+        ranks += [len(values)] * len(run)
+        values.append(run[0])
+    return values, ranks
 
-    def rec(depth: int) -> Iterator[tuple[tuple[int, ...], tuple[complex, ...]]]:
-        if depth == n:
-            yield tuple(rank), tuple(slot)
+
+def _distinct_permutations(ranks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct permutations of the nondecreasing ``ranks``, in lexicographic order.
+
+    Each step is the next permutation in place: find the last ascent, swap
+    its head with the last larger rank after it, and reverse the tail.
+    """
+    r = list(ranks)
+    n = len(r)
+    while True:
+        yield tuple(r)
+        i = n - 2
+        while i >= 0 and r[i] >= r[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for index, g in enumerate(groups):
-            if g[0] > 0:
-                g[0] -= 1
-                rank[depth] = index
-                slot[depth] = g[1]
-                yield from rec(depth + 1)
-                g[0] += 1
-
-    return rec(0)
+        j = n - 1
+        while r[j] <= r[i]:
+            j -= 1
+        r[i], r[j] = r[j], r[i]
+        r[i + 1:] = r[:i:-1]
 
 
 def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorization]:
@@ -367,17 +375,25 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
     Two kinds of ordering give the same factors: swapping the roots inside
     a quadratic slot of one component, and permuting the slots of all
     components at once.  The search visits orderings in lexicographic
-    order of group indices, so the first member of each such class has
-    every quadratic pair ascending and, in the first component, ascending
-    quadratic slots and ascending linear slots; only those orderings are
-    visited.  The rounding dedup still catches repeated roots and rounding
-    collisions.  Each slot's factor and its rounded key are built once per
+    order of group indices (ranks), so the first member of each such class
+    has every quadratic pair ascending and, in the first component,
+    ascending quadratic slots and ascending linear slots; only those
+    orderings are visited.  The rounding dedup still catches repeated
+    roots and rounding collisions.
+
+    A visited ordering costs a few small-integer operations.  Each
+    component's accepted orderings are drawn lazily and kept for the next
+    parent ordering, as tuples of per-slot integer keys (the slot's rank,
+    or its two ranks combined).  Each slot's contents so far get an integer
+    node id level by level, interned by (parent node, slot key); at the
+    last component the lookup gives the integer id of the factor's rounded
+    key, and results are deduplicated on the sorted tuple of those ids.
+    Each slot's factor is built, and its rounded key given an id, once per
     slot contents (the slot index and each component's root or root pair),
-    and a :class:`Factorization` only for a new result, so a visited
-    ordering costs a sort of cached keys.  The number of distinct results
-    still grows factorially with the degree; ``limit`` is the caller's
-    brake.  :func:`format_factorizations` likewise renders each distinct
-    factor once.
+    and a :class:`Factorization` only for a new result.  The number of
+    distinct results still grows factorially with the degree; ``limit`` is
+    the caller's brake.  :func:`format_factorizations` likewise renders
+    each distinct factor once.
 
     The conjugate-pair test scales by the modulus of the pair's first
     root, so it is not exactly symmetric in the pair; the two moduli agree
@@ -389,25 +405,16 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
     table = {tag: component_roots(c) for tag, c in decompose(p).items()}
     m = p.degree
     tags = list(table)  # component order: axes first
-    axis_tags = tags[:tr.axis_count(p.variant.is_planar)]
-    q = max((_axis_pair_count(table[tag]) for tag in axis_tags), default=0)
+    axes = tr.axis_count(p.variant.is_planar)
+    q = max((_axis_pair_count(table[tag]) for tag in tags[:axes]), default=0)
+    groups = [_rank_groups(table[tag]) for tag in tags]
+    last = len(tags) - 1
 
-    def axis_ok(ordering: tuple[complex, ...]) -> bool:
+    def axis_ok(ordering: Sequence[complex]) -> bool:
         """Quadratic slots hold two real roots or a conjugate pair, linear slots a real root."""
         pairs = zip(ordering[0:2 * q:2], ordering[1:2 * q:2])
         return (all((_is_real(z1) and _is_real(z2)) or _are_conjugate(z1, z2) for z1, z2 in pairs)
                 and all(map(_is_real, ordering[2 * q:])))
-
-    pieces: dict[tuple, tuple[HexaPolynomial, tuple]] = {}  # slot contents -> (factor, key)
-
-    def piece(slot: int, assignment: dict[str, tuple[complex, ...]]) -> tuple:
-        """The factor of one slot and its rounded key, built once per slot contents."""
-        end = slot + 2 if slot < 2 * q else slot + 1
-        contents = (slot, *(assignment[t][slot:end] for t in tags))
-        if contents not in pieces:
-            built = _slot_factor(p.variant, contents[1:])
-            pieces[contents] = built, _factor_key(built)
-        return pieces[contents]
 
     def first_of_class(ranks: tuple[int, ...], first: bool) -> bool:
         """Whether the search meets no symmetric twin of this ordering earlier."""
@@ -419,26 +426,75 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         linears = list(ranks[2 * q:])
         return quads == sorted(quads) and linears == sorted(linears)
 
-    found: dict[tuple, Factorization] = {}
+    def accepted(level: int) -> Callable[[], Iterator[tuple[int, ...]]]:
+        """Component ``level``'s visited orderings as slot keys, drawn once and kept."""
+        values, ranks = groups[level]
+        kept: list[tuple[int, ...]] = []
+        source = _distinct_permutations(ranks)
 
-    def search(index: int, assignment: dict[str, tuple[complex, ...]]) -> bool:
-        if index == len(tags):
-            slots = [piece(slot, assignment) for slot in chain(range(0, 2 * q, 2), range(2 * q, m))]
-            key = tuple(sorted(k for _, k in slots))
-            if key not in found:
-                found[key] = Factorization(p.variant, tuple(f for f, _ in slots))
-            return len(found) >= limit
-        tag = tags[index]
-        for ranks, ordering in _distinct_permutations(table[tag]):
-            if (not first_of_class(ranks, index == 0)
-                    or tag in axis_tags and not axis_ok(ordering)):
+        def orderings() -> Iterator[tuple[int, ...]]:
+            yield from kept
+            for ordering in source:
+                if not (first_of_class(ordering, level == 0) and (
+                        level >= axes or axis_ok([values[r] for r in ordering]))):
+                    continue
+                if q:
+                    ordering = (*(ordering[2 * i] * m + ordering[2 * i + 1] for i in range(q)),
+                                *ordering[2 * q:])
+                kept.append(ordering)
+                yield ordering
+        return orderings
+
+    orderings = [accepted(level) for level in range(len(tags))]
+    # node -> {slot key: child}; the slots are the roots, and a child at the last
+    # level is a leaf: one slot contents, with its factor and its key's id
+    children: list[dict[int, int]] = [{} for _ in range(m - q)]
+    leaf_factor: list[HexaPolynomial] = []
+    leaf_id: list[int] = []
+    ids: dict[tuple, int] = {}  # rounded factor key -> its integer id
+    path: list[tuple[int, ...]] = [()] * len(tags)  # each level's slot keys so far
+
+    def slot_roots(level: int, slot: int) -> tuple[complex, ...]:
+        values, key = groups[level][0], path[level][slot]
+        return (values[key // m], values[key % m]) if slot < q else (values[key],)
+
+    def grow(level: int, rows: list[dict[int, int]], keys: tuple[int, ...]) -> None:
+        """Intern the children that ``keys`` reaches and ``rows`` do not hold yet."""
+        for slot, (row, key) in enumerate(zip(rows, keys)):
+            if key in row:
                 continue
-            assignment[tag] = ordering
-            if search(index + 1, assignment):
-                return True
+            if level < last:
+                row[key] = len(children)
+                children.append({})
+                continue
+            built = _slot_factor(p.variant, [slot_roots(j, slot) for j in range(len(tags))])
+            row[key] = len(leaf_factor)
+            leaf_factor.append(built)
+            leaf_id.append(ids.setdefault(_factor_key(built), len(ids)))
+
+    found: dict[tuple[int, ...], Factorization] = {}
+
+    def search(level: int, parents: list[int]) -> bool:
+        rows = [children[n] for n in parents]
+        for keys in orderings[level]():
+            path[level] = keys
+            try:
+                nodes = list(map(dict.__getitem__, rows, keys))
+            except KeyError:
+                grow(level, rows, keys)
+                nodes = list(map(dict.__getitem__, rows, keys))
+            if level < last:
+                if search(level + 1, nodes):
+                    return True
+                continue
+            key = tuple(sorted(map(leaf_id.__getitem__, nodes)))
+            if key not in found:
+                found[key] = Factorization(p.variant, tuple(map(leaf_factor.__getitem__, nodes)))
+                if len(found) >= limit:
+                    return True
         return False
 
-    search(0, {})
+    search(0, list(range(m - q)))
     if not found:
         raise NonConvergenceError("no assignment of component roots to factor slots")
     return list(found.values())
@@ -480,11 +536,6 @@ def format_factorizations(fs: Sequence[Factorization], digits: int = 12) -> list
     results with the same slot contents, so the text is kept per object
     (all of them stay alive in ``fs``) for the length of this call.
     """
-    texts: dict[int, str] = {}
-
-    def text(piece: HexaPolynomial) -> str:
-        if id(piece) not in texts:
-            texts[id(piece)] = _format_factor(piece, digits)
-        return texts[id(piece)]
-
-    return ["".join(map(text, f.factors)) for f in fs]
+    pieces = {id(piece): piece for f in fs for piece in f.factors}
+    texts = {key: _format_factor(piece, digits) for key, piece in pieces.items()}
+    return ["".join(map(texts.__getitem__, map(id, f.factors))) for f in fs]

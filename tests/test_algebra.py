@@ -18,6 +18,7 @@ from hexacomplex.algebra import (
     basis_mul,
     canonical_components,
     format_hexa,
+    from_canonical_components,
     parse_hexa,
 )
 from hexacomplex.errors import DomainError, VariantError, ZeroDivisorError
@@ -227,6 +228,28 @@ def test_planar_inverse_at_the_top_of_the_double_range(components, residual_tol)
             # the scaled quotient rounds once, then again into the subnormals
             assert all(abs(g - e) <= 2 * 5e-324 for g, e in zip(inv, expected))
     assert residual <= residual_tol
+
+
+@pytest.mark.parametrize("variant, canonical, label", [
+    # every canonical component is 5e-324 or 0: v+ is the first whose reciprocal overflows
+    (Variant.POLAR, None, "v+"),
+    # 1e-310 + 1e-310 h3: each plane's reciprocal, about 7e309, overflows
+    (Variant.PLANAR, None, "pair1"),
+    # the other components are 1e-300, so 1e-310 is no zero divisor; only its reciprocal overflows
+    (Variant.POLAR, (1e-300, 1e-300, 1e-310, 0.0, 1e-300, 0.0), "pair1"),
+    (Variant.PLANAR, (1e-300, 0.0, 1e-300, 0.0, 0.0, 1e-310), "pair3"),
+], ids=["polar-5e-324", "planar-1e-310", "polar-pair1", "planar-pair3"])
+def test_inverse_beyond_the_double_range_names_the_canonical_component(variant, canonical, label):
+    if canonical is not None:
+        u = from_canonical_components(variant, canonical)
+    elif variant is Variant.POLAR:
+        u = HexaNumber.from_real(variant, 5e-324)
+    else:
+        u = HexaNumber(variant, (1e-310, 0.0, 0.0, 1e-310, 0.0, 0.0))
+    with pytest.raises(DomainError) as exc:
+        u.inverse()
+    assert str(exc.value) == f"canonical component {label} is not finite"
+    assert exc.value.component == label
 
 
 @pytest.mark.parametrize("zero_rtol", [math.nan, -1.0, math.inf])

@@ -382,6 +382,15 @@ def test_overflowing_canonical_component_is_named(capsys, args, component):
     assert err == f"error: canonical component {component} is not finite\n"
 
 
+@pytest.mark.parametrize("args, component", [
+    (("eval", "--", "inv(5e-324)"), "v+"),
+    (("eval", "--planar", "--", "inv(1e-310 + 1e-310 h3)"), "pair1"),
+    (("eval", "--planar", "--", "1 / (1e-310 + 1e-310 h3)"), "pair1"),
+])
+def test_reciprocal_beyond_the_double_range_is_named(capsys, args, component):
+    # no canonical component vanishes, but a reciprocal of one is not finite
+    assert run(capsys, *args) == (1, "", f"error: canonical component {component} is not finite\n")
+
 
 # Canonical pair1 of each is 1.3e308 (1 + i), so its radius overflows although
 # every component and |u| (1.06e308) are finite; the other components are near 1e300.

@@ -499,6 +499,17 @@ def _enumeration_cases():
         [r[:3] for r in _PLANE_ROOTS[:2]])))
     cases.append(("planar-deg2", _poly_from_component_roots(
         Variant.PLANAR, [], [r[:2] for r in _PLANE_ROOTS])))
+    # a root repeated on one plane only, the other roots distinct; and two axes
+    # that share a rounded root value
+    repeated = [_PLANE_ROOTS[0][:1] * 2 + _PLANE_ROOTS[0][1:2], *(r[:3] for r in _PLANE_ROOTS[1:])]
+    cases.append(("planar-deg3-repeated-on-pair1",
+                  _poly_from_component_roots(Variant.PLANAR, [], repeated)))
+    cases.append(("polar-deg3-repeated-on-pair2", _poly_from_component_roots(
+        Variant.POLAR, [_axis_roots(3, 0, 0.0), _axis_roots(3, 0, 0.25)],
+        [_PLANE_ROOTS[0][:3], _PLANE_ROOTS[1][1:2] * 2 + _PLANE_ROOTS[1][:1]])))
+    cases.append(("polar-deg3-shared-axis-root", _poly_from_component_roots(
+        Variant.POLAR, [_axis_roots(3, 0, 0.0), [0.4, -0.6 + 0.25, 1.7 + 0.25]],
+        [r[:3] for r in _PLANE_ROOTS[:2]])))
     # repeated component roots, given as leading-first coefficient lists
     for name, variant, coefficients in (("(u-1)^2", Variant.POLAR, (1, -2, 1)),
                                         ("(u-1)^2", Variant.PLANAR, (1, -2, 1)),
@@ -563,6 +574,37 @@ def test_enumeration_builds_each_slot_contents_once(monkeypatch, name, linear, q
     monkeypatch.setattr(polyfactor, "_slot_factor", counting)
     enumerate_factorizations(poly, 100000)
     assert built == {1: linear, 2: quadratic}
+
+
+# Orderings drawn for the product of (u - k), k = 1..8, where each component has
+# 8! orderings: one per component down to the last, which draws one per result.
+_LAZY_DRAWS = [
+    (Variant.PLANAR, 1, 3),
+    (Variant.PLANAR, 5, 7),
+    (Variant.POLAR, 1, 4),
+    (Variant.POLAR, 5, 8),
+]
+
+
+@pytest.mark.parametrize("variant, limit, most", _LAZY_DRAWS,
+                         ids=[f"{v.value}-limit{limit}" for v, limit, _ in _LAZY_DRAWS])
+def test_low_limits_draw_few_orderings(monkeypatch, variant, limit, most):
+    coefficients = [1.0]
+    for k in range(1, 9):
+        coefficients = [a - k * b for a, b in zip(coefficients + [0.0], [0.0] + coefficients)]
+    poly = HexaPolynomial.from_coefficient_list(
+        [HexaNumber.from_real(variant, c) for c in coefficients])
+    drawn = []
+    permutations = polyfactor._distinct_permutations
+
+    def counting(*args):
+        for ordering in permutations(*args):
+            drawn.append(ordering)
+            yield ordering
+
+    monkeypatch.setattr(polyfactor, "_distinct_permutations", counting)
+    assert len(enumerate_factorizations(poly, limit)) == limit
+    assert len(drawn) <= most
 
 
 # Repeated component roots: one factorization per distinct assignment of the
