@@ -2,8 +2,9 @@
 
 This module owns the canonical decomposition's layout: the row order of
 the canonical variables (real axes first, then complex planes), how many
-of each a variant has, what each component is called, how a tuple in row
-order splits into axes and planes, and when a component counts as zero.
+of each a variant has, what each component is called, how the flat
+tuple in row order maps to the canonical values (one float per axis, one
+complex number per plane) and back, and when a component counts as zero.
 
 Every linear map used by the library (canonical variables, orthonormal
 rotated axes, idempotent basis) has entries drawn from cos/sin of
@@ -108,10 +109,12 @@ def dot(row: tuple[float, ...], values) -> float:
 
 # -- canonical layout: real axes first, then complex planes ---------------------
 #
-# Every tuple in canonical row order splits into the real axes (polar v+, v-;
-# planar none) and the complex planes vk + i vk~ (polar two, planar three).
-# The names below are the ones errors, component polynomials and convergence
-# reports use; they follow the same order.
+# The canonical values of a value have one entry per canonical component in row
+# order: a float for each real axis (polar v+, v-; planar none), then the complex
+# number vk + i vk~ for each plane (polar two, planar three).  The flat form
+# lists the same numbers with each plane as its two real parts.  Axes stay
+# floats, so they take the real libm functions.  The names below are the ones
+# errors, component polynomials and convergence reports use, in the same order.
 
 
 def axis_count(planar: bool) -> int:
@@ -135,38 +138,33 @@ def component_tags(planar: bool) -> tuple[str, ...]:
     return ("plus", "minus")[:axis_count(planar)] + _pair_names(planar)
 
 
-def split(planar: bool, values) -> tuple[tuple[float, ...], tuple[complex, ...]]:
-    """Canonical values in row order as (real axes, complex planes)."""
+def as_values(planar: bool, flat) -> tuple:
+    """Canonical values from the flat tuple in row order: axes as they are, planes as vk + i vk~."""
+    v = flat
+    if planar:
+        return (complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5]))
+    return (v[0], v[1], complex(v[2], v[3]), complex(v[4], v[5]))
+
+
+def as_flat(planar: bool, values) -> list[float]:
+    """Inverse of :func:`as_values`; an axis keeps the real part of its value."""
     v = values
     if planar:
-        return (), (complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5]))
-    return (v[0], v[1]), (complex(v[2], v[3]), complex(v[4], v[5]))
-
-
-def join(axes, planes) -> list[float]:
-    """Inverse of :func:`split`: axis values, then each plane's real and imaginary part."""
-    out = list(axes)
-    for z in planes:
-        out.append(z.real)
-        out.append(z.imag)
-    return out
+        return [v[0].real, v[0].imag, v[1].real, v[1].imag, v[2].real, v[2].imag]
+    return [v[0].real, v[1].real, v[2].real, v[2].imag, v[3].real, v[3].imag]
 
 
 def first_zero(planar: bool, values, threshold: float, positive_axes: bool = False) -> str | None:
-    """Label of the first canonical component whose magnitude is at most ``threshold``.
+    """Label of the first canonical value whose magnitude is at most ``threshold``.
 
     With ``positive_axes`` an axis counts as vanished when its signed value
     is at most ``threshold`` (the domain of ln and the exponential form).
-    Plane magnitudes are math.hypot(vk, vk~), which neither overflows nor
-    underflows.  Returns None when no component vanishes.
+    Magnitudes are :func:`radius`, which neither overflows nor underflows.
+    Returns None when no component vanishes.
     """
-    a = axis_count(planar)
-    labels = component_labels(planar)
-    for label, v in zip(labels, values[:a]):
-        if (v if positive_axes else abs(v)) <= threshold:
-            return label
-    for label, v, t in zip(labels[a:], values[a::2], values[a + 1::2]):
-        if math.hypot(v, t) <= threshold:
+    signed = axis_count(planar) if positive_axes else 0
+    for i, (label, v) in enumerate(zip(component_labels(planar), values)):
+        if (v if i < signed else radius(v)) <= threshold:
             return label
     return None
 
@@ -192,7 +190,7 @@ def plane_slice(planar: bool, k: int) -> slice:
 
 
 def radius(z: complex) -> float:
-    """Radius of a plane value, by math.hypot (no overflow or underflow)."""
+    """|z| of a canonical value, by math.hypot (no overflow or underflow)."""
     return math.hypot(z.real, z.imag)
 
 

@@ -15,6 +15,7 @@ everything here is safe to use from any number of threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -175,11 +176,15 @@ class HexaNumber:
         return NotImplemented
 
     def __truediv__(self, other):
+        if isinstance(other, (int, float)):
+            x = float(other)
+            if x and math.isfinite(1.0 / x):
+                return self.scale(1.0 / x)
+            # a zero divisor or a reciprocal beyond the range: inverse() names its component
+            other = HexaNumber.from_real(self.variant, x)
         if isinstance(other, HexaNumber):
             self._require_same_variant(other)
             return self * other.inverse()
-        if isinstance(other, (int, float)):
-            return self.scale(1.0 / float(other))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "HexaNumber":
@@ -217,15 +222,11 @@ class HexaNumber:
         """
         if not 0.0 <= zero_rtol < math.inf:
             raise DomainError(f"zero-divisor tolerance must be finite and >= 0, got {zero_rtol!r}")
-        planar = self.variant.is_planar
-        comps = canonical_components(self)
-        label = tr.first_zero(planar, comps, zero_threshold(self, zero_rtol))
+        values = canonical_values(self)
+        label = tr.first_zero(self.variant.is_planar, values, zero_threshold(self, zero_rtol))
         if label:
             raise ZeroDivisorError(label)
-        axes, planes = tr.split(planar, comps)
-        values = tr.join([1.0 / v for v in axes], [_reciprocal(z) for z in planes])
-        _require_finite(planar, values)
-        return from_canonical_components(self.variant, values)
+        return from_canonical_values(self.variant, [_reciprocal(v) for v in values])
 
     # -- matrix representations ----------------------------------------------
 
@@ -315,13 +316,17 @@ def canonical_components(u: HexaNumber) -> tuple[float, ...]:
     return values
 
 
-def _require_finite(planar: bool, values) -> None:
+def _require_finite(planar: bool, flat) -> None:
     """Raise :class:`DomainError` naming the first canonical component that is not finite."""
-    if not all(map(math.isfinite, values)):
-        label = next(label for label, part in zip(tr.component_labels(planar),
-                                                  tr.component_slices(planar))
-                     if not all(map(math.isfinite, values[part])))
+    if not all(map(math.isfinite, flat)):
+        label = next(label for label, v in zip(tr.component_labels(planar),
+                                               tr.as_values(planar, flat)) if not cmath.isfinite(v))
         raise DomainError(f"canonical component {label} is not finite", component=label)
+
+
+def canonical_values(u: HexaNumber) -> tuple:
+    """Canonical values in row order: a float per real axis, then vk + i vk~ per plane."""
+    return tr.as_values(u.variant.is_planar, canonical_components(u))
 
 
 def zero_threshold(u: HexaNumber, rtol: float = ZERO_COMPONENT_RTOL) -> float:
@@ -336,13 +341,13 @@ def zero_threshold(u: HexaNumber, rtol: float = ZERO_COMPONENT_RTOL) -> float:
 
 
 def _reciprocal(z: complex) -> complex:
-    """1 / z for a finite nonzero plane value, also where that quotient leaves the range.
+    """1 / z for a finite nonzero canonical value, also where that quotient leaves the range.
 
     Python's complex division overflows its denominator |z|^2 / max(|x|, |y|)
     near the top of the double range (1 / complex(1.5e308, 1.5e308) is -0j).
-    A finite nonzero quotient is kept as it is; otherwise z is scaled by a
-    power of two to a largest part in [0.5, 1), inverted there and scaled
-    back.  A reciprocal beyond the range stays infinite.
+    A finite nonzero quotient, as 1.0 / v on an axis, is kept; otherwise z
+    is scaled by a power of two to a largest part in [0.5, 1), inverted
+    there and scaled back.  A reciprocal beyond the range stays infinite.
     """
     w = 1.0 / z
     if w and math.isfinite(w.real) and math.isfinite(w.imag):
@@ -355,14 +360,14 @@ def _reciprocal(z: complex) -> complex:
         return w
 
 
-def plane_radii(planar: bool, planes) -> list[float]:
+def plane_radii(planar: bool, values) -> list[float]:
     """Radius of each plane value; raises :class:`DomainError` naming the first that overflows."""
-    rhos = [tr.radius(z) for z in planes]
+    rhos = [tr.radius(v) for v in values]
     if math.inf in rhos:
-        label = tr.component_labels(planar)[tr.axis_count(planar) + rhos.index(math.inf)]
+        label = tr.component_labels(planar)[rhos.index(math.inf)]
         raise DomainError(f"plane radius of canonical component {label} is not finite",
                           component=label)
-    return rhos
+    return rhos[tr.axis_count(planar):]
 
 
 def from_canonical_components(variant: Variant, values) -> HexaNumber:
@@ -372,6 +377,13 @@ def from_canonical_components(variant: Variant, values) -> HexaNumber:
     return HexaNumber(variant, [
         0.0 + v0 * c[0] + v1 * c[1] + v2 * c[2] + v3 * c[3] + v4 * c[4] + v5 * c[5]
         for c in tr.basis_columns(variant.is_planar)])
+
+
+def from_canonical_values(variant: Variant, values) -> HexaNumber:
+    """Inverse of :func:`canonical_values`; :class:`DomainError` names a value not finite."""
+    flat = tr.as_flat(variant.is_planar, values)
+    _require_finite(variant.is_planar, flat)
+    return from_canonical_components(variant, flat)
 
 
 # -- canonical text form ------------------------------------------------------

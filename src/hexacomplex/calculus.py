@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .algebra import (ZERO_COMPONENT_RTOL, HexaNumber, Variant, basis_mul,
-                      from_canonical_components)
+from .algebra import ZERO_COMPONENT_RTOL, HexaNumber, Variant, basis_mul, from_canonical_values
 from .errors import DegeneratePathError, DomainError, VariantError, ZeroDivisorError
 from . import _transforms as tr
 from . import elementary
@@ -429,10 +428,9 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
         if label:
             raise DegeneratePathError(
                 f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
-    axes = tr.axis_count(planar)
     # |u| is the hypot (no overflow or underflow) of |v| / sqrt6 on the axes and
     # |v| / sqrt3 on the planes, the norms of the orthogonal canonical rows.
-    norms = np.array([tr.SQRT6] * axes + [tr.SQRT3] * tr.pair_count(planar))
+    norms = np.array([tr.SQRT6] * tr.axis_count(planar) + [tr.SQRT3] * tr.pair_count(planar))
     total = np.zeros(len(norms), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _blocks(len(offsets) - 1):
@@ -458,7 +456,7 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
     if label:
         raise DomainError(f"integrand overflows: canonical component {label} of the sum "
                           f"is not finite", component=label)
-    return from_canonical_components(variant, tr.join(total[:axes].real, total[axes:]))
+    return from_canonical_values(variant, total)
 
 
 def line_integral(f: Evaluator, path: Path) -> HexaNumber:
@@ -519,7 +517,7 @@ def residue_integral(f: Evaluator, path: Path, u0: HexaNumber) -> ResidueCompari
     windings = tuple(winding_number(path, u0, k)
                      for k in range(1, tr.pair_count(planar) + 1))
     # sum of w_k ek~: the imaginary unit of each plane, weighted by its winding number
-    weight = from_canonical_components(
-        variant, tr.join([0.0] * tr.axis_count(planar), [complex(0.0, w) for w in windings]))
+    weight = from_canonical_values(
+        variant, [0.0] * tr.axis_count(planar) + [complex(0.0, w) for w in windings])
     formula = f(u0) * weight * (2.0 * math.pi)
     return ResidueComparison(numeric=numeric, formula=formula, windings=windings)

@@ -18,8 +18,8 @@ from . import elementary
 from .algebra import (
     HexaNumber,
     Variant,
-    canonical_components,
-    from_canonical_components,
+    canonical_values,
+    from_canonical_values,
     plane_radii,
     zero_threshold,
 )
@@ -133,12 +133,14 @@ class DRhoReport:
 
 def to_canonical(u: HexaNumber) -> Canonical:
     """Canonical variables of ``u`` (the diagonalizing linear map)."""
-    return Canonical(u.variant, *tr.split(u.variant.is_planar, canonical_components(u)))
+    values = canonical_values(u)
+    a = tr.axis_count(u.variant.is_planar)
+    return Canonical(u.variant, values[:a], values[a:])
 
 
 def from_canonical(c: Canonical) -> HexaNumber:
     """Inverse of :func:`to_canonical`."""
-    return from_canonical_components(c.variant, tr.join(c.axes, c.planes))
+    return from_canonical_values(c.variant, (*c.axes, *c.planes))
 
 
 def canonical_basis(variant: Variant) -> tuple[HexaNumber, ...]:
@@ -199,19 +201,20 @@ def geometry(u: HexaNumber) -> Geometry:
     Raises :class:`DomainError` when a plane radius or d overflows.
     """
     planar = u.variant.is_planar
-    axes, planes = tr.split(planar, canonical_components(u))
-    rhos = plane_radii(planar, planes)
+    values = canonical_values(u)
+    rhos = plane_radii(planar, values)
     d = u.modulus()
     if not d < math.inf:
         raise DomainError("modulus d is not finite")
     threshold = zero_threshold(u)
-    axes = [v if abs(v) > threshold else 0.0 for v in axes]
+    a = tr.axis_count(planar)
+    axes = [v if abs(v) > threshold else 0.0 for v in values[:a]]
     rhos = [r if r > threshold else 0.0 for r in rhos]
     rho1 = rhos[0]
     parts = {f"theta_{tag}": _theta(rho1, v) for tag, v in zip(tr.component_tags(planar), axes)}
     for k, r in enumerate(rhos[1:], start=1):
         parts[f"psi{k}"] = math.atan2(rho1, r) if max(rho1, r) > 0.0 else None
-    for k, (z, r) in enumerate(zip(planes, rhos), start=1):
+    for k, (z, r) in enumerate(zip(values[a:], rhos), start=1):
         parts[f"phi{k}"] = tr.azimuth(z) if r > 0.0 else None
         parts[f"rho{k}"] = r
     rho: float | None
@@ -239,13 +242,12 @@ def exp_form(u: HexaNumber) -> ExpForm:
     ln(u) with its real part, ln(rho), removed.
     """
     planar = u.variant.is_planar
-    comps = canonical_components(u)
-    label = tr.first_zero(planar, comps, zero_threshold(u), positive_axes=True)
+    values = canonical_values(u)
+    label = tr.first_zero(planar, values, zero_threshold(u), positive_axes=True)
     if label:
         raise DomainError(f"exponential form undefined: {tr.vanished(label)}", component=label)
-    axes, planes = tr.split(planar, comps)
     exponent = elementary.ln(u).components
-    return ExpForm(rho=_amplitude(axes, plane_radii(planar, planes)),
+    return ExpForm(rho=_amplitude(values[:tr.axis_count(planar)], plane_radii(planar, values)),
                    exponent=HexaNumber(u.variant, (0.0, *exponent[1:])))
 
 
@@ -259,17 +261,16 @@ def trig_form(u: HexaNumber) -> TrigForm:
     """
     planar = u.variant.is_planar
     threshold = zero_threshold(u)
-    axes, planes = tr.split(planar, canonical_components(u))
-    rhos = plane_radii(planar, planes)
+    values = canonical_values(u)
+    rhos = plane_radii(planar, values)
     rho1 = rhos[0]
     if rho1 <= threshold:
         raise DomainError("trigonometric form undefined: plane radius rho1 vanishes",
                           component="pair1")
-    direction = from_canonical_components(
-        u.variant, tr.join([v / rho1 for v in axes], [complex(r / rho1) for r in rhos]))
-    phase = from_canonical_components(u.variant, tr.join(
-        [0.0] * len(axes), [complex(0.0, tr.azimuth(z) if r > threshold else 0.0)
-                            for z, r in zip(planes, rhos)]))
+    a = tr.axis_count(planar)
+    direction = from_canonical_values(u.variant, [v / rho1 for v in (*values[:a], *rhos)])
+    phase = from_canonical_values(u.variant, [0.0] * a + [
+        complex(0.0, tr.azimuth(z) if r > threshold else 0.0) for z, r in zip(values[a:], rhos)])
     return TrigForm(scale=u.modulus() / direction.modulus(), direction=direction, phase=phase)
 
 
@@ -288,18 +289,18 @@ def check_d_rho_relation(u: HexaNumber) -> DRhoReport:
     so the planar discrepancy stays observable.
     """
     planar = u.variant.is_planar
-    comps = canonical_components(u)
+    values = canonical_values(u)
     d = u.modulus()
-    label = tr.first_zero(planar, comps, zero_threshold(u))
+    label = tr.first_zero(planar, values, zero_threshold(u))
     if label:
         return DRhoReport(u.variant, skipped=True,
                           reason=f"canonical component {label} vanishes (rho=0)",
                           d=d, rho=0.0, rhs=None, rhs_quoted_constant=None)
-    axes, planes = tr.split(planar, comps)
+    axes = values[:tr.axis_count(planar)]
     if any(v < 0.0 for v in axes):
         return DRhoReport(u.variant, skipped=True, reason="v+ or v- negative: no real amplitude",
                           d=d, rho=None, rhs=None, rhs_quoted_constant=None)
-    rhos = plane_radii(planar, planes)
+    rhos = plane_radii(planar, values)
     rho = _amplitude(axes, rhos)
     t_theta = [tr.SQRT2 * (rhos[0] / v) for v in axes]
     t_psi = [rhos[0] / r for r in rhos[1:]]

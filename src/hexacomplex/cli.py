@@ -20,7 +20,7 @@ from .algebra import (
     Variant,
     canonical_components,
     format_hexa,
-    from_canonical_components,
+    from_canonical_values,
 )
 from .errors import HexaError, ParseError
 from .expressions import evaluate, parse
@@ -140,12 +140,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _canonical_lines(value: HexaNumber) -> list[str]:
     planar = value.variant.is_planar
-    axes, planes = tr.split(planar, canonical_components(value))
-    lines = [f"v_{tag}={v:.{HUMAN_DIGITS}g}" for tag, v in zip(tr.component_tags(planar), axes)]
-    for k, z in enumerate(planes, start=1):
-        lines.append(f"v{k}={z.real:.{HUMAN_DIGITS}g}")
-        lines.append(f"v{k}_tilde={z.imag:.{HUMAN_DIGITS}g}")
-    return lines
+    names = [f"v_{tag}" for tag in tr.component_tags(planar)[:tr.axis_count(planar)]]
+    names += [f"v{k}{part}" for k in range(1, tr.pair_count(planar) + 1) for part in ("", "_tilde")]
+    return [f"{name}={v:.{HUMAN_DIGITS}g}" for name, v in zip(names, canonical_components(value))]
 
 
 def cmd_canon(args: argparse.Namespace) -> int:
@@ -200,10 +197,9 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     # Loop center sits off the pole in every non-winding canonical direction,
     # keeping the quotient away from the zero-divisor set.
     clearance = 1.0 + 0.5 * args.radius
-    values = tr.join([clearance] * tr.axis_count(variant.is_planar),
-                     [0j if k == args.plane else complex(clearance)
-                      for k in range(1, plane_count + 1)])
-    center = pole + from_canonical_components(variant, values)
+    values = [clearance] * tr.axis_count(variant.is_planar) + [
+        0j if k == args.plane else complex(clearance) for k in range(1, plane_count + 1)]
+    center = pole + from_canonical_values(variant, values)
     loop = calculus.circle_path(variant, center, args.radius, args.samples, plane=args.plane)
     f = calculus.FUNCTIONS[args.function]
     comparison = calculus.residue_integral(f, loop, pole)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Sequence
 
 from . import _transforms as tr
@@ -22,7 +21,8 @@ from .algebra import (
     HexaNumber,
     Variant,
     canonical_components,
-    from_canonical_components,
+    canonical_values,
+    from_canonical_values,
     plane_radii,
     zero_threshold,
 )
@@ -46,8 +46,8 @@ __all__ = [
 def _apply(u: HexaNumber,
            axis_fn: Callable[[float], float],
            plane_fn: Callable[[complex], complex]) -> HexaNumber:
-    axes, planes = tr.split(u.variant.is_planar, canonical_components(u))
-    return from_canonical_components(u.variant, tr.join(map(axis_fn, axes), map(plane_fn, planes)))
+    return from_canonical_values(u.variant, [plane_fn(v) if isinstance(v, complex) else axis_fn(v)
+                                             for v in canonical_values(u)])
 
 
 # The entire functions that act as the real function of the same name on each
@@ -79,11 +79,11 @@ def sinh(u: HexaNumber) -> HexaNumber:
 
 def _ln_preconditions(u: HexaNumber) -> None:
     planar = u.variant.is_planar
-    comps = canonical_components(u)
-    label = tr.first_zero(planar, comps, zero_threshold(u), positive_axes=True)
+    values = canonical_values(u)
+    label = tr.first_zero(planar, values, zero_threshold(u), positive_axes=True)
     if label:
         raise DomainError(f"logarithm undefined: {tr.vanished(label)}", component=label)
-    plane_radii(planar, tr.split(planar, comps)[1])
+    plane_radii(planar, values)
 
 
 def _principal_log(z: complex) -> complex:
@@ -113,7 +113,7 @@ def pow_real(u: HexaNumber, m: float) -> HexaNumber:
     if m.is_integer():
         n = int(m)
         if n < 0:
-            label = tr.first_zero(u.variant.is_planar, canonical_components(u), zero_threshold(u))
+            label = tr.first_zero(u.variant.is_planar, canonical_values(u), zero_threshold(u))
             if label:
                 raise ZeroDivisorError(label)
         return _apply(u, lambda v: math.pow(v, n), lambda z: z ** n)
@@ -209,13 +209,12 @@ def eval_series(coeffs: SeriesCoefficients, u: HexaNumber) -> tuple[HexaNumber, 
     if coeffs.variant is not u.variant:
         raise ValueError("series and argument variants differ")
     planar = u.variant.is_planar
-    axes, planes = tr.split(planar, canonical_components(u))
     # one column of term projections per canonical component, axes then planes
-    columns = list(zip(*(chain(*tr.split(planar, proj)) for proj in coeffs.projections)))
-    sums = [_power_sum(column, base) for column, base in zip(columns, (*axes, *planes))]
+    columns = list(zip(*(tr.as_values(planar, proj) for proj in coeffs.projections)))
+    sums = [_power_sum(column, base) for column, base in zip(columns, canonical_values(u))]
     radii = {tag: _radius_estimate([abs(c) for c in column])
              for tag, column in zip(tr.component_tags(planar), columns)}
     scale = tr.SQRT3 if planar else tr.SQRT6
     crude = _radius_estimate([t.modulus() for t in coeffs.terms], divisor=scale)
-    value = from_canonical_components(u.variant, tr.join(sums[:len(axes)], sums[len(axes):]))
+    value = from_canonical_values(u.variant, sums)
     return value, ConvergenceReport(radii=radii, crude_bound=crude)

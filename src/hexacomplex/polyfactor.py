@@ -26,11 +26,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
 from . import _transforms as tr
-from .algebra import HexaNumber, Variant, canonical_components, from_canonical_components, format_hexa
+from .algebra import HexaNumber, Variant, canonical_values, from_canonical_values, format_hexa
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -127,9 +127,7 @@ def decompose(p: HexaPolynomial) -> dict[str, tuple]:
     in component order: real on an axis ("plus"/"minus", polar only),
     complex on a plane ("pair1"...).
     """
-    planar = p.variant.is_planar
-    columns = zip(*(chain(*tr.split(planar, canonical_components(a))) for a in p.coeffs))
-    return dict(zip(tr.component_tags(planar), columns))
+    return dict(zip(tr.component_tags(p.variant.is_planar), zip(*map(canonical_values, p.coeffs))))
 
 
 def _taylor(coeffs: Sequence[complex], z: complex, count: int) -> list[complex]:
@@ -267,11 +265,8 @@ def _slot_factor(variant: Variant, groups: Sequence[Sequence[complex]]) -> HexaP
     ``groups[j]`` holds the slot's one or two roots on canonical component
     j, axes first; an axis keeps the real part of each coefficient.
     """
-    axes = tr.axis_count(variant.is_planar)
     columns = [(-zs[0],) if len(zs) == 1 else (-(zs[0] + zs[1]), zs[0] * zs[1]) for zs in groups]
-    return HexaPolynomial(variant, [
-        from_canonical_components(variant, tr.join([c.real for c in row[:axes]], row[axes:]))
-        for row in zip(*columns)])
+    return HexaPolynomial(variant, [from_canonical_values(variant, row) for row in zip(*columns)])
 
 
 def _verify_expansion(p: HexaPolynomial, f: Factorization) -> None:

@@ -11,17 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BOTH_VARIANTS, assert_hexa_close, max_abs_diff, random_hexa
+from hexacomplex import _transforms as tr
 from hexacomplex.algebra import (
     BasisProduct,
     HexaNumber,
     Variant,
     basis_mul,
     canonical_components,
+    canonical_values,
     format_hexa,
     from_canonical_components,
+    from_canonical_values,
     parse_hexa,
 )
-from hexacomplex.errors import DomainError, VariantError, ZeroDivisorError
+from hexacomplex.errors import DomainError, HexaError, VariantError, ZeroDivisorError
 
 # The fifteen nontrivial basis products of each variant.  The planar wrap
 # sign makes h3^2 = -1: the product formula term -x3 x3', the identity
@@ -271,6 +274,76 @@ def test_inverse_roundtrip_random():
                 continue
             count += 1
             assert_hexa_close(u * inv, HexaNumber.one(variant), 1e-10)
+
+
+@pytest.mark.parametrize("variant, label", [(Variant.POLAR, "v+"), (Variant.PLANAR, "pair1")])
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324])
+def test_dividing_by_a_float_without_a_finite_reciprocal_names_the_component(variant, label, x):
+    # u / x is u times the inverse of the scalar x, whose first canonical component
+    # (v+ on polar, pair1 on planar) vanishes or has a reciprocal beyond the range
+    u = HexaNumber(variant, (1.0, 2.0, -3.0, 0.5, 0.25, -1.0))
+    with pytest.raises(HexaError) as exc:
+        u / x
+    assert exc.value.component == label
+    assert isinstance(exc.value, ZeroDivisorError if x == 0.0 else DomainError)
+
+
+def test_dividing_by_a_float_with_a_finite_reciprocal_scales():
+    rng = random.Random(11)
+    for variant in BOTH_VARIANTS:
+        u = random_hexa(rng, variant)
+        for x in (2.0, -3.0, 1e-300, 1e308, 7):
+            assert [c.hex() for c in (u / x).components] == \
+                [c.hex() for c in u.scale(1.0 / x).components]
+        assert (u / math.inf).components == (0.0,) * 6
+
+
+# components of the flat canonical tuple that a round trip must keep bit for bit
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                1.5e308, -1.5e308, 1.7976931348623157e308, 1.0, -2.5)
+
+
+def test_canonical_values_round_trip_bit_for_bit():
+    rng = random.Random(12)
+    for variant in BOTH_VARIANTS:
+        planar = variant.is_planar
+        axes = tr.axis_count(planar)
+        for _ in range(200):
+            flat = tuple(rng.choice(_EDGE_FLOATS) for _ in range(6))
+            values = tr.as_values(planar, flat)
+            assert len(values) == axes + tr.pair_count(planar)
+            assert all(type(v) is float for v in values[:axes])
+            assert all(type(z) is complex for z in values[axes:])
+            assert [x.hex() for x in tr.as_flat(planar, values)] == [x.hex() for x in flat]
+        u = random_hexa(rng, variant)
+        assert canonical_values(u) == tr.as_values(planar, canonical_components(u))
+        rebuilt = from_canonical_values(variant, canonical_values(u))
+        assert rebuilt == from_canonical_components(variant, canonical_components(u))
+
+
+def test_from_canonical_values_names_a_value_that_is_not_finite():
+    with pytest.raises(DomainError) as exc:
+        from_canonical_values(Variant.POLAR, (1.0, 2.0, complex(math.inf, 0.0), 1j))
+    assert exc.value.component == "pair1"
+    with pytest.raises(DomainError) as exc:
+        from_canonical_values(Variant.PLANAR, (1j, 1.0, complex(0.0, math.nan)))
+    assert exc.value.component == "pair3"
+
+
+@pytest.mark.parametrize("planar, values, positive_axes, label", [
+    (False, (0.0, 1.0, 1 + 1j, 1j), False, "v+"),          # a vanished axis
+    (False, (1.0, -1e-20, 1 + 1j, 1j), False, "v-"),       # within the threshold
+    (False, (1.0, -2.0, 1 + 1j, 1j), False, None),         # a negative axis has a magnitude
+    (False, (1.0, -2.0, 1 + 1j, 1j), True, "v-"),          # but is outside ln's domain
+    (False, (1.0, 2.0, 1 + 1j, 0j), True, "pair2"),        # a vanished plane
+    (False, (1.0, 2.0, 1 + 1j, -1e-20j), False, "pair2"),
+    (False, (1.0, 2.0, -1 - 1j, -1j), True, None),         # planes have no sign
+    (True, (1j, 0j, 1.0), False, "pair2"),
+    (True, (1e-20 + 1e-20j, 0j, 1.0), True, "pair1"),      # the first that vanishes
+    (True, (-1.0, -1j, 1.0), True, None),                  # planar has no signed axis
+])
+def test_first_zero_labels(planar, values, positive_axes, label):
+    assert tr.first_zero(planar, values, 1e-13, positive_axes=positive_axes) == label
 
 
 def test_determinant_is_product_of_canonical_factors():

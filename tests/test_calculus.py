@@ -17,7 +17,7 @@ from hexacomplex import cli, elementary
 from hexacomplex.algebra import (
     HexaNumber,
     Variant,
-    canonical_components,
+    canonical_values,
     from_canonical_components,
 )
 from hexacomplex.calculus import (
@@ -405,11 +405,13 @@ def test_elementwise_maps_agree_with_the_evaluator(name):
     for variant in BOTH_VARIANTS:
         for _ in range(50):
             u = random_hexa(rng, variant)
-            axes, planes = tr.split(variant.is_planar, canonical_components(u))
-            mapped = tr.join(f.canonical_map(np.array(axes, dtype=np.float64)),
-                             f.canonical_map(np.array(planes, dtype=np.complex128)))
+            values = canonical_values(u)
+            a = tr.axis_count(variant.is_planar)
+            mapped = tr.as_flat(variant.is_planar, [
+                *f.canonical_map(np.array(values[:a], dtype=np.float64)),
+                *f.canonical_map(np.array(values[a:], dtype=np.complex128))])
             # rounding of the canonical input, carried through f', plus that of the output
-            scale = max(map(abs, mapped)) * (1.0 + max(map(abs, axes + planes)))
+            scale = max(map(abs, mapped)) * (1.0 + max(map(abs, values)))
             assert max_abs_diff(from_canonical_components(variant, mapped), f(u)) \
                 <= 8 * 2.0 ** -52 * scale
 
@@ -433,8 +435,7 @@ def test_canonical_columns_match_the_scalar_transform():
         columns = _canonical(np.array([u.components for u in values]), planar)
         assert columns.dtype == np.complex128 and columns.shape == (50, 3 if planar else 4)
         for u, got in zip(values, columns):
-            axes, planes = tr.split(planar, canonical_components(u))
-            expected = np.array([*axes, *planes], dtype=np.complex128)
+            expected = np.array(canonical_values(u), dtype=np.complex128)
             assert np.abs(got - expected).max() <= 1e-15 * (1.0 + max(map(abs, u.components)))
 
 

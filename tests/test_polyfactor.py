@@ -11,7 +11,7 @@ import pytest
 from conftest import BOTH_VARIANTS, assert_hexa_close, max_abs_diff, random_hexa
 from hexacomplex import _transforms as tr
 from hexacomplex import polyfactor
-from hexacomplex.algebra import HexaNumber, Variant, format_hexa, from_canonical_components
+from hexacomplex.algebra import HexaNumber, Variant, format_hexa, from_canonical_values
 from hexacomplex.canonical import canonical_basis
 from hexacomplex.errors import NonConvergenceError, ZeroDivisorError
 from hexacomplex.polyfactor import (
@@ -404,8 +404,8 @@ def _poly_from_component_roots(variant: Variant, axis_roots, plane_roots) -> Hex
     plane_c = [coefficients(r) for r in plane_roots]
     degree = len(plane_roots[0])
     return HexaPolynomial(variant, [
-        from_canonical_components(variant, tr.join([c[j].real for c in axis_c],
-                                                   [complex(c[j]) for c in plane_c]))
+        from_canonical_values(variant, [c[j].real for c in axis_c]
+                              + [complex(c[j]) for c in plane_c])
         for j in range(degree)])
 
 
