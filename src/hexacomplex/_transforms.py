@@ -90,7 +90,8 @@ def basis_rows(planar: bool) -> tuple[tuple[float, ...], ...]:
 @cache
 def basis_columns(planar: bool) -> tuple[tuple[float, ...], ...]:
     """Columns of :func:`basis_rows`: entry p of every basis tuple, in row order."""
-    return tuple(zip(*basis_rows(planar)))
+    # from _rows, not basis_rows, so that calls of basis_rows do not depend on this cache
+    return tuple(zip(*_rows(planar, 1.0 / 6.0, 1.0 / 3.0)))
 
 
 @cache

@@ -52,13 +52,6 @@ class Variant(Enum):
     def is_planar(self) -> bool:
         return self is Variant.PLANAR
 
-    @classmethod
-    def parse(cls, text: str) -> "Variant":
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise ValueError(f"unknown variant {text!r}; expected 'polar' or 'planar'") from None
-
 
 @dataclass(frozen=True)
 class BasisProduct:

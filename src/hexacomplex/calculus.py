@@ -7,9 +7,10 @@ central finite differences.  Line integrals run over sampled polyline
 paths with midpoint quadrature; closed loops pick up 2*pi residues from
 the canonical planes only, weighted by per-plane winding numbers.
 
-A path is an (N+1)x6 array of components.  The quadrature works in
-canonical coordinates: one transform moves the sampled path to one
-complex column per canonical component (the real axes with zero
+A path is an (N+1)x6 array of components, made by :func:`circle_path`
+or from any such array or sequence of HexaNumbers.  The quadrature
+works in canonical coordinates: one transform moves the sampled path to
+one complex column per canonical component (the real axes with zero
 imaginary part, then the planes vk + i vk~), where the products and
 quotients of f(u) (u - u0)^-1 du act column by column, and the sum maps
 back once.  The functions in :data:`FUNCTIONS` act there too: each
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .algebra import ZERO_COMPONENT_RTOL, HexaNumber, Variant, basis_mul, from_canonical_values
@@ -90,8 +90,8 @@ class Path:
 
     ``points`` holds the components of the samples, one read-only row of
     six finite floats per sample; ``samples`` reads those rows as
-    HexaNumbers.  Paths are equal when their variants, closure and
-    points are.
+    HexaNumbers.  A path is built from either form and compares by
+    identity.
     """
 
     variant: Variant
@@ -123,66 +123,24 @@ class Path:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "closed", closed)
 
-    def __eq__(self, other):
-        if not isinstance(other, Path):
-            return NotImplemented
-        import numpy as np
-
-        return (self.variant is other.variant and self.closed == other.closed
-                and np.array_equal(self.points, other.points))
-
-    def __hash__(self) -> int:
-        return hash((self.variant, self.closed, tuple(self.points.ravel().tolist())))
-
     @property
     def samples(self) -> Sequence[HexaNumber]:
         return _Rows(self.variant, self.points)
-
-    def segments(self):
-        return pairwise(self.samples)
 
     def length(self) -> float:
         import numpy as np
 
         return float(np.hypot.reduce(np.diff(self.points, axis=0), axis=1).sum())
 
-    def to_text(self) -> str:
-        lines = [f"{self.variant.value} {len(self.points)} {int(self.closed)}"]
-        for row in self.points.tolist():
-            lines.append(" ".join(f"{c:.17g}" for c in row))
-        return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "Path":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty path serialization")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise ValueError("path header must be 'variant N closed'")
-        variant = Variant.parse(head[0])
-        count = int(head[1])
-        closed = bool(int(head[2]))
-        if len(lines) - 1 != count:
-            raise ValueError(f"expected {count} samples, found {len(lines) - 1}")
-        import numpy as np
-
-        return cls(variant, np.array([[float(v) for v in ln.split()] for ln in lines[1:]]), closed)
-
-
-def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float] | float,
-                samples: int, plane: int | None = None) -> Path:
+def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float],
+                samples: int) -> Path:
     """Closed loop tracing circles in one or more canonical planes.
 
-    ``radii`` is either a mapping plane->radius or a single radius for
-    ``plane``.  The projections onto the chosen (xi_k, eta_k) planes are
-    circles around the projections of ``center``; every other rotated
-    coordinate stays constant.
+    ``radii`` maps each plane k to its radius.  The projections onto those
+    (xi_k, eta_k) planes are circles around the projections of ``center``;
+    every other rotated coordinate stays constant.
     """
-    if isinstance(radii, (int, float)):
-        if plane is None:
-            raise ValueError("plane index required with a scalar radius")
-        radii = {plane: float(radii)}
     if samples < 8:
         raise ValueError("need at least 8 samples for a circle")
     import numpy as np

@@ -60,12 +60,6 @@ class RotatedCoords:
     variant: Variant
     xi: tuple[float, ...]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        planar = self.variant.is_planar
-        return ("xi+", "xi-")[:tr.axis_count(planar)] + tuple(
-            f"{name}{k}" for k in range(1, tr.pair_count(planar) + 1) for name in ("xi", "eta"))
-
     def plane(self, k: int) -> tuple[float, float]:
         """Projection onto the k-th (xi_k, eta_k) plane."""
         return self.xi[tr.plane_slice(self.variant.is_planar, k)]
@@ -242,11 +236,8 @@ def exp_form(u: HexaNumber) -> ExpForm:
     ln(u) with its real part, ln(rho), removed.
     """
     planar = u.variant.is_planar
-    values = canonical_values(u)
-    label = tr.first_zero(planar, values, zero_threshold(u), positive_axes=True)
-    if label:
-        raise DomainError(f"exponential form undefined: {tr.vanished(label)}", component=label)
-    exponent = elementary.ln(u).components
+    values = elementary.ln_domain(u, "exponential form undefined")
+    exponent = elementary.ln_of_values(u.variant, values).components
     return ExpForm(rho=_amplitude(values[:tr.axis_count(planar)], plane_radii(planar, values)),
                    exponent=HexaNumber(u.variant, (0.0, *exponent[1:])))
 

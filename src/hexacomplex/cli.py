@@ -200,7 +200,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     values = [clearance] * tr.axis_count(variant.is_planar) + [
         0j if k == args.plane else complex(clearance) for k in range(1, plane_count + 1)]
     center = pole + from_canonical_values(variant, values)
-    loop = calculus.circle_path(variant, center, args.radius, args.samples, plane=args.plane)
+    loop = calculus.circle_path(variant, center, {args.plane: args.radius}, args.samples)
     f = calculus.FUNCTIONS[args.function]
     comparison = calculus.residue_integral(f, loop, pole)
     expected = tuple(int(k == args.plane) for k in range(1, plane_count + 1))

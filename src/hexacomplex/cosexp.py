@@ -44,9 +44,9 @@ _SERIES_REL_FLOOR = 1e-17
 _ROW_SERIES_BELOW = 2.0
 
 
-def _check_index(k: int) -> None:
-    if not 0 <= k <= 5:
-        raise ValueError("cosexponential index must lie in 0..5")
+def _check_index(k: int, low: int = 0, name: str = "cosexponential index") -> None:
+    if not (isinstance(k, int) or hasattr(k, "__index__")) or not low <= k <= 5:
+        raise ValueError(f"{name} must be an integer in {low}..5, got {k!r}")
 
 
 # -- polar family: closed forms ------------------------------------------------
@@ -197,13 +197,17 @@ def exp_basis(variant: Variant, k: int, y: float) -> HexaNumber:
 
     Grouping the series of e^(h_k y) by n mod 6 gives the sum of c_j(y) h_k^j
     for j = 0..5, with c the polar family, or the planar one when h_k^6 = -1
-    (planar k odd).
+    (planar k odd).  A row that overflows raises :class:`DomainError`
+    naming y.
     """
-    if not 1 <= k <= 5:
-        raise ValueError("basis index must lie in 1..5")
+    _check_index(k, 1, "basis index")
+    try:
+        row = _row("f" if variant.is_planar and k % 2 else "g", y)
+    except OverflowError:
+        raise DomainError(f"e^(h{k} y) at y={y!r} overflows the double range") from None
     comps = [0.0] * 6
     index, sign = 0, 1  # h_k^j = sign * h[index]
-    for value in _row("f" if variant.is_planar and k % 2 else "g", y):
+    for value in row:
         comps[index] += sign * value
         power = basis_mul(index, k, variant)
         index, sign = power.index, sign * power.sign

@@ -43,11 +43,12 @@ __all__ = [
     "eval_series",
 ]
 
-def _apply(u: HexaNumber,
+def _apply(variant: Variant, values,
            axis_fn: Callable[[float], float],
            plane_fn: Callable[[complex], complex]) -> HexaNumber:
-    return from_canonical_values(u.variant, [plane_fn(v) if isinstance(v, complex) else axis_fn(v)
-                                             for v in canonical_values(u)])
+    """The value whose canonical values are ``values``, each mapped by axis_fn or plane_fn."""
+    return from_canonical_values(variant, [plane_fn(v) if isinstance(v, complex) else axis_fn(v)
+                                           for v in values])
 
 
 # The entire functions that act as the real function of the same name on each
@@ -58,32 +59,34 @@ COMPONENTWISE = ("exp", "sin", "cos", "sinh", "cosh")
 
 def exp(u: HexaNumber) -> HexaNumber:
     """Componentwise exponential; entire on both variants."""
-    return _apply(u, math.exp, cmath.exp)
+    return _apply(u.variant, canonical_values(u), math.exp, cmath.exp)
 
 
 def cos(u: HexaNumber) -> HexaNumber:
-    return _apply(u, math.cos, cmath.cos)
+    return _apply(u.variant, canonical_values(u), math.cos, cmath.cos)
 
 
 def sin(u: HexaNumber) -> HexaNumber:
-    return _apply(u, math.sin, cmath.sin)
+    return _apply(u.variant, canonical_values(u), math.sin, cmath.sin)
 
 
 def cosh(u: HexaNumber) -> HexaNumber:
-    return _apply(u, math.cosh, cmath.cosh)
+    return _apply(u.variant, canonical_values(u), math.cosh, cmath.cosh)
 
 
 def sinh(u: HexaNumber) -> HexaNumber:
-    return _apply(u, math.sinh, cmath.sinh)
+    return _apply(u.variant, canonical_values(u), math.sinh, cmath.sinh)
 
 
-def _ln_preconditions(u: HexaNumber) -> None:
+def ln_domain(u: HexaNumber, undefined: str = "logarithm undefined") -> tuple:
+    """Canonical values of ``u``; a DomainError led by ``undefined`` where ln is undefined."""
     planar = u.variant.is_planar
     values = canonical_values(u)
     label = tr.first_zero(planar, values, zero_threshold(u), positive_axes=True)
     if label:
-        raise DomainError(f"logarithm undefined: {tr.vanished(label)}", component=label)
+        raise DomainError(f"{undefined}: {tr.vanished(label)}", component=label)
     plane_radii(planar, values)
+    return values
 
 
 def _principal_log(z: complex) -> complex:
@@ -98,8 +101,12 @@ def ln(u: HexaNumber) -> HexaNumber:
     reverse composition is the identity only when every azimuth of the
     argument already lies in [0, 2*pi).
     """
-    _ln_preconditions(u)
-    return _apply(u, math.log, _principal_log)
+    return ln_of_values(u.variant, ln_domain(u))
+
+
+def ln_of_values(variant: Variant, values) -> HexaNumber:
+    """ln of the value with canonical values ``values``, which passed :func:`ln_domain`."""
+    return _apply(variant, values, math.log, _principal_log)
 
 
 def pow_real(u: HexaNumber, m: float) -> HexaNumber:
@@ -112,18 +119,19 @@ def pow_real(u: HexaNumber, m: float) -> HexaNumber:
     m = float(m)
     if m.is_integer():
         n = int(m)
+        values = canonical_values(u)
         if n < 0:
-            label = tr.first_zero(u.variant.is_planar, canonical_values(u), zero_threshold(u))
+            label = tr.first_zero(u.variant.is_planar, values, zero_threshold(u))
             if label:
                 raise ZeroDivisorError(label)
-        return _apply(u, lambda v: math.pow(v, n), lambda z: z ** n)
+        return _apply(u.variant, values, lambda v: math.pow(v, n), lambda z: z ** n)
 
-    _ln_preconditions(u)
+    values = ln_domain(u)
 
     def plane_frac(z: complex) -> complex:
         return cmath.rect(math.pow(tr.radius(z), m), m * tr.azimuth(z))
 
-    return _apply(u, lambda v: math.pow(v, m), plane_frac)
+    return _apply(u.variant, values, lambda v: math.pow(v, m), plane_frac)
 
 
 @dataclass(frozen=True)

@@ -285,7 +285,7 @@ def test_criterion_08_calculus():
         center_values = [1.0, 1.0] if not variant.is_planar else []
         center_values += [1.0, 0.0] * (3 if variant.is_planar else 2)
         center = from_canonical_components(variant, center_values)
-        loop = circle_path(variant, center, 0.8, 4096, plane=1)
+        loop = circle_path(variant, center, {1: 0.8}, 4096)
         for name in ("exp", "sin", "u2"):
             f = FUNCTIONS[name]
             value = line_integral(f, loop)

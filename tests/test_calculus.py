@@ -131,7 +131,7 @@ def test_planar_first_order_sign_pattern_directly():
 
 def test_line_integral_of_constant_over_closed_path_vanishes():
     for variant in BOTH_VARIANTS:
-        loop = circle_path(variant, HexaNumber.one(variant), 1.0, 64, plane=1)
+        loop = circle_path(variant, HexaNumber.one(variant), {1: 1.0}, 64)
         result = line_integral(lambda u: HexaNumber.one(variant), loop)
         assert abs(result) <= 1e-12
 
@@ -165,7 +165,7 @@ def test_line_integral_antiderivative():
 def test_closed_path_integral_of_analytic_function_vanishes():
     for variant in BOTH_VARIANTS:
         center = _clearance_center(variant, HexaNumber.zero(variant), plane=1)
-        loop = circle_path(variant, center, 0.8, 2048, plane=1)
+        loop = circle_path(variant, center, {1: 0.8}, 2048)
         for name in ("exp", "sin", "u2"):
             f = FUNCTIONS[name]
             value = line_integral(f, loop)
@@ -177,7 +177,7 @@ def test_winding_numbers():
     variant = Variant.POLAR
     pole = HexaNumber.zero(variant)
     center = _clearance_center(variant, pole, plane=1)
-    loop = circle_path(variant, center, 1.0, 256, plane=1)
+    loop = circle_path(variant, center, {1: 1.0}, 256)
     assert winding_number(loop, pole, 1) == 1
     assert winding_number(loop, pole, 2) == 0
 
@@ -194,7 +194,7 @@ def test_winding_numbers():
 def test_winding_number_requires_clearance():
     variant = Variant.PLANAR
     pole = HexaNumber.zero(variant)
-    loop = circle_path(variant, pole, 1.0, 64, plane=1)  # plane-2 projection sits on the pole
+    loop = circle_path(variant, pole, {1: 1.0}, 64)  # plane-2 projection sits on the pole
     with pytest.raises(DegeneratePathError):
         winding_number(loop, pole, 2)
 
@@ -205,7 +205,7 @@ def test_residue_integral_single_plane():
         basis = canonical_basis(variant)
         tilde1 = basis[1] if variant.is_planar else basis[3]
         center = _clearance_center(variant, pole, plane=1)
-        loop = circle_path(variant, center, 1.0, 4096, plane=1)
+        loop = circle_path(variant, center, {1: 1.0}, 4096)
         comparison = residue_integral(lambda u: HexaNumber.one(variant), loop, pole)
         assert comparison.windings[0] == 1
         assert all(w == 0 for w in comparison.windings[1:])
@@ -222,7 +222,7 @@ def test_residue_integral_non_enclosing_loop():
     # loop winds in plane 2 around center, but center's plane-2 projection is
     # shifted 0 here; push it away so the pole projection is outside
     basis_shift = from_canonical_components(variant, (0.0, 0.0, 0.0, 0.0, 3.0, 0.0))
-    loop = circle_path(variant, center + basis_shift, 1.0, 2048, plane=2)
+    loop = circle_path(variant, center + basis_shift, {2: 1.0}, 2048)
     comparison = residue_integral(lambda u: HexaNumber.one(variant), loop, pole)
     assert comparison.windings == (0, 0)
     assert abs(comparison.numeric) <= 1e-5
@@ -253,7 +253,7 @@ def test_residue_integral_rejects_near_degenerate_paths():
         pole = HexaNumber.zero(variant)
         offset = (axis_offset, axis_offset, 0.0, 0.0, 0.0, 0.0)
         center = pole + from_canonical_components(variant, offset)
-        loop = circle_path(variant, center, 1.0, 128, plane=plane)
+        loop = circle_path(variant, center, {plane: 1.0}, 128)
         with pytest.raises(DegeneratePathError, match=re.escape(f"component {label} ")):
             residue_integral(lambda u: HexaNumber.one(variant), loop, pole)
 
@@ -292,7 +292,7 @@ def test_residue_integral_rejects_zero_divisor_midpoint(count):
 
 
 def test_quadrature_rejects_integrand_of_the_other_variant():
-    loop = circle_path(Variant.POLAR, HexaNumber.one(Variant.POLAR), 0.5, 16, plane=1)
+    loop = circle_path(Variant.POLAR, HexaNumber.one(Variant.POLAR), {1: 0.5}, 16)
     with pytest.raises(VariantError):
         line_integral(lambda u: HexaNumber.one(Variant.PLANAR), loop)
 
@@ -305,7 +305,7 @@ def _scalar_midpoint_sum(f, path):
     """
     total = HexaNumber.zero(path.variant)
     magnitude = 0.0
-    for a, b in path.segments():
+    for a, b in zip(path.samples, path.samples[1:]):
         mid = (a + b) * 0.5
         term = f(mid) * (b - a)
         total = total + term
@@ -313,15 +313,12 @@ def _scalar_midpoint_sum(f, path):
     return total, magnitude
 
 
-def _open_path_text(variant: Variant, count: int) -> str:
-    """Serialized open path along a cubic curve that moves all six components."""
-    lines = [f"{variant.value} {count} 0"]
-    for i in range(count):
-        t = i / (count - 1)
-        comps = (0.2 + 0.5 * t, -0.3 * t * t, 0.1 + 0.4 * t ** 3, 0.25 * t,
-                 -0.1 + 0.2 * t * t, 0.15 * t - 0.3 * t ** 3)
-        lines.append(" ".join(f"{c:.17g}" for c in comps))
-    return "\n".join(lines) + "\n"
+def _open_path(variant: Variant, count: int) -> Path:
+    """Open path along a cubic curve that moves all six components."""
+    t = np.linspace(0.0, 1.0, count)[:, None]
+    comps = (0.2 + 0.5 * t, -0.3 * t * t, 0.1 + 0.4 * t ** 3, 0.25 * t,
+             -0.1 + 0.2 * t * t, 0.15 * t - 0.3 * t ** 3)
+    return Path(variant, np.hstack(comps), closed=False)
 
 
 def _multi_plane_loop(variant: Variant, pole: HexaNumber) -> Path:
@@ -353,7 +350,7 @@ def _wobbly_loop(variant: Variant, pole: HexaNumber, count: int = 600) -> Path:
                          ids=[*FUNCTIONS, "lambda"])
 def test_batched_quadrature_matches_scalar_loop(f):
     for variant in BOTH_VARIANTS:
-        open_path = Path.from_text(_open_path_text(variant, 97))
+        open_path = _open_path(variant, 97)
         reference, magnitude = _scalar_midpoint_sum(f, open_path)
         assert max_abs_diff(line_integral(f, open_path), reference) <= 1e-12 * magnitude
 
@@ -369,15 +366,14 @@ def test_batched_quadrature_matches_scalar_loop(f):
             assert max_abs_diff(comparison.numeric, reference) <= 1e-12 * magnitude
 
 
-def test_path_construction_and_serialization():
+def test_path_construction():
     variant = Variant.POLAR
-    loop = circle_path(variant, HexaNumber.one(variant), 0.5, 16, plane=2)
-    assert loop.closed and loop.samples[0] == loop.samples[-1]
-    text = loop.to_text()
-    back = Path.from_text(text)
-    assert back.variant is variant and back.closed
-    assert all(max_abs_diff(a, b) == 0.0 for a, b in zip(back.samples, loop.samples))
-    assert text.splitlines()[0] == f"polar {len(loop.samples)} 1"
+    loop = circle_path(variant, HexaNumber.one(variant), {2: 0.5}, 16)
+    assert loop.variant is variant and loop.closed and loop.samples[0] == loop.samples[-1]
+    assert loop.points.shape == (17, 6) and not loop.points.flags.writeable
+    rebuilt = Path(variant, list(loop.samples), closed=True)
+    assert np.array_equal(rebuilt.points, loop.points)
+    assert rebuilt != loop  # paths compare by identity
 
     with pytest.raises(ValueError):
         Path(variant, [HexaNumber.one(variant)] * 2, closed=False)
@@ -385,17 +381,8 @@ def test_path_construction_and_serialization():
                HexaNumber.basis(variant, 1)]
     with pytest.raises(ValueError):
         Path(variant, samples, closed=True)
-
-
-def test_paths_compare_by_value():
-    variant = Variant.PLANAR
-    loop = circle_path(variant, HexaNumber.basis(variant, 3), 0.5, 16, plane=1)
-    same = Path(variant, list(loop.samples), closed=True)
-    assert same == loop and hash(same) == hash(loop) and len({loop, same}) == 1
-    assert Path.from_text(loop.to_text()) == loop
-    assert Path(variant, loop.points, closed=False) != loop
-    assert circle_path(variant, HexaNumber.basis(variant, 3), 0.5, 16, plane=2) != loop
-    assert Path(Variant.POLAR, loop.points, closed=True) != loop
+    with pytest.raises(ValueError, match="variant mismatch"):
+        Path(Variant.PLANAR, samples, closed=False)
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)

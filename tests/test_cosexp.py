@@ -6,6 +6,7 @@ import io
 import math
 import pathlib
 import random
+import re
 import sys
 
 import pytest
@@ -24,6 +25,7 @@ from hexacomplex.cosexp import (
     g6_sumform,
     table_grid,
 )
+from hexacomplex.errors import DomainError
 
 GRID = [x * 0.25 for x in range(-40, 41)]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -197,6 +199,27 @@ def test_exp_basis_at_zero_and_against_exp():
                     1.0, abs(direct))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: g6(2.5, 1.0), lambda: f6(4.2, 1.0), lambda: g6(2.0, 1.0), lambda: f6(6, 1.0),
+    lambda: g6_series(2.5, 1.0), lambda: f6_series(-1, 1.0),
+    lambda: g6_sumform(2.5, 1.0), lambda: f6_sumform(4.2, 1.0),
+    lambda: exp_basis(Variant.POLAR, 2.5, 1.0), lambda: exp_basis(Variant.PLANAR, 0, 1.0),
+], ids=["g6", "f6", "g6-float", "f6-6", "g6_series", "f6_series-neg", "g6_sumform",
+        "f6_sumform", "exp_basis", "exp_basis-0"])
+def test_index_must_be_an_integer_in_range(call):
+    with pytest.raises(ValueError, match="index must be an integer in [01]..5"):
+        call()
+
+
+@pytest.mark.parametrize("variant, k, y", [
+    (Variant.POLAR, 1, 710.6), (Variant.POLAR, 1, -710.6), (Variant.POLAR, 4, 1e300),
+    (Variant.PLANAR, 1, 1e6), (Variant.PLANAR, 2, -800.0),
+])
+def test_exp_basis_overflow_names_y(variant, k, y):
+    with pytest.raises(DomainError, match=re.escape(f"at y={y!r} overflows")):
+        exp_basis(variant, k, y)
+
+
 def test_exp_basis_rejects_nan():
     # a NaN row falls through to the closed forms, and the constructor rejects it
     for variant in (Variant.POLAR, Variant.PLANAR):
@@ -349,6 +372,17 @@ def test_table_rows_against_mpmath_oracle(family):
         emit_table(family, y, y, 1.0, row)
         buffer.write(row.getvalue().splitlines()[1] + "\n")
     assert assert_table_matches_oracle(mpmath, family, buffer.getvalue()) == 300
+
+    # past the golden grid: 4 < |y| <= 30, where the rows come from the closed forms
+    rng = random.Random(8)
+    buffer = io.StringIO()
+    buffer.write("y,c0,c1,c2,c3,c4,c5\n")
+    for _ in range(150):
+        y = (30.0 - 26.0 * rng.random()) * rng.choice((-1.0, 1.0))
+        row = io.StringIO()
+        emit_table(family, y, y, 1.0, row)
+        buffer.write(row.getvalue().splitlines()[1] + "\n")
+    assert assert_table_matches_oracle(mpmath, family, buffer.getvalue()) == 0
 
 
 @pytest.mark.parametrize("family", ("g", "f"))

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from conftest import BOTH_VARIANTS, assert_hexa_close, invertible_hexa, max_abs_diff, random_hexa
-from hexacomplex import elementary
+from hexacomplex import algebra, canonical, elementary
 from hexacomplex.algebra import HexaNumber, Variant, canonical_components
 from hexacomplex.canonical import to_canonical
 from hexacomplex.cosexp import exp_basis
@@ -258,3 +258,31 @@ def test_series_variant_checks():
         eval_series(SeriesCoefficients([one_polar]), one_planar)
     with pytest.raises(ValueError):
         SeriesCoefficients([])
+
+
+@pytest.mark.parametrize("name, fn", [
+    ("exp", elementary.exp),
+    ("ln", ln),
+    ("pow_real 2.5", lambda u: pow_real(u, 2.5)),
+    ("pow_real 3", lambda u: pow_real(u, 3)),
+    ("pow_real -2", lambda u: pow_real(u, -2)),
+    ("exp_form", canonical.exp_form),
+    ("geometry", canonical.geometry),
+    ("inverse", HexaNumber.inverse),
+])
+def test_one_canonical_transform_per_call(monkeypatch, name, fn):
+    transform = algebra.canonical_components
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return transform(u)
+
+    monkeypatch.setattr(algebra, "canonical_components", counted)
+    for variant in BOTH_VARIANTS:
+        # positive axes and nonzero plane radii: inside ln's domain on both rings
+        u = HexaNumber(variant, (2.0, 0.3, -0.2, 0.1, 0.25, -0.15))
+        calls.clear()
+        fn(u)
+        assert len(calls) == 1, (name, variant)
+
