@@ -6,7 +6,7 @@ functions, polynomial factorization, contour integration with residues,
 matrix representations, and a small expression-language CLI.
 """
 
-from .algebra import BasisProduct, HexaNumber, Variant, basis_mul, format_hexa, parse_hexa
+from .algebra import HexaNumber, Variant, basis_mul, format_hexa
 from .canonical import (
     Canonical,
     DRhoReport,
@@ -37,12 +37,10 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisProduct",
     "HexaNumber",
     "Variant",
     "basis_mul",
     "format_hexa",
-    "parse_hexa",
     "Canonical",
     "RotatedCoords",
     "Geometry",

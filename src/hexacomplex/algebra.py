@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -30,11 +29,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Variant",
-    "BasisProduct",
     "HexaNumber",
     "basis_mul",
     "format_hexa",
-    "parse_hexa",
     "ZERO_COMPONENT_RTOL",
 ]
 
@@ -53,22 +50,17 @@ class Variant(Enum):
         return self is Variant.PLANAR
 
 
-@dataclass(frozen=True)
-class BasisProduct:
-    """Result of multiplying two basis elements: ``hj hk = sign * h[index]``."""
+def basis_mul(j: int, k: int, variant: Variant) -> tuple[int, int]:
+    """Product of basis elements hj and hk (h0 is the unit) as ``(index, sign)``.
 
-    index: int
-    sign: int
-
-
-def basis_mul(j: int, k: int, variant: Variant) -> BasisProduct:
-    """Product of basis elements hj and hk (h0 is the unit)."""
+    ``hj hk = sign * h[index]``.
+    """
     if not (0 <= j <= 5 and 0 <= k <= 5):
         raise ValueError("basis indices must lie in 0..5")
     s = j + k
     if s < 6:
-        return BasisProduct(s, 1)
-    return BasisProduct(s - 6, -1 if variant.is_planar else 1)
+        return s, 1
+    return s - 6, -1 if variant.is_planar else 1
 
 
 def _check_components(components: tuple[float, ...]) -> None:
@@ -379,19 +371,15 @@ def from_canonical_values(variant: Variant, values) -> HexaNumber:
     return from_canonical_components(variant, flat)
 
 
-# -- canonical text form ------------------------------------------------------
-
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*"
-    r"(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*)?"
-    r"(?P<basis>h[1-5])?")
-
+# -- text form ------------------------------------------------------------
 
 def format_hexa(u: HexaNumber, digits: int | None = None) -> str:
     """Render ``a0 + a1 h1 + ... + a5 h5`` with zero terms omitted.
 
     With ``digits`` unset, coefficients use the shortest representation
-    that parses back to the same float, so print/parse round-trips exactly.
+    that parses back to the same float, and each term holds one component,
+    so ``evaluate(parse(format_hexa(u)), u.variant) == u`` (see
+    :mod:`hexacomplex.expressions`).
     """
 
     def fmt(value: float) -> str:
@@ -415,33 +403,3 @@ def format_hexa(u: HexaNumber, digits: int | None = None) -> str:
     if not parts:
         return "0"
     return " ".join(parts)
-
-
-def parse_hexa(text: str, variant: Variant) -> HexaNumber:
-    """Parse the canonical text form produced by :func:`format_hexa`."""
-    comps = [0.0] * 6
-    pos = 0
-    first = True
-    stripped = text.strip()
-    if not stripped:
-        raise ValueError("empty hexa-number literal")
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if m is None or (m.group("num") is None and m.group("basis") is None):
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"invalid hexa-number literal near {rest!r}")
-        if m.group("sign") is None and not first:
-            raise ValueError("missing sign between terms in hexa-number literal")
-        sign = -1.0 if m.group("sign") == "-" else 1.0
-        num = m.group("num")
-        basis = m.group("basis")
-        value = sign * (float(num) if num is not None else 1.0)
-        index = int(basis[1]) if basis is not None else 0
-        if num is None and basis is None:
-            raise ValueError("empty term in hexa-number literal")
-        comps[index] += value
-        pos = m.end()
-        first = False
-    return HexaNumber(variant, comps)

@@ -271,8 +271,8 @@ def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
     for c in range(6):
         values = []
         for p in range(6):
-            product = basis_mul(c, p, variant)
-            values.append(product.sign * jac[product.index][p])
+            index, sign = basis_mul(c, p, variant)
+            values.append(sign * jac[index][p])
         first_order.append(max(values) - min(values))
 
     h2 = _SECOND_ORDER_STEP
@@ -300,9 +300,9 @@ def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
             values = []
             for a in range(6):
                 for b in range(a, 6):
-                    product = basis_mul(a, b, variant)
-                    if product.index == lam:
-                        values.append(product.sign * mixed[(a, b)][k])
+                    index, sign = basis_mul(a, b, variant)
+                    if index == lam:
+                        values.append(sign * mixed[(a, b)][k])
             row.append(max(values) - min(values) if len(values) > 1 else 0.0)
         second_order.append(tuple(row))
 

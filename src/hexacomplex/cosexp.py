@@ -5,7 +5,7 @@ functions by residue of the power mod 6: the polar family keeps every
 term positive, the planar family alternates sign with each wrap.  Every
 function is computable three independent ways (truncated series, closed
 form in cosh/cos, finite 6-term exponential sum), which the test suite
-plays against each other.
+plays against each other.  A route that overflows raises DomainError naming y.
 
 The closed forms cancel O(1) terms down to a value of size y^k/k! for
 k >= 2 near y = 0, so they lose relative accuracy there (up to ~1e-5 for
@@ -49,6 +49,10 @@ def _check_index(k: int, low: int = 0, name: str = "cosexponential index") -> No
         raise ValueError(f"{name} must be an integer in {low}..5, got {k!r}")
 
 
+def _overflow(call: str, y: float) -> DomainError:
+    return DomainError(f"{call} at y={y!r} overflows the double range")
+
+
 # -- polar family: closed forms ------------------------------------------------
 
 def g6(k: int, y: float) -> float:
@@ -58,8 +62,11 @@ def g6(k: int, y: float) -> float:
     relative error grows (see the module docstring).
     """
     _check_index(k)
-    ch, sh = math.cosh(y) / 3.0, math.sinh(y) / 3.0
-    ch2, sh2 = math.cosh(y / 2.0), math.sinh(y / 2.0)
+    try:
+        ch, sh = math.cosh(y) / 3.0, math.sinh(y) / 3.0
+        ch2, sh2 = math.cosh(y / 2.0), math.sinh(y / 2.0)
+    except OverflowError:
+        raise _overflow(f"g6({k}, y)", y) from None
     c, s = math.cos(tr.SQRT3 * y / 2.0), math.sin(tr.SQRT3 * y / 2.0)
     r3 = tr.SQRT3 / 3.0
     if k == 0:
@@ -85,7 +92,10 @@ def f6(k: int, y: float) -> float:
     """
     _check_index(k)
     c1, s1 = math.cos(y) / 3.0, math.sin(y) / 3.0
-    ch, sh = math.cosh(tr.SQRT3 * y / 2.0), math.sinh(tr.SQRT3 * y / 2.0)
+    try:
+        ch, sh = math.cosh(tr.SQRT3 * y / 2.0), math.sinh(tr.SQRT3 * y / 2.0)
+    except OverflowError:
+        raise _overflow(f"f6({k}, y)", y) from None
     c, s = math.cos(y / 2.0), math.sin(y / 2.0)
     r3 = tr.SQRT3 / 3.0
     if k == 0:
@@ -105,8 +115,8 @@ def f6(k: int, y: float) -> float:
 
 def _series(k: int, y: float, max_terms: int, alternating: bool) -> float:
     _check_index(k)
-    if max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
+    if not hasattr(max_terms, "__index__") or max_terms < 1:
+        raise ValueError(f"max_terms must be an integer of at least 1, got {max_terms!r}")
     term = math.prod((y,) * k) / math.factorial(k)  # y^k by multiplication, not libm pow
     total = term
     n = k
@@ -119,6 +129,8 @@ def _series(k: int, y: float, max_terms: int, alternating: bool) -> float:
         if alternating:
             term = -term
         total += term
+    if math.isfinite(y) and not math.isfinite(total):
+        raise _overflow(f"{'f6' if alternating else 'g6'}_series({k}, y)", y)
     return total
 
 
@@ -138,9 +150,12 @@ def g6_sumform(k: int, y: float) -> float:
     """Polar cosexponential as the 6-term sum over sixth roots of unity."""
     _check_index(k)
     total = 0.0
-    for l in range(6):
-        total += (math.exp(y * tr.cos_pi6(2 * l))
-                  * math.cos(y * tr.sin_pi6(2 * l) - math.pi * k * l / 3.0))
+    try:
+        for l in range(6):
+            total += (math.exp(y * tr.cos_pi6(2 * l))
+                      * math.cos(y * tr.sin_pi6(2 * l) - math.pi * k * l / 3.0))
+    except OverflowError:
+        raise _overflow(f"g6_sumform({k}, y)", y) from None
     return total / 6.0
 
 
@@ -148,10 +163,13 @@ def f6_sumform(k: int, y: float) -> float:
     """Planar cosexponential as the 6-term sum over odd twelfth roots of unity."""
     _check_index(k)
     total = 0.0
-    for l in range(1, 7):
-        m = 2 * l - 1
-        total += (math.exp(y * tr.cos_pi6(m))
-                  * math.cos(y * tr.sin_pi6(m) - math.pi * m * k / 6.0))
+    try:
+        for l in range(1, 7):
+            m = 2 * l - 1
+            total += (math.exp(y * tr.cos_pi6(m))
+                      * math.cos(y * tr.sin_pi6(m) - math.pi * m * k / 6.0))
+    except OverflowError:
+        raise _overflow(f"f6_sumform({k}, y)", y) from None
     return total / 6.0
 
 
@@ -203,14 +221,14 @@ def exp_basis(variant: Variant, k: int, y: float) -> HexaNumber:
     _check_index(k, 1, "basis index")
     try:
         row = _row("f" if variant.is_planar and k % 2 else "g", y)
-    except OverflowError:
-        raise DomainError(f"e^(h{k} y) at y={y!r} overflows the double range") from None
+    except DomainError:
+        raise _overflow(f"e^(h{k} y)", y) from None
     comps = [0.0] * 6
     index, sign = 0, 1  # h_k^j = sign * h[index]
     for value in row:
         comps[index] += sign * value
-        power = basis_mul(index, k, variant)
-        index, sign = power.index, sign * power.sign
+        index, wrap = basis_mul(index, k, variant)
+        sign *= wrap
     return HexaNumber(variant, comps)
 
 
@@ -237,9 +255,12 @@ def table_grid(start: float, stop: float, step: float) -> Sequence[float]:
 
     The points are computed when read, so a long grid takes no memory.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError("step must be positive")
-    return _Grid(start, step, max(int(math.floor((stop - start) / step + 1e-9)) + 1, 1))
+    points = (stop - start) / step + 1e-9
+    if not math.isfinite(points):
+        raise ValueError(f"grid {start!r}:{stop!r}:{step!r} has no finite number of points")
+    return _Grid(start, step, max(int(math.floor(points)) + 1, 1))
 
 
 def emit_table(family: str, start: float, stop: float, step: float, out: TextIO) -> None:
@@ -257,10 +278,10 @@ def emit_table(family: str, start: float, stop: float, step: float, out: TextIO)
     widest = max(grid[0], grid[-1], key=abs)
     try:
         finite = all(map(math.isfinite, _row(family, widest)))
-    except OverflowError:
+    except DomainError:
         finite = False
     if not finite:
-        raise DomainError(f"table row at y={widest!r} overflows the double range")
+        raise _overflow("table row", widest)
     out.write("y,c0,c1,c2,c3,c4,c5\n")
     for y in grid:
         out.write(_CSV_ROW % (y, *_row(family, y)))

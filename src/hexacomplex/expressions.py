@@ -9,328 +9,258 @@ Grammar (whitespace-insensitive)::
     atom   := number | "h1".."h5" | ident "(" expr ("," expr)* ")" | "(" expr ")"
 
 ``^`` takes an integer literal exponent; real powers go through the
-two-argument function ``pow(u, m)``.  Every node carries its source span
-so errors point at the offending characters.
+two-argument function ``pow(u, m)``.
+
+:func:`parse` returns a tree of nested tuples, each tagged by its first
+item::
+
+    ("num", 2.0)              a real literal
+    ("h", 1)                  a basis symbol h1..h5
+    ("neg", a)                unary minus
+    ("+", a, b)               likewise "-", "*" and "/"; juxtaposition is "*"
+    ("^", a, -1)              an integer power
+    ("call", "pow", a, b)     a function and its arguments
+
+The binary operators associate left, so a chain of terms or factors is a
+left-deep tree.  :func:`evaluate` and :func:`unparse` walk such a chain,
+and a run of unary minus signs, in a loop, so a chain may be any length.
+Parentheses and calls may nest at most :data:`MAX_DEPTH` deep; deeper
+nesting is a :class:`ParseError` at the token that crosses the limit.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
-from typing import Union
 
 from . import elementary
 from .algebra import ZERO_COMPONENT_RTOL, HexaNumber, Variant
 from .errors import DomainError, ParseError
 
-__all__ = [
-    "Expression",
-    "Number",
-    "BasisSymbol",
-    "Negate",
-    "BinaryOp",
-    "Power",
-    "Call",
-    "parse",
-    "unparse",
-    "evaluate",
-    "FUNCTION_NAMES",
-]
+__all__ = ["parse", "unparse", "evaluate", "FUNCTION_NAMES", "MAX_DEPTH"]
 
 FUNCTION_NAMES = ("exp", "ln", "sin", "cos", "sinh", "cosh", "inv", "pow")
-_FUNCTION_ARITY = {name: 1 for name in FUNCTION_NAMES}
-_FUNCTION_ARITY["pow"] = 2
+_FUNCTION_ARITY = dict.fromkeys(FUNCTION_NAMES, 1) | {"pow": 2}
+_BASIS = {f"h{i}": i for i in range(1, 6)}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_LINKS = ("+", "-", "*", "/", "neg")  # walked in a loop down their first operand, node[1]
 
-Span = tuple[int, int]
+# Parentheses and calls nested deeper than this are a parse error; the
+# parser recurses a few frames per level, well inside Python's stack.
+MAX_DEPTH = 100
 
-
-@dataclass(frozen=True)
-class Number:
-    value: float
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class BasisSymbol:
-    index: int
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class Negate:
-    operand: "Expression"
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str
-    left: "Expression"
-    right: "Expression"
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Expression"
-    exponent: int
-    span: Span = field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple["Expression", ...]
-    span: Span = field(compare=False, default=(0, 0))
-
-
-Expression = Union[Number, BasisSymbol, Negate, BinaryOp, Power, Call]
-
-
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>[-+*/^(),])
-""", re.VERBOSE)
+  | (?P<end>\Z)
+  | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | ident | op | end
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            line, column = _line_column(text, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, column,
-                             frozenset({"number", "identifier", "operator"}))
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-def _line_column(text: str, pos: int) -> tuple[int, int]:
+def _error(text: str, message: str, pos: int, expected=()) -> ParseError:
     line = text.count("\n", 0, pos) + 1
-    last_nl = text.rfind("\n", 0, pos)
-    return line, pos - last_nl if last_nl >= 0 else pos + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos), frozenset(expected))
 
 
 class _Parser:
+    """Recursive descent over tokens ``(kind, text, pos)``, kind number | ident | op | end."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                       for m in _TOKEN_RE.finditer(text)]
+        for kind, char, pos in self.tokens:
+            if kind == "bad":
+                raise _error(text, f"unexpected character {char!r}", pos,
+                             {"number", "identifier", "operator"})
         self.index = 0
+        self.depth = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
+    def fail(self, expected: set[str]) -> ParseError:
+        kind, text, pos = self.tokens[self.index]
+        what = "end of input" if kind == "end" else repr(text)
+        return _error(self.text, f"unexpected {what}", pos, expected)
 
-    def _fail(self, expected: set[str]) -> ParseError:
-        tok = self.current
-        line, column = _line_column(self.text, tok.pos)
-        what = "end of input" if tok.kind == "end" else repr(tok.text)
-        return ParseError(f"unexpected {what}", line, column, frozenset(expected))
-
-    def _advance(self) -> _Token:
-        tok = self.current
-        self.index += 1
-        return tok
-
-    def _accept_op(self, *ops: str) -> _Token | None:
-        tok = self.current
-        if tok.kind == "op" and tok.text in ops:
-            return self._advance()
+    def accept(self, *ops: str) -> str | None:
+        kind, text, _ = self.tokens[self.index]
+        if kind == "op" and text in ops:
+            self.index += 1
+            return text
         return None
 
-    def _expect_op(self, op: str) -> _Token:
-        tok = self._accept_op(op)
-        if tok is None:
-            raise self._fail({f"'{op}'"})
-        return tok
+    def expect(self, op: str) -> None:
+        if self.accept(op) is None:
+            raise self.fail({f"'{op}'"})
 
-    def parse(self) -> Expression:
-        node = self.expression()
-        if self.current.kind != "end":
-            raise self._fail({"'+'", "'-'", "'*'", "'/'", "'^'", "end of input"})
+    def expression(self):
+        node = self.term()
+        while (op := self.accept("+", "-")) is not None:
+            node = (op, node, self.term())
         return node
 
-    def expression(self) -> Expression:
-        node = self.term()
-        while True:
-            tok = self._accept_op("+", "-")
-            if tok is None:
-                return node
-            right = self.term()
-            node = BinaryOp(tok.text, node, right, (node.span[0], right.span[1]))
-
-    def _starts_factor(self) -> bool:
-        tok = self.current
-        return tok.kind in ("number", "ident") or (tok.kind == "op" and tok.text == "(")
-
-    def term(self) -> Expression:
+    def term(self):
         node = self.factor()
         while True:
-            tok = self._accept_op("*", "/")
-            if tok is not None:
-                right = self.factor()
-                node = BinaryOp(tok.text, node, right, (node.span[0], right.span[1]))
-            elif self._starts_factor():
-                right = self.factor()
-                node = BinaryOp("*", node, right, (node.span[0], right.span[1]))
+            kind, text, _ = self.tokens[self.index]
+            if kind == "op" and text in ("*", "/"):
+                self.index += 1
+                node = (text, node, self.factor())
+            elif kind in ("number", "ident") or text == "(":
+                node = ("*", node, self.factor())
             else:
                 return node
 
-    def factor(self) -> Expression:
+    def factor(self):
         node = self.unary()
-        if self._accept_op("^") is not None:
-            negative = self._accept_op("-") is not None
-            tok = self.current
-            if tok.kind != "number" or not re.fullmatch(r"\d+", tok.text):
-                raise self._fail({"integer exponent"})
-            self._advance()
-            exponent = int(tok.text)
-            node = Power(node, -exponent if negative else exponent,
-                         (node.span[0], tok.pos + len(tok.text)))
+        if self.accept("^") is not None:
+            negative = self.accept("-") is not None
+            kind, text, _ = self.tokens[self.index]
+            if kind != "number" or not text.isdecimal():
+                raise self.fail({"integer exponent"})
+            self.index += 1
+            node = ("^", node, -int(text) if negative else int(text))
         return node
 
-    def unary(self) -> Expression:
-        tok = self._accept_op("-")
-        if tok is not None:
-            operand = self.unary()
-            return Negate(operand, (tok.pos, operand.span[1]))
-        return self.atom()
+    def unary(self):
+        negations = 0
+        while self.accept("-") is not None:
+            negations += 1
+        node = self.atom()
+        for _ in range(negations):
+            node = ("neg", node)
+        return node
 
-    def atom(self) -> Expression:
-        tok = self.current
-        if tok.kind == "number":
-            self._advance()
-            return Number(float(tok.text), (tok.pos, tok.pos + len(tok.text)))
-        if tok.kind == "ident":
-            self._advance()
-            if re.fullmatch(r"h[1-5]", tok.text):
-                return BasisSymbol(int(tok.text[1]), (tok.pos, tok.pos + len(tok.text)))
-            if tok.text not in FUNCTION_NAMES:
-                line, column = _line_column(self.text, tok.pos)
-                raise ParseError(f"unknown name {tok.text!r}", line, column,
-                                 frozenset({"h1..h5", *FUNCTION_NAMES}))
-            self._expect_op("(")
-            args = [self.expression()]
-            while self._accept_op(",") is not None:
-                args.append(self.expression())
-            closing = self._expect_op(")")
-            arity = _FUNCTION_ARITY[tok.text]
-            if len(args) != arity:
-                line, column = _line_column(self.text, tok.pos)
-                raise ParseError(
-                    f"{tok.text} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
-                    line, column, frozenset())
-            return Call(tok.text, tuple(args), (tok.pos, closing.pos + 1))
-        if tok.kind == "op" and tok.text == "(":
-            self._advance()
+    def atom(self):
+        kind, text, pos = self.tokens[self.index]
+        if kind == "number":
+            self.index += 1
+            return ("num", float(text))
+        if text in _BASIS:
+            self.index += 1
+            return ("h", _BASIS[text])
+        if kind == "ident" and text not in FUNCTION_NAMES:
+            raise _error(self.text, f"unknown name {text!r}", pos, {"h1..h5", *FUNCTION_NAMES})
+        if kind != "ident" and text != "(":
+            raise self.fail({"number", "h1..h5", "function call", "'('"})
+        self.index += 1
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _error(self.text, f"nesting deeper than {MAX_DEPTH} levels", pos)
+        if text == "(":
             node = self.expression()
-            self._expect_op(")")
-            return node
-        raise self._fail({"number", "h1..h5", "function call", "'('"})
+        else:
+            self.expect("(")
+            node = ("call", text, self.expression())
+            while self.accept(",") is not None:
+                node += (self.expression(),)
+        self.expect(")")
+        self.depth -= 1
+        arity = _FUNCTION_ARITY.get(text)
+        if arity is not None and len(node) - 2 != arity:
+            raise _error(self.text, f"{text} takes {arity} argument{'s' if arity > 1 else ''}, "
+                         f"got {len(node) - 2}", pos)
+        return node
 
 
-def parse(text: str) -> Expression:
+def parse(text: str) -> tuple:
     """Parse the expression language; raises :class:`ParseError` with position."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    node = parser.expression()
+    if parser.tokens[parser.index][0] != "end":
+        raise parser.fail({"'+'", "'-'", "'*'", "'/'", "'^'", "end of input"})
+    return node
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+def _left_spine(node: tuple) -> tuple[tuple, list[tuple]]:
+    """The first operand under a run of binary operators and negations, and that run."""
+    chain = []
+    while node[0] in _LINKS:
+        chain.append(node)
+        node = node[1]
+    return node, chain
 
 
-def _node_precedence(node: Expression) -> int:
-    if isinstance(node, BinaryOp):
-        return _PRECEDENCE[node.op]
-    if isinstance(node, Negate):
-        return 3
-    if isinstance(node, Power):
-        return 4
-    return 9
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _precedence(node: tuple) -> int:
+    return _PRECEDENCE.get(node[0], 9)
 
 
 def _wrap(text: str, needed: bool) -> str:
     return f"({text})" if needed else text
 
 
-def unparse(node: Expression) -> str:
-    """Text form that re-parses to a structurally equal tree."""
-    if isinstance(node, Number):
-        return repr(node.value)
-    if isinstance(node, BasisSymbol):
-        return f"h{node.index}"
-    if isinstance(node, Negate):
-        inner = unparse(node.operand)
-        # '^' binds above unary minus here (-x^2 reads as (-x)^2), so a
-        # negated power needs parentheses just like a negated sum
-        return "-" + _wrap(inner, isinstance(node.operand, (BinaryOp, Power)))
-    if isinstance(node, Power):
-        base = unparse(node.base)
-        return _wrap(base, _node_precedence(node.base) < 9) + f"^{node.exponent}"
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(unparse(a) for a in node.args)})"
-    if isinstance(node, BinaryOp):
-        p = _PRECEDENCE[node.op]
-        left = _wrap(unparse(node.left), _node_precedence(node.left) < p)
-        # the grammar associates left, so a same-precedence right child needs parens
-        right = _wrap(unparse(node.right), _node_precedence(node.right) <= p)
-        return f"{left} {node.op} {right}"
-    raise TypeError(f"not an expression node: {node!r}")
+def unparse(node: tuple) -> str:
+    """Text form that re-parses to an equal tree."""
+    node, chain = _left_spine(node)
+    tag = node[0]
+    if tag == "num":
+        text = repr(node[1])
+    elif tag == "h":
+        text = f"h{node[1]}"
+    elif tag == "^":
+        text = _wrap(unparse(node[1]), _precedence(node[1]) < 9) + f"^{node[2]}"
+    elif tag == "call":
+        text = f"{node[1]}({', '.join(unparse(a) for a in node[2:])})"
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    # the text so far is prefix[::-1] + parts: wrapping it or negating it prepends
+    prefix, parts, inner = [], [text], _precedence(node)
+    for link in reversed(chain):
+        op = link[0]
+        p = _PRECEDENCE[op]
+        # '^' binds above unary minus here (-x^2 reads as (-x)^2), so a negated
+        # power needs parentheses just like a negated sum
+        if inner < p or (op == "neg" and inner == _PRECEDENCE["^"]):
+            prefix.append("(")
+            parts.append(")")
+        if op == "neg":
+            prefix.append("-")
+        else:
+            # the grammar associates left, so a same-precedence right child needs parens
+            right = link[2]
+            parts.append(f" {op} {_wrap(unparse(right), _precedence(right) <= p)}")
+        inner = p
+    return "".join(reversed(prefix)) + "".join(parts)
 
 
-def _as_scalar(value: HexaNumber) -> float:
-    tol = 1e-12 * (1.0 + abs(value.components[0]))
-    if any(abs(c) > tol for c in value.components[1:]):
-        raise DomainError("pow exponent must evaluate to a real scalar")
-    return value.components[0]
-
-
-def evaluate(node: Expression, variant: Variant,
+def evaluate(node: tuple, variant: Variant,
              zero_rtol: float = ZERO_COMPONENT_RTOL) -> HexaNumber:
-    """Evaluate an expression tree in the given variant.
+    """Evaluate an expression tree in the given variant, left operand first.
 
     Division multiplies by the inverse, so dividing by a zero divisor
     raises :class:`ZeroDivisorError` naming the vanished component.
     """
-    if isinstance(node, Number):
-        return HexaNumber.from_real(variant, node.value)
-    if isinstance(node, BasisSymbol):
-        return HexaNumber.basis(variant, node.index)
-    if isinstance(node, Negate):
-        return -evaluate(node.operand, variant, zero_rtol)
-    if isinstance(node, BinaryOp):
-        left = evaluate(node.left, variant, zero_rtol)
-        right = evaluate(node.right, variant, zero_rtol)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left * right.inverse(zero_rtol)
-    if isinstance(node, Power):
-        base = evaluate(node.base, variant, zero_rtol)
-        if node.exponent < 0:
-            base = base.inverse(zero_rtol)
-            return base ** (-node.exponent)
-        return base ** node.exponent
-    if isinstance(node, Call):
-        args = [evaluate(a, variant, zero_rtol) for a in node.args]
-        if node.name == "inv":
-            return args[0].inverse(zero_rtol)
-        if node.name == "pow":
-            return elementary.pow_real(args[0], _as_scalar(args[1]))
-        fn = getattr(elementary, node.name)
-        return fn(args[0])
-    raise TypeError(f"not an expression node: {node!r}")
+    node, chain = _left_spine(node)
+    tag = node[0]
+    if tag == "num":
+        value = HexaNumber.from_real(variant, node[1])
+    elif tag == "h":
+        value = HexaNumber.basis(variant, node[1])
+    elif tag == "^":
+        value = evaluate(node[1], variant, zero_rtol)
+        exponent = node[2]
+        value = value ** exponent if exponent >= 0 else value.inverse(zero_rtol) ** -exponent
+    elif tag == "call":
+        args = [evaluate(a, variant, zero_rtol) for a in node[2:]]
+        if node[1] == "inv":
+            value = args[0].inverse(zero_rtol)
+        elif node[1] == "pow":
+            m = args[1].components
+            if any(abs(c) > 1e-12 * (1.0 + abs(m[0])) for c in m[1:]):
+                raise DomainError("pow exponent must evaluate to a real scalar")
+            value = elementary.pow_real(args[0], m[0])
+        else:
+            value = getattr(elementary, node[1])(args[0])
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    for link in reversed(chain):
+        op = link[0]
+        if op == "neg":
+            value = -value
+        elif op == "/":
+            value = value * evaluate(link[2], variant, zero_rtol).inverse(zero_rtol)
+        else:
+            value = _ARITHMETIC[op](value, evaluate(link[2], variant, zero_rtol))
+    return value

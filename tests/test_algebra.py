@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import BOTH_VARIANTS, assert_hexa_close, max_abs_diff, random_hexa
 from hexacomplex import _transforms as tr
 from hexacomplex.algebra import (
-    BasisProduct,
     HexaNumber,
     Variant,
     basis_mul,
@@ -22,9 +21,9 @@ from hexacomplex.algebra import (
     format_hexa,
     from_canonical_components,
     from_canonical_values,
-    parse_hexa,
 )
 from hexacomplex.errors import DomainError, HexaError, VariantError, ZeroDivisorError
+from hexacomplex.expressions import evaluate, parse
 
 # The fifteen nontrivial basis products of each variant.  The planar wrap
 # sign makes h3^2 = -1: the product formula term -x3 x3', the identity
@@ -48,8 +47,8 @@ PLANAR_PRODUCTS = {
                                            (Variant.PLANAR, PLANAR_PRODUCTS)])
 def test_basis_product_tables(variant, table):
     for (j, k), (index, sign) in table.items():
-        assert basis_mul(j, k, variant) == BasisProduct(index, sign)
-        assert basis_mul(k, j, variant) == BasisProduct(index, sign)
+        assert basis_mul(j, k, variant) == (index, sign)
+        assert basis_mul(k, j, variant) == (index, sign)
         product = HexaNumber.basis(variant, j) * HexaNumber.basis(variant, k)
         expected = [0.0] * 6
         expected[index] = float(sign)
@@ -59,13 +58,13 @@ def test_basis_product_tables(variant, table):
 def test_basis_identity_products():
     for variant in BOTH_VARIANTS:
         for k in range(6):
-            assert basis_mul(0, k, variant) == BasisProduct(k, 1)
+            assert basis_mul(0, k, variant) == (k, 1)
 
 
 def test_polar_signs_always_positive():
     for j in range(6):
         for k in range(6):
-            assert basis_mul(j, k, Variant.POLAR).sign == 1
+            assert basis_mul(j, k, Variant.POLAR)[1] == 1
 
 
 def test_add_examples():
@@ -430,27 +429,26 @@ def test_values_are_immutable_and_hashable():
 def test_text_form_examples():
     u = HexaNumber(Variant.POLAR, (1.0, 2.0, 0.0, -0.5, 0.0, 0.0))
     assert format_hexa(u) == "1.0 + 2.0 h1 - 0.5 h3"
-    assert parse_hexa("1 + 2 h1 - 0.5 h3", Variant.POLAR) == u
-    assert parse_hexa("1+2h1-0.5h3", Variant.POLAR) == u
+    assert evaluate(parse("1 + 2 h1 - 0.5 h3"), Variant.POLAR) == u
+    assert evaluate(parse("1+2h1-0.5h3"), Variant.POLAR) == u
     assert format_hexa(HexaNumber.zero(Variant.POLAR)) == "0"
-    assert parse_hexa("0", Variant.PLANAR) == HexaNumber.zero(Variant.PLANAR)
+    assert evaluate(parse("0"), Variant.PLANAR) == HexaNumber.zero(Variant.PLANAR)
     assert format_hexa(HexaNumber.basis(Variant.POLAR, 3)) == "h3"
     assert format_hexa(-HexaNumber.basis(Variant.POLAR, 3)) == "-h3"
-    assert parse_hexa("-h3 + h1", Variant.POLAR).components == (0, 1, 0, -1, 0, 0)
+    assert evaluate(parse("-h3 + h1"), Variant.POLAR).components == (0, 1, 0, -1, 0, 0)
     with pytest.raises(ValueError):
-        parse_hexa("1 + bogus", Variant.POLAR)
+        parse("1 + bogus")
     with pytest.raises(ValueError):
-        parse_hexa("", Variant.POLAR)
+        parse("")
 
 
-@settings(max_examples=200)
-@given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
-                          allow_nan=False, allow_infinity=False),
-                min_size=6, max_size=6),
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
        st.sampled_from(BOTH_VARIANTS))
 def test_text_form_roundtrip_property(components, variant):
+    # every printed term holds one component, so the bits come back over the whole double range
     u = HexaNumber(variant, components)
-    assert parse_hexa(format_hexa(u), variant) == u
+    assert evaluate(parse(format_hexa(u)), variant) == u
 
 
 @settings(max_examples=100)

@@ -18,6 +18,7 @@ import hexacomplex
 from hexacomplex import cli
 from hexacomplex.algebra import HexaNumber, Variant
 from hexacomplex.cli import main
+from hexacomplex.expressions import MAX_DEPTH
 from hexacomplex.polyfactor import HexaPolynomial, enumerate_factorizations, format_factorization
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -333,13 +334,39 @@ def test_results_vs_diagnostics_streams(capsys):
     assert err != ""
 
 
-def test_tol_flag_widens_zero_divisor_detection(capsys):
+@pytest.mark.parametrize("expression, code", [
+    ("inv(1 + 0.4h3)", 1), ("1/(1 + 0.4h3)", 1), ("(1 + 0.4h3)^-1", 1),
+    # ln and pow always test their components at the library's 1e-13
+    ("ln(1 + 0.4h3)", 0), ("pow(1 + 0.4h3, -1)", 0),
+])
+def test_tol_flag_widens_zero_divisor_detection(capsys, expression, code):
     # 1 + 0.4 h3 is comfortably invertible at the default threshold
-    code, out, _ = run(capsys, "eval", "inv(1 + 0.4h3)")
-    assert code == 0 and out.strip()
-    # a huge relative tolerance makes its smallest canonical component count as zero
-    code, _, err = run(capsys, "eval", "--tol", "0.8", "inv(1 + 0.4h3)")
-    assert code == 1 and "zero divisor" in err
+    assert run(capsys, "eval", expression)[0] == 0
+    # a huge relative tolerance makes its smallest canonical component v- count as zero
+    # for the inversions that --tol reaches
+    returned, out, err = run(capsys, "eval", "--tol", "0.8", expression)
+    assert returned == code
+    if code:
+        assert out == "" and err.startswith("error: zero divisor") and "v-" in err
+    else:
+        assert out.strip() and err == ""
+
+
+@pytest.mark.parametrize("expression, value", [
+    (" + ".join(["1"] * 5000), "5000"),
+    ("h1 " * 5000, "h2"),  # h1^5000 = h1^(6*833 + 2)
+    ("-" * 5000 + "1", "1"),
+], ids=["sum", "juxtaposed-h1", "unary-minus"])
+def test_long_chains_evaluate_left_to_right(capsys, expression, value):
+    assert run(capsys, "eval", "--", expression) == (0, value + "\n", "")
+
+
+@pytest.mark.parametrize("opening", ["(", "exp("])
+def test_nesting_past_the_limit_exits_2(capsys, opening):
+    expression = opening * 200 + "0" + ")" * 200
+    column = MAX_DEPTH * len(opening) + 1
+    assert run(capsys, "eval", expression) == (
+        2, "", f"parse error: nesting deeper than {MAX_DEPTH} levels at line 1, column {column}\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "1e400"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import pathlib
@@ -199,25 +200,42 @@ def test_exp_basis_at_zero_and_against_exp():
                     1.0, abs(direct))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: g6(2.5, 1.0), lambda: f6(4.2, 1.0), lambda: g6(2.0, 1.0), lambda: f6(6, 1.0),
-    lambda: g6_series(2.5, 1.0), lambda: f6_series(-1, 1.0),
-    lambda: g6_sumform(2.5, 1.0), lambda: f6_sumform(4.2, 1.0),
-    lambda: exp_basis(Variant.POLAR, 2.5, 1.0), lambda: exp_basis(Variant.PLANAR, 0, 1.0),
+_BAD_INDEX = "index must be an integer in [01]..5"
+_BAD_TERMS = "max_terms must be an integer of at least 1"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: g6(2.5, 1.0), _BAD_INDEX), (lambda: f6(4.2, 1.0), _BAD_INDEX),
+    (lambda: g6(2.0, 1.0), _BAD_INDEX), (lambda: f6(6, 1.0), _BAD_INDEX),
+    (lambda: g6_series(2.5, 1.0), _BAD_INDEX), (lambda: f6_series(-1, 1.0), _BAD_INDEX),
+    (lambda: g6_sumform(2.5, 1.0), _BAD_INDEX), (lambda: f6_sumform(4.2, 1.0), _BAD_INDEX),
+    (lambda: exp_basis(Variant.POLAR, 2.5, 1.0), _BAD_INDEX),
+    (lambda: exp_basis(Variant.PLANAR, 0, 1.0), _BAD_INDEX),
+    (lambda: g6_series(1, 1.0, max_terms=2.5), _BAD_TERMS),
+    (lambda: f6_series(1, 1.0, max_terms=0), _BAD_TERMS),
+    (lambda: table_grid(0.0, 1e300, 1e-300), "has no finite number of points"),
+    (lambda: table_grid(math.nan, 1.0, 0.5), "has no finite number of points"),
+    (lambda: table_grid(0.0, 1.0, math.nan), "step must be positive"),
 ], ids=["g6", "f6", "g6-float", "f6-6", "g6_series", "f6_series-neg", "g6_sumform",
-        "f6_sumform", "exp_basis", "exp_basis-0"])
-def test_index_must_be_an_integer_in_range(call):
-    with pytest.raises(ValueError, match="index must be an integer in [01]..5"):
+        "f6_sumform", "exp_basis", "exp_basis-0", "g6_series-terms-2.5", "f6_series-terms-0",
+        "table_grid-1e600-points", "table_grid-nan-start", "table_grid-nan-step"])
+def test_index_must_be_an_integer_in_range(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 
-@pytest.mark.parametrize("variant, k, y", [
-    (Variant.POLAR, 1, 710.6), (Variant.POLAR, 1, -710.6), (Variant.POLAR, 4, 1e300),
-    (Variant.PLANAR, 1, 1e6), (Variant.PLANAR, 2, -800.0),
+@pytest.mark.parametrize("call, y", [
+    *(pytest.param(functools.partial(exp_basis, variant, k, y), y, id=f"{variant}-{k}-{y}")
+      for variant, k, y in [(Variant.POLAR, 1, 710.6), (Variant.POLAR, 1, -710.6),
+                            (Variant.POLAR, 4, 1e300), (Variant.PLANAR, 1, 1e6),
+                            (Variant.PLANAR, 2, -800.0)]),
+    *(pytest.param(functools.partial(fn, 1, y), y, id=f"{fn.__name__}-{y}")
+      for fn in (g6, f6, g6_sumform, f6_sumform, g6_series, f6_series)
+      for y in (1e300, -1e300)),
 ])
-def test_exp_basis_overflow_names_y(variant, k, y):
+def test_exp_basis_overflow_names_y(call, y):
     with pytest.raises(DomainError, match=re.escape(f"at y={y!r} overflows")):
-        exp_basis(variant, k, y)
+        call()
 
 
 def test_exp_basis_rejects_nan():

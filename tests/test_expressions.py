@@ -1,4 +1,4 @@
-"""Expression language: grammar, spans, printing, and evaluation."""
+"""Expression language: grammar, printing, and evaluation."""
 
 from __future__ import annotations
 
@@ -10,17 +10,7 @@ import pytest
 from conftest import assert_hexa_close, max_abs_diff
 from hexacomplex.algebra import HexaNumber, Variant
 from hexacomplex.errors import DomainError, ParseError, ZeroDivisorError
-from hexacomplex.expressions import (
-    BasisSymbol,
-    BinaryOp,
-    Call,
-    Negate,
-    Number,
-    Power,
-    evaluate,
-    parse,
-    unparse,
-)
+from hexacomplex.expressions import MAX_DEPTH, evaluate, parse, unparse
 
 
 def ev(text: str, variant: Variant = Variant.POLAR) -> HexaNumber:
@@ -45,9 +35,7 @@ def test_juxtaposition_is_multiplication():
 
 def test_power_binds_tighter_than_juxtaposition():
     assert ev("2h1^2") == ev("2*(h1^2)")
-    tree = parse("2h1^2")
-    assert isinstance(tree, BinaryOp) and tree.op == "*"
-    assert isinstance(tree.right, Power) and tree.right.exponent == 2
+    assert parse("2h1^2") == ("*", ("num", 2.0), ("^", ("h", 1), 2))
 
 
 def test_unary_minus_per_grammar():
@@ -123,11 +111,49 @@ def test_call_arity_checked():
         parse("exp(1, 2)")
 
 
-def test_spans_cover_sources():
-    tree = parse("1 + 2h1")
-    assert tree.span == (0, 7)
-    assert tree.left.span == (0, 1)
-    assert tree.right.span == (4, 7)
+def test_trees_are_tagged_tuples():
+    assert parse("-h1 + 2") == ("+", ("neg", ("h", 1)), ("num", 2.0))
+    assert parse("1 - 2 / h3") == ("-", ("num", 1.0), ("/", ("num", 2.0), ("h", 3)))
+    assert parse("(1 + h2)^-3") == ("^", ("+", ("num", 1.0), ("h", 2)), -3)
+    assert parse("pow(h1, 0.5)") == ("call", "pow", ("h", 1), ("num", 0.5))
+
+
+@pytest.mark.parametrize("op, unit", [(" + ", "1"), (" - ", "1"), (" * ", "h1"), (" ", "h1"),
+                                      (" / ", "h1")])
+def test_chains_of_any_length_run_left_to_right(op, unit):
+    # a tree this deep is compared through its text: tuple == recurses per level
+    tree = parse(op.join([unit] * 5000))
+    operand = expected = ev(unit)
+    for _ in range(4999):
+        if op == " + ":
+            expected = expected + operand
+        elif op == " - ":
+            expected = expected - operand
+        elif op == " / ":
+            expected = expected * operand.inverse()
+        else:
+            expected = expected * operand
+    assert evaluate(tree, Variant.POLAR) == expected
+    printed = (op if op.strip() else " * ").join([unparse(parse(unit))] * 5000)
+    assert unparse(tree) == printed and unparse(parse(printed)) == printed
+
+
+def test_runs_of_unary_minus_have_any_length():
+    for count in (4999, 5000):
+        assert ev("-" * count + "h1") == ev("-h1" if count % 2 else "h1")
+        # factor := unary ('^' int)?, so the power applies to the negated h1
+        printed = unparse(parse("-" * count + "h1^2"))
+        assert printed == "(" + "-" * count + "h1)^2" == unparse(parse(printed))
+
+
+@pytest.mark.parametrize("opening", ["(", "sin(", "pow(1, "])
+def test_nesting_past_the_limit_is_a_parse_error(opening):
+    closing = ")" * MAX_DEPTH
+    assert ev(opening * MAX_DEPTH + "0" + closing) is not None
+    text = "1 +\n" + opening * (MAX_DEPTH + 1) + "0" + closing + ")"
+    with pytest.raises(ParseError, match="nesting deeper than") as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (2, MAX_DEPTH * len(opening) + 1)
 
 
 EXAMPLES = [
@@ -154,18 +180,18 @@ def test_print_parse_fixed_point(text):
 def _random_tree(rng: random.Random, depth: int):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
-            return Number(round(rng.uniform(0, 10), 3))
-        return BasisSymbol(rng.randint(1, 5))
+            return ("num", round(rng.uniform(0, 10), 3))
+        return ("h", rng.randint(1, 5))
     choice = rng.random()
     if choice < 0.5:
         op = rng.choice("+-*/")
-        return BinaryOp(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+        return (op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
     if choice < 0.7:
-        return Negate(_random_tree(rng, depth - 1))
+        return ("neg", _random_tree(rng, depth - 1))
     if choice < 0.85:
-        return Power(_random_tree(rng, depth - 1), rng.randint(0, 4))
+        return ("^", _random_tree(rng, depth - 1), rng.randint(0, 4))
     name = rng.choice(("exp", "sin", "cos", "sinh", "cosh", "inv", "ln"))
-    return Call(name, (_random_tree(rng, depth - 1),))
+    return ("call", name, _random_tree(rng, depth - 1))
 
 
 def test_print_parse_fixed_point_random_trees():
