@@ -6,22 +6,25 @@ functions, polynomial factorization, contour integration with residues,
 matrix representations, and a small expression-language CLI.
 """
 
-from .algebra import HexaNumber, Variant, basis_mul, format_hexa
+from .algebra import (
+    HexaNumber,
+    Variant,
+    basis_mul,
+    canonical_values,
+    format_hexa,
+    from_canonical_values,
+)
 from .canonical import (
-    Canonical,
     DRhoReport,
     ExpForm,
     Geometry,
-    RotatedCoords,
     TrigForm,
     canonical_basis,
     check_d_rho_relation,
     exp_form,
-    from_canonical,
     geometry,
     geometry_record,
     rotated_coords,
-    to_canonical,
     trig_form,
 )
 from .errors import (
@@ -41,14 +44,12 @@ __all__ = [
     "Variant",
     "basis_mul",
     "format_hexa",
-    "Canonical",
-    "RotatedCoords",
     "Geometry",
     "ExpForm",
     "TrigForm",
     "DRhoReport",
-    "to_canonical",
-    "from_canonical",
+    "canonical_values",
+    "from_canonical_values",
     "canonical_basis",
     "rotated_coords",
     "geometry",

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import _transforms as tr
 from .errors import DomainError, VariantError, ZeroDivisorError
@@ -32,6 +31,8 @@ __all__ = [
     "HexaNumber",
     "basis_mul",
     "format_hexa",
+    "canonical_values",
+    "from_canonical_values",
     "ZERO_COMPONENT_RTOL",
 ]
 
@@ -72,15 +73,28 @@ def _check_components(components: tuple[float, ...]) -> None:
         raise DomainError(f"component {i} is not finite: {components[i]!r}")
 
 
-@dataclass(frozen=True)
-class HexaNumber:
+def _immutable(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Frozen:
+    """Base of the library's values: ``__init__`` sets each attribute once
+    through ``object.__setattr__``, and assigning or deleting one later
+    raises AttributeError."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _immutable
+
+
+class HexaNumber(Frozen):
     """An element of one of the two commutative 6-dimensional rings.
 
-    Instances are immutable; arithmetic goes through the usual operators.
-    Mixing variants in one operation raises :class:`VariantError` because
-    the two rings are not isomorphic.
+    Instances are immutable and compare and hash by value; arithmetic goes
+    through the usual operators.  Mixing variants in one operation raises
+    :class:`VariantError` because the two rings are not isomorphic.
     """
 
+    __slots__ = ("variant", "components")
     variant: Variant
     components: tuple[float, float, float, float, float, float]
 
@@ -89,6 +103,14 @@ class HexaNumber:
         _check_components(comps)
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "components", comps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.variant is other.variant and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.variant, self.components))
 
     # -- constructors ------------------------------------------------------
 
@@ -252,8 +274,7 @@ class HexaNumber:
         return f"HexaNumber({self.variant.value}, {self.components})"
 
 
-@dataclass(frozen=True)
-class IrreducibleRep:
+class IrreducibleRep(NamedTuple):
     """T U T^-1 with its diagonal blocks pulled out.
 
     Polar blocks: two 1x1 blocks (v+, v-) then two 2x2 rotation-scaled

@@ -24,10 +24,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
-from .algebra import ZERO_COMPONENT_RTOL, HexaNumber, Variant, basis_mul, from_canonical_values
+from .algebra import (
+    ZERO_COMPONENT_RTOL,
+    Frozen,
+    HexaNumber,
+    Variant,
+    basis_mul,
+    from_canonical_values,
+)
 from .errors import DegeneratePathError, DomainError, VariantError, ZeroDivisorError
 from . import _transforms as tr
 from . import elementary
@@ -84,16 +90,16 @@ class _Rows(Sequence):
         return HexaNumber(self._variant, rows)
 
 
-@dataclass(frozen=True, eq=False)
-class Path:
+class Path(Frozen):
     """Sampled polyline path; closed paths repeat the first sample last.
 
     ``points`` holds the components of the samples, one read-only row of
     six finite floats per sample; ``samples`` reads those rows as
     HexaNumbers.  A path is built from either form and compares by
-    identity.
+    identity.  Samples that are not finite raise :class:`DomainError`.
     """
 
+    __slots__ = ("variant", "points", "closed")
     variant: Variant
     points: np.ndarray
     closed: bool
@@ -115,7 +121,7 @@ class Path:
         if len(points) < 3:
             raise ValueError("a path needs at least three samples")
         if not np.isfinite(points).all():
-            raise ValueError("path samples must be finite")
+            raise DomainError("path samples must be finite")
         if closed and not np.array_equal(points[0], points[-1]):
             raise ValueError("closed paths must repeat the first sample exactly")
         points.flags.writeable = False
@@ -150,17 +156,17 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
     points = np.empty((samples + 1, 6))
     loop = points[:-1]
     loop[:] = center.components
-    for k, radius in radii.items():
-        xi_row, eta_row = rows[tr.plane_slice(variant.is_planar, k)]
-        loop += np.outer(radius * np.cos(t), xi_row)
-        loop += np.outer(radius * np.sin(t), eta_row)
+    with np.errstate(over="ignore"):  # Path rejects a sample that overflows
+        for k, radius in radii.items():
+            xi_row, eta_row = rows[tr.plane_slice(variant.is_planar, k)]
+            loop += np.outer(radius * np.cos(t), xi_row)
+            loop += np.outer(radius * np.sin(t), eta_row)
     points[-1] = points[0]
     return Path(variant, points, closed=True)
 
 
-@dataclass(frozen=True)
-class FunctionUnderTest:
-    """A deterministic map u -> f(u).
+class FunctionUnderTest(Frozen):
+    """A deterministic map u -> f(u), compared by identity.
 
     ``canonical_map``, when given, computes f in canonical coordinates,
     elementwise on one complex128 array of canonical components: the real
@@ -170,7 +176,13 @@ class FunctionUnderTest:
 
     name: str
     evaluator: Evaluator
-    canonical_map: ElementwiseMap | None = None
+    canonical_map: ElementwiseMap | None
+
+    def __init__(self, name: str, evaluator: Evaluator,
+                 canonical_map: ElementwiseMap | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "canonical_map", canonical_map)
 
     def __call__(self, u: HexaNumber) -> HexaNumber:
         return self.evaluator(u)
@@ -226,8 +238,7 @@ def directional_derivative(f: Evaluator, u0: HexaNumber, direction: HexaNumber) 
     return numerator * (du * 2.0).inverse()
 
 
-@dataclass(frozen=True)
-class CRReport:
+class CRReport(NamedTuple):
     """Spreads of the finite-difference partial-derivative chains.
 
     ``first_order[c]`` is the spread within chain c of the six equal first
@@ -446,8 +457,7 @@ def winding_number(path: Path, u0: HexaNumber, plane: int) -> int:
     return round(float(delta.sum()) / (2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class ResidueComparison:
+class ResidueComparison(NamedTuple):
     """Numeric contour integral of f(u)/(u - u0) against the residue formula."""
 
     numeric: HexaNumber

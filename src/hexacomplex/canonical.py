@@ -11,7 +11,7 @@ product forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import _transforms as tr
 from . import elementary
@@ -26,14 +26,10 @@ from .algebra import (
 from .errors import DomainError
 
 __all__ = [
-    "Canonical",
-    "RotatedCoords",
     "Geometry",
     "ExpForm",
     "TrigForm",
     "DRhoReport",
-    "to_canonical",
-    "from_canonical",
     "canonical_basis",
     "rotated_coords",
     "geometry",
@@ -44,29 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Canonical:
-    """Canonical variables: the real axes (polar v+, v-; planar none), then planes vk + i vk~."""
-
-    variant: Variant
-    axes: tuple[float, ...]
-    planes: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
-class RotatedCoords:
-    """Coordinates over the rotated orthonormal axes; the norm equals |u|."""
-
-    variant: Variant
-    xi: tuple[float, ...]
-
-    def plane(self, k: int) -> tuple[float, float]:
-        """Projection onto the k-th (xi_k, eta_k) plane."""
-        return self.xi[tr.plane_slice(self.variant.is_planar, k)]
-
-
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(NamedTuple):
     """Modulus d, amplitude rho and the angles of a value, in printed order.
 
     A field the ring lacks (theta+/- on planar, psi2, phi3 and rho3 on
@@ -88,16 +62,14 @@ class Geometry:
     rho3: float | None = None
 
 
-@dataclass(frozen=True)
-class ExpForm:
+class ExpForm(NamedTuple):
     """Factors of the exponential form: u = rho * exp(exponent)."""
 
     rho: float
     exponent: HexaNumber
 
 
-@dataclass(frozen=True)
-class TrigForm:
+class TrigForm(NamedTuple):
     """Factors of the trigonometric form: u = scale * direction * exp(phase)."""
 
     scale: float
@@ -105,8 +77,7 @@ class TrigForm:
     phase: HexaNumber
 
 
-@dataclass(frozen=True)
-class DRhoReport:
+class DRhoReport(NamedTuple):
     """Check of the modulus-amplitude relation.
 
     ``rhs`` uses the constant this library derives from the defining
@@ -125,27 +96,17 @@ class DRhoReport:
     rhs_quoted_constant: float | None
 
 
-def to_canonical(u: HexaNumber) -> Canonical:
-    """Canonical variables of ``u`` (the diagonalizing linear map)."""
-    values = canonical_values(u)
-    a = tr.axis_count(u.variant.is_planar)
-    return Canonical(u.variant, values[:a], values[a:])
-
-
-def from_canonical(c: Canonical) -> HexaNumber:
-    """Inverse of :func:`to_canonical`."""
-    return from_canonical_values(c.variant, (*c.axes, *c.planes))
-
-
 def canonical_basis(variant: Variant) -> tuple[HexaNumber, ...]:
     """Idempotent basis: (e+, e-, e1, e1~, e2, e2~) or (e1, e1~, ..., e3~)."""
     return tuple(HexaNumber(variant, row) for row in tr.basis_rows(variant.is_planar))
 
 
-def rotated_coords(u: HexaNumber) -> RotatedCoords:
-    """Coordinates of ``u`` over the rotated orthonormal axes."""
-    rows = tr.rotation_rows(u.variant.is_planar)
-    return RotatedCoords(u.variant, tuple(tr.dot(row, u.components) for row in rows))
+def rotated_coords(u: HexaNumber) -> tuple[float, ...]:
+    """Coordinates of ``u`` over the rotated orthonormal axes, in canonical row order.
+
+    Their norm equals |u|; plane k is at ``tr.plane_slice(planar, k)``.
+    """
+    return tuple(tr.dot(row, u.components) for row in tr.rotation_rows(u.variant.is_planar))
 
 
 def _cbrt(x: float) -> float:
@@ -223,8 +184,8 @@ def geometry(u: HexaNumber) -> Geometry:
 
 def geometry_record(g: Geometry, digits: int = 12) -> str:
     """Flat key=value text record in field order; absent fields are omitted."""
-    values = ((f.name, getattr(g, f.name)) for f in fields(g))
-    return "\n".join(f"{key}={value:.{digits}g}" for key, value in values if value is not None)
+    return "\n".join(f"{key}={value:.{digits}g}" for key, value in zip(g._fields, g)
+                     if value is not None)
 
 
 def exp_form(u: HexaNumber) -> ExpForm:

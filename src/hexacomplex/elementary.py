@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import _transforms as tr
 from .algebra import (
@@ -37,7 +36,6 @@ __all__ = [
     "sin",
     "cosh",
     "sinh",
-    "SeriesCoefficients",
     "RadiusEstimate",
     "ConvergenceReport",
     "eval_series",
@@ -134,39 +132,7 @@ def pow_real(u: HexaNumber, m: float) -> HexaNumber:
     return _apply(u.variant, values, lambda v: math.pow(v, m), plane_frac)
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Power-series coefficients a0..aL with their canonical projections.
-
-    ``projections[l]`` carries the canonical variables of term l, which
-    coincide with the cosine/sine component sums of its six coefficients.
-    """
-
-    terms: tuple[HexaNumber, ...]
-    projections: tuple[tuple[float, ...], ...]
-
-    def __init__(self, terms: Sequence[HexaNumber]):
-        terms = tuple(terms)
-        if not terms:
-            raise ValueError("a series needs at least one coefficient")
-        variant = terms[0].variant
-        for t in terms:
-            if t.variant is not variant:
-                raise ValueError("series coefficients must share one variant")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "projections",
-                           tuple(canonical_components(t) for t in terms))
-
-    @property
-    def variant(self) -> Variant:
-        return self.terms[0].variant
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-@dataclass(frozen=True)
-class RadiusEstimate:
+class RadiusEstimate(NamedTuple):
     """Ratio-based convergence radius estimate; indeterminate when the
     finite ratio data is too short or not monotone."""
 
@@ -174,8 +140,7 @@ class RadiusEstimate:
     indeterminate: bool
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Per-component radius estimates plus the crude modulus bound."""
 
     radii: dict[str, RadiusEstimate]
@@ -207,22 +172,25 @@ def _power_sum(coefficients, base):
     return acc
 
 
-def eval_series(coeffs: SeriesCoefficients, u: HexaNumber) -> tuple[HexaNumber, ConvergenceReport]:
-    """Evaluate sum a_l u^l by the canonical-component rearrangement.
+def eval_series(terms: Sequence[HexaNumber], u: HexaNumber) -> tuple[HexaNumber, ConvergenceReport]:
+    """Evaluate sum a_l u^l, with ``terms`` a0..aL, by the canonical-component rearrangement.
 
     Finite sums always evaluate; the report estimates each component's
     convergence radius from the trailing coefficient ratios, plus the
-    crude bound |a_l| / (sqrt(dim-factor) |a_{l+1}|).
+    crude bound |a_l| / (sqrt(dim-factor) |a_{l+1}|).  Raises ValueError
+    for an empty series or a term in another variant than ``u``.
     """
-    if coeffs.variant is not u.variant:
-        raise ValueError("series and argument variants differ")
+    if not terms:
+        raise ValueError("a series needs at least one coefficient")
+    if any(t.variant is not u.variant for t in terms):
+        raise ValueError("series coefficients and argument must share one variant")
     planar = u.variant.is_planar
     # one column of term projections per canonical component, axes then planes
-    columns = list(zip(*(tr.as_values(planar, proj) for proj in coeffs.projections)))
+    columns = list(zip(*(tr.as_values(planar, canonical_components(t)) for t in terms)))
     sums = [_power_sum(column, base) for column, base in zip(columns, canonical_values(u))]
     radii = {tag: _radius_estimate([abs(c) for c in column])
              for tag, column in zip(tr.component_tags(planar), columns)}
     scale = tr.SQRT3 if planar else tr.SQRT6
-    crude = _radius_estimate([t.modulus() for t in coeffs.terms], divisor=scale)
+    crude = _radius_estimate([t.modulus() for t in terms], divisor=scale)
     value = from_canonical_values(u.variant, sums)
     return value, ConvergenceReport(radii=radii, crude_bound=crude)

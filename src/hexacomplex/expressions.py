@@ -196,7 +196,7 @@ def unparse(node: tuple) -> str:
     node, chain = _left_spine(node)
     tag = node[0]
     if tag == "num":
-        text = repr(node[1])
+        text = repr(node[1]).replace("inf", "1e999")  # a literal past the range reads back as inf
     elif tag == "h":
         text = f"h{node[1]}"
     elif tag == "^":

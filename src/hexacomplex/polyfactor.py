@@ -25,12 +25,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
 from . import _transforms as tr
-from .algebra import HexaNumber, Variant, canonical_values, from_canonical_values, format_hexa
+from .algebra import (
+    Frozen,
+    HexaNumber,
+    Variant,
+    canonical_values,
+    format_hexa,
+    from_canonical_values,
+)
 from .errors import NonConvergenceError
 
 __all__ = [
@@ -55,10 +61,10 @@ _DEDUP_DECIMALS = 9
 _EXPANSION_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class HexaPolynomial:
-    """Monic polynomial u^m + a1 u^(m-1) + ... + am over one variant."""
+class HexaPolynomial(Frozen):
+    """Monic polynomial u^m + a1 u^(m-1) + ... + am over one variant, compared by identity."""
 
+    __slots__ = ("variant", "coeffs")
     variant: Variant
     coeffs: tuple[HexaNumber, ...]
 
@@ -104,12 +110,19 @@ class HexaPolynomial:
         return max(1.0, max(a.modulus() for a in self.coeffs))
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Ordered monic factors (u + a, or u^2 + b u + c) whose product is the source polynomial."""
+class Factorization(Frozen):
+    """Ordered monic factors (u + a, or u^2 + b u + c) whose product is the source polynomial.
 
+    Compared by identity.
+    """
+
+    __slots__ = ("variant", "factors")
     variant: Variant
     factors: tuple[HexaPolynomial, ...]
+
+    def __init__(self, variant: Variant, factors: tuple[HexaPolynomial, ...]):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def roots(self) -> tuple[HexaNumber, ...]:

@@ -22,8 +22,11 @@ from hexacomplex.algebra import (
     from_canonical_components,
     from_canonical_values,
 )
+from hexacomplex.calculus import FunctionUnderTest, circle_path
+from hexacomplex.canonical import geometry
 from hexacomplex.errors import DomainError, HexaError, VariantError, ZeroDivisorError
 from hexacomplex.expressions import evaluate, parse
+from hexacomplex.polyfactor import Factorization, HexaPolynomial
 
 # The fifteen nontrivial basis products of each variant.  The planar wrap
 # sign makes h3^2 = -1: the product formula term -x3 x3', the identity
@@ -421,9 +424,36 @@ def test_constructor_rejects_non_finite():
 
 def test_values_are_immutable_and_hashable():
     u = HexaNumber.one(Variant.POLAR)
-    with pytest.raises(Exception):
+    with pytest.raises(AttributeError):
         u.components = (0,) * 6  # type: ignore[misc]
     assert hash(u) == hash(HexaNumber.one(Variant.POLAR))
+    # equality and hashing go by value: the variant and the six components
+    same = HexaNumber(Variant.POLAR, [1, 0, 0, 0, 0, 0])
+    assert u == same and u is not same and hash(u) == hash(same)
+    assert u != HexaNumber.one(Variant.PLANAR)
+    assert u != HexaNumber.basis(Variant.POLAR, 1)
+    assert u != u.components
+    assert len({u, same, HexaNumber.one(Variant.PLANAR)}) == 2
+
+
+@pytest.mark.parametrize("make, attribute", [
+    (lambda one: one, "components"),
+    (lambda one: HexaPolynomial(one.variant, [one]), "coeffs"),
+    (lambda one: Factorization(one.variant, (HexaPolynomial(one.variant, [one]),)), "factors"),
+    (lambda one: circle_path(one.variant, one, {1: 1.0}, 8), "points"),
+    (lambda one: FunctionUnderTest("f", lambda u: u), "evaluator"),
+    (geometry, "d"),
+], ids=["HexaNumber", "HexaPolynomial", "Factorization", "Path", "FunctionUnderTest", "Geometry"])
+def test_attributes_cannot_be_assigned_or_deleted(make, attribute):
+    value = make(HexaNumber.one(Variant.POLAR))
+    before = getattr(value, attribute)
+    with pytest.raises(AttributeError):
+        setattr(value, attribute, None)
+    with pytest.raises(AttributeError):
+        delattr(value, attribute)
+    with pytest.raises(AttributeError):
+        value.added = None
+    assert getattr(value, attribute) is before
 
 
 def test_text_form_examples():

@@ -8,20 +8,24 @@ import random
 import pytest
 
 from conftest import BOTH_VARIANTS, assert_hexa_close, invertible_hexa, max_abs_diff, random_hexa
+from hexacomplex import _transforms as tr
 from hexacomplex import elementary
-from hexacomplex.algebra import HexaNumber, Variant, from_canonical_components
+from hexacomplex.algebra import (
+    HexaNumber,
+    Variant,
+    canonical_values,
+    from_canonical_components,
+    from_canonical_values,
+)
 from hexacomplex.canonical import (
-    Canonical,
     Geometry,
     _cbrt,
     canonical_basis,
     check_d_rho_relation,
     exp_form,
-    from_canonical,
     geometry,
     geometry_record,
     rotated_coords,
-    to_canonical,
     trig_form,
 )
 from hexacomplex.errors import DomainError, ZeroDivisorError
@@ -32,28 +36,34 @@ SQRT6 = math.sqrt(6.0)
 TWO_PI = 2.0 * math.pi
 
 
+def _axes_and_planes(u: HexaNumber) -> tuple[tuple, tuple]:
+    values = canonical_values(u)
+    a = tr.axis_count(u.variant.is_planar)
+    return values[:a], values[a:]
+
+
 def test_to_canonical_examples():
-    one = to_canonical(HexaNumber.one(Variant.POLAR))
-    assert one == Canonical(Variant.POLAR, (1.0, 1.0), (1 + 0j, 1 + 0j))
+    one = _axes_and_planes(HexaNumber.one(Variant.POLAR))
+    assert one == ((1.0, 1.0), (1 + 0j, 1 + 0j))
 
-    one_planar = to_canonical(HexaNumber.one(Variant.PLANAR))
-    assert one_planar == Canonical(Variant.PLANAR, (), (1 + 0j, 1 + 0j, 1 + 0j))
+    one_planar = _axes_and_planes(HexaNumber.one(Variant.PLANAR))
+    assert one_planar == ((), (1 + 0j, 1 + 0j, 1 + 0j))
 
-    h3 = to_canonical(HexaNumber.basis(Variant.POLAR, 3))
-    assert h3.axes == (1.0, -1.0)
-    assert h3.planes == (-1 + 0j, 1 + 0j)
+    h3_axes, h3_planes = _axes_and_planes(HexaNumber.basis(Variant.POLAR, 3))
+    assert h3_axes == (1.0, -1.0)
+    assert h3_planes == (-1 + 0j, 1 + 0j)
 
 
 def test_from_canonical_examples():
-    e_plus = from_canonical(Canonical(Variant.POLAR, (1.0, 0.0), (0j, 0j)))
+    e_plus = from_canonical_values(Variant.POLAR, (1.0, 0.0, 0j, 0j))
     assert_hexa_close(e_plus, HexaNumber(Variant.POLAR, (1 / 6,) * 6), 1e-16)
 
-    e1 = from_canonical(Canonical(Variant.PLANAR, (), (1 + 0j, 0j, 0j)))
+    e1 = from_canonical_values(Variant.PLANAR, (1 + 0j, 0j, 0j))
     expected = HexaNumber(Variant.PLANAR,
                           (1 / 3, SQRT3 / 6, 1 / 6, 0.0, -1 / 6, -SQRT3 / 6))
     assert_hexa_close(e1, expected, 1e-16)
 
-    zero = from_canonical(Canonical(Variant.PLANAR, (), (0j,) * 3))
+    zero = from_canonical_values(Variant.PLANAR, (0j,) * 3)
     assert zero == HexaNumber.zero(Variant.PLANAR)
 
 
@@ -62,7 +72,7 @@ def test_roundtrip_random():
     for variant in BOTH_VARIANTS:
         for _ in range(1000):
             u = random_hexa(rng, variant, -10.0, 10.0)
-            back = from_canonical(to_canonical(u))
+            back = from_canonical_values(variant, canonical_values(u))
             assert max_abs_diff(back, u) <= 1e-13 * (1.0 + abs(u))
 
 
@@ -123,7 +133,7 @@ def test_basis_moduli():
 
 
 def test_rotated_coords_of_one():
-    xi = rotated_coords(HexaNumber.one(Variant.POLAR)).xi
+    xi = rotated_coords(HexaNumber.one(Variant.POLAR))
     expected = (1 / SQRT6, 1 / SQRT6, SQRT3 / 3, 0.0, SQRT3 / 3, 0.0)
     assert all(abs(a - b) <= 1e-15 for a, b in zip(xi, expected))
 
@@ -134,13 +144,13 @@ def test_rotated_coords_norm_and_scaling():
         for _ in range(100):
             u = random_hexa(rng, variant)
             coords = rotated_coords(u)
-            norm = math.sqrt(sum(x * x for x in coords.xi))
+            norm = math.sqrt(sum(x * x for x in coords))
             assert math.isclose(norm, abs(u), rel_tol=1e-12, abs_tol=1e-14)
-            c = to_canonical(u)
-            for v, xi in zip(c.axes, coords.xi):
+            axes, planes = _axes_and_planes(u)
+            for v, xi in zip(axes, coords):
                 assert math.isclose(v, SQRT6 * xi, rel_tol=1e-12, abs_tol=1e-13)
-            for k, z in enumerate(c.planes, start=1):
-                xi_k, eta_k = coords.plane(k)
+            for k, z in enumerate(planes, start=1):
+                xi_k, eta_k = coords[tr.plane_slice(variant.is_planar, k)]
                 assert math.isclose(z.real, SQRT3 * xi_k, rel_tol=1e-12, abs_tol=1e-13)
                 assert math.isclose(z.imag, SQRT3 * eta_k, rel_tol=1e-12, abs_tol=1e-13)
 
@@ -261,7 +271,7 @@ def test_geometry_d_squared_decomposition():
             u = random_hexa(rng, variant)
             g = geometry(u)
             rhos = [r for r in (g.rho1, g.rho2, g.rho3) if r is not None]
-            expected = (sum(v ** 2 for v in to_canonical(u).axes) / 6.0
+            expected = (sum(v ** 2 for v in _axes_and_planes(u)[0]) / 6.0
                         + sum(r ** 2 for r in rhos) / 3.0)
             assert math.isclose(g.d ** 2, expected, rel_tol=1e-12, abs_tol=1e-14)
 
@@ -272,12 +282,12 @@ def test_multiplicative_parameter_relations():
         for _ in range(100):
             u = random_hexa(rng, variant)
             v = random_hexa(rng, variant)
-            cu, cv, cp = to_canonical(u), to_canonical(v), to_canonical(u * v)
+            (au, pu), (av, pv), (ap, pp) = map(_axes_and_planes, (u, v, u * v))
             scale = 1e-11 * (1.0 + abs(u) * abs(v))
-            assert len(cp.axes) == (0 if variant.is_planar else 2)
-            for a, b, p in zip(cu.axes, cv.axes, cp.axes):
+            assert len(ap) == (0 if variant.is_planar else 2)
+            for a, b, p in zip(au, av, ap):
                 assert abs(p - a * b) <= scale
-            for zu, zv, zp in zip(cu.planes, cv.planes, cp.planes):
+            for zu, zv, zp in zip(pu, pv, pp):
                 assert abs(zp - zu * zv) <= scale
                 assert abs(abs(zp) - abs(zu) * abs(zv)) <= scale
 

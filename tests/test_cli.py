@@ -269,14 +269,21 @@ def test_integrate_rejects_too_many_samples(capsys, monkeypatch, samples):
     assert err == f"integrate: --samples must be at most 4194304, got {samples}\n"
 
 
-def test_integrate_reports_an_overflowing_path(capsys):
+@pytest.mark.parametrize("argv, message", [
     # the samples are finite, but their canonical offsets in pair2 are not:
     # no zero divisor is reported for the overflowed midpoints
+    (("--planar", "one", "0", "2", "1.7e308"),
+     "path overflows: its canonical component pair2 is not finite"),
+    # the loop's samples themselves overflow
+    (("one", "1e308", "1", "1e308"), "path samples must be finite"),
+    (("--planar", "exp", "1e308", "2", "1.5e308"), "path samples must be finite"),
+], ids=["offsets", "samples-polar", "samples-planar"])
+def test_integrate_reports_an_overflowing_path(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, "integrate", "--planar", "one", "0", "2", "1.7e308")
+        code, out, err = run(capsys, "integrate", *argv)
     assert code == 1 and out == ""
-    assert err == "error: path overflows: its canonical component pair2 is not finite\n"
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, component", [
@@ -450,20 +457,23 @@ _RADIUS_ERROR = "error: plane radius of canonical component pair1 is not finite\
 def test_plane_radius_beyond_the_double_range(capsys, args, code, out, err):
     assert run(capsys, *args) == (code, out, err)
 
-# Runs in a fresh interpreter: prints whether numpy is loaded after each step.
+# Runs in a fresh interpreter: prints whether numpy and dataclasses are loaded
+# after each step.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 steps = {}
+def loaded(*names):
+    return [name in sys.modules for name in names]
 import hexacomplex
-steps["import hexacomplex"] = "numpy" in sys.modules
+steps["import hexacomplex"] = loaded("numpy", "dataclasses")
 from hexacomplex import cli
-steps["import hexacomplex.cli"] = "numpy" in sys.modules
-loaded = sorted(name for name in sys.modules if name.startswith("hexacomplex."))
+steps["import hexacomplex.cli"] = loaded("numpy", "dataclasses")
+modules = sorted(name for name in sys.modules if name.startswith("hexacomplex."))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    steps[" ".join(argv)] = (code, "numpy" in sys.modules)
-print(json.dumps({"steps": steps, "loaded": loaded}))
+    steps[" ".join(argv)] = [code, *loaded("numpy", "dataclasses")]
+print(json.dumps({"steps": steps, "loaded": modules}))
 """
 
 
@@ -472,8 +482,11 @@ def test_scalar_commands_do_not_import_numpy():
               for variant in ("--polar", "--planar")
               for command, *rest in (("eval", "exp(h1) / (2 + h3) + pow(3 + h2, 0.5)"),
                                      ("canon", "ln(2 + h1)"), ("table", "g"))]
-    # repr builds matrices: it must load numpy, which shows the probe can see it
-    argvs = [*scalar, ["repr", "h1"]]
+    # repr builds matrices: it must load numpy, which shows the probe can see it;
+    # factor and integrate run after it, so they show only dataclasses staying out
+    arrays = [["repr", "h1"], ["factor", "1", "0", "-1"],
+              ["integrate", "--samples", "64", "exp", "0", "1", "1.0"]]
+    argvs = [*scalar, *arrays]
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hexacomplex.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
@@ -481,11 +494,12 @@ def test_scalar_commands_do_not_import_numpy():
     modules = ("_transforms", "algebra", "calculus", "canonical", "cli", "cosexp",
                "elementary", "errors", "expressions", "polyfactor")
     assert report["loaded"] == sorted(f"hexacomplex.{m}" for m in modules)
+    # each step: [exit code,] whether numpy is loaded, whether dataclasses is
     steps = report["steps"]
-    assert steps.pop("import hexacomplex") is False
-    assert steps.pop("import hexacomplex.cli") is False
-    assert steps.pop("repr h1") == [0, True]
-    assert steps == {" ".join(argv): [0, False] for argv in scalar}
+    assert steps.pop("import hexacomplex") == [False, False]
+    assert steps.pop("import hexacomplex.cli") == [False, False]
+    assert steps == {**{" ".join(argv): [0, False, False] for argv in scalar},
+                     **{" ".join(argv): [0, True, False] for argv in arrays}}
 
 
 def test_main_keeps_no_default_between_calls(capsys):

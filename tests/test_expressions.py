@@ -166,6 +166,8 @@ EXAMPLES = [
     "1 - 2 - 3",
     "8/4/2",
     "2 h1 (3 - h2)",
+    "1e999 + h1",  # a literal past the double range prints as one that reads back as inf
+    "-1e999",
 ]
 
 
