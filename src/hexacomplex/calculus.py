@@ -14,14 +14,23 @@ one complex column per canonical component (the real axes with zero
 imaginary part, then the planes vk + i vk~), where the products and
 quotients of f(u) (u - u0)^-1 du act column by column, and the sum maps
 back once.  The functions in :data:`FUNCTIONS` act there too: each
-carries one elementwise map, so f is evaluated on whole blocks of
-canonical chord midpoints.  Any other callable is called once per chord
+carries one elementwise map, so f is evaluated on whole arrays of
+canonical points.  Any other callable is called once per chord
 midpoint, on a HexaNumber.  Memory is O(N): the path, one (N+1)-row
-array of canonical offsets and fixed-size blocks of chords.
+array of canonical offsets and temporaries no larger than it.
+
+A loop made by :func:`circle_path` remembers its centre and radii.  On
+such a loop, with an f from :data:`FUNCTIONS`, :func:`residue_integral`
+uses the periodic trapezoid rule, which converges geometrically in N,
+and only in the planes the loop winds in: every other canonical
+component of u - u0 is constant along it, so du is 0 there.  Every
+other path and callable, and :func:`line_integral`, use the midpoint
+rule on the chords.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
@@ -97,12 +106,15 @@ class Path(Frozen):
     six finite floats per sample; ``samples`` reads those rows as
     HexaNumbers.  A path is built from either form and compares by
     identity.  Samples that are not finite raise :class:`DomainError`.
+    A loop made by :func:`circle_path` also keeps its centre and radii in
+    ``_circle``; any other path has None there.
     """
 
-    __slots__ = ("variant", "points", "closed")
+    __slots__ = ("variant", "points", "closed", "_circle")
     variant: Variant
     points: np.ndarray
     closed: bool
+    _circle: tuple[HexaNumber, tuple[tuple[int, float], ...]] | None
 
     def __init__(self, variant: Variant, samples: Iterable[HexaNumber] | np.ndarray,
                  closed: bool):
@@ -128,6 +140,7 @@ class Path(Frozen):
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "_circle", None)
 
     @property
     def samples(self) -> Sequence[HexaNumber]:
@@ -162,7 +175,9 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
             loop += np.outer(radius * np.cos(t), xi_row)
             loop += np.outer(radius * np.sin(t), eta_row)
     points[-1] = points[0]
-    return Path(variant, points, closed=True)
+    path = Path(variant, points, closed=True)
+    object.__setattr__(path, "_circle", (center, tuple(radii.items())))
+    return path
 
 
 class FunctionUnderTest(Frozen):
@@ -341,8 +356,9 @@ def _first_label(hits: np.ndarray, planar: bool) -> str | None:
     """
     import numpy as np
 
-    found = np.argwhere(hits)
-    return tr.component_labels(planar)[found[0][1]] if len(found) else None
+    if not hits.any():
+        return None
+    return tr.component_labels(planar)[np.argwhere(hits)[0][1]]
 
 
 def _called(f: Evaluator, x: np.ndarray, variant: Variant) -> np.ndarray:
@@ -359,35 +375,17 @@ def _called(f: Evaluator, x: np.ndarray, variant: Variant) -> np.ndarray:
     return _canonical(values, variant.is_planar)
 
 
-def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> HexaNumber:
-    """Midpoint rule on the chords of ``path``, summed in canonical coordinates.
+def _offsets(path: Path, pole: HexaNumber | None) -> np.ndarray:
+    """Canonical offsets of the samples from the pole (or from zero), one row per sample.
 
-    Each chord contributes F(mid) * delta, divided by mid - pole when a pole
-    is given, on one complex column per canonical component.  An f with a
-    canonical map is evaluated on whole blocks of canonical midpoints; any
-    other f is called on each midpoint.  A canonical offset of the path
-    that is not finite raises :class:`DomainError`.  With a pole, a sample
-    within 1e-6 of it in some canonical component raises
-    :class:`DegeneratePathError` before f is called, and a chord midpoint
-    that is a zero divisor of u - pole raises :class:`ZeroDivisorError`
-    before f is called on its block of chords.  A sum that is not finite,
-    as when f overflows, raises :class:`DomainError`.  Both DomainErrors
-    name the first such canonical component.
+    An offset that is not finite raises :class:`DomainError`; with a pole,
+    a sample within 1e-6 of it in some canonical component raises
+    :class:`DegeneratePathError`.  Both name the first such component.
     """
     import numpy as np
 
-    variant = path.variant
-    planar = variant.is_planar
-    points = path.points
-    mapped = getattr(f, "canonical_map", None) is not None
-    # One path-sized array, the canonical offsets of the samples from the
-    # pole (or from zero); everything else works in blocks of chords.
-    if pole is None:
-        offsets = _canonical(points, planar)
-        origin = 0.0
-    else:
-        offsets = _canonical(points - pole.components, planar)
-        origin = _canonical(np.reshape(pole.components, (1, 6)), planar)
+    planar = path.variant.is_planar
+    offsets = _canonical(path.points if pole is None else path.points - pole.components, planar)
     label = _first_label(~np.isfinite(offsets), planar)
     if label:
         raise DomainError(f"path overflows: its canonical component {label} is not finite",
@@ -397,10 +395,62 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
         if label:
             raise DegeneratePathError(
                 f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
+    return offsets
+
+
+def _require_invertible(offsets: np.ndarray, planar: bool) -> None:
+    """Raise :class:`ZeroDivisorError` for the first row of canonical offsets
+    with a component that is zero relative to the row's modulus."""
+    import numpy as np
+
     # |u| is the hypot (no overflow or underflow) of |v| / sqrt6 on the axes and
     # |v| / sqrt3 on the planes, the norms of the orthogonal canonical rows.
     norms = np.array([tr.SQRT6] * tr.axis_count(planar) + [tr.SQRT3] * tr.pair_count(planar))
-    total = np.zeros(len(norms), dtype=np.complex128)
+    radii = np.abs(offsets)
+    # column by column: numpy's hypot.reduce along a row of 3 or 4 is far slower
+    moduli = functools.reduce(np.hypot, (radii / norms).T)
+    label = _first_label(radii <= ZERO_COMPONENT_RTOL * moduli[:, None], planar)
+    if label:
+        raise ZeroDivisorError(label)
+
+
+def _sum_value(variant: Variant, total: np.ndarray, overflowed: np.ndarray) -> HexaNumber:
+    """The value with canonical components ``total``, unless a component overflowed.
+
+    :class:`DomainError` names the first canonical component flagged in
+    ``overflowed``.
+    """
+    label = _first_label(overflowed.reshape(1, -1), variant.is_planar)
+    if label:
+        raise DomainError(f"integrand overflows: canonical component {label} of the sum "
+                          f"is not finite", component=label)
+    return from_canonical_values(variant, total)
+
+
+def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> HexaNumber:
+    """Midpoint rule on the chords of ``path``, summed in canonical coordinates.
+
+    Each chord contributes F(mid) * delta, divided by mid - pole when a pole
+    is given, on one complex column per canonical component.  An f with a
+    canonical map is evaluated on whole blocks of canonical midpoints; any
+    other f is called on each midpoint.  The offsets of the samples are
+    checked by :func:`_offsets` before f is called; with a pole, a chord
+    midpoint that is a zero divisor of u - pole raises
+    :class:`ZeroDivisorError` before f is called on its block of chords.
+    A sum that is not finite, as when f overflows, raises
+    :class:`DomainError` naming the first such canonical component.
+    """
+    import numpy as np
+
+    variant = path.variant
+    planar = variant.is_planar
+    points = path.points
+    mapped = getattr(f, "canonical_map", None) is not None
+    # One path-sized array, the canonical offsets of the samples from the
+    # pole (or from zero); everything else works in blocks of chords.
+    offsets = _offsets(path, pole)
+    origin = 0.0 if pole is None else _canonical(np.reshape(pole.components, (1, 6)), planar)
+    total = np.zeros(offsets.shape[1], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _blocks(len(offsets) - 1):
             ends = offsets[lo:hi + 1]
@@ -408,11 +458,7 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
             mids = ends[1:] + ends[:-1]  # canonical chord midpoints, offset from the pole
             mids *= 0.5
             if pole is not None:
-                radii = np.abs(mids)
-                moduli = np.hypot.reduce(radii / norms, axis=1, keepdims=True)
-                label = _first_label(radii <= ZERO_COMPONENT_RTOL * moduli, planar)
-                if label:
-                    raise ZeroDivisorError(label)
+                _require_invertible(mids, planar)
                 weights /= mids
             if mapped:
                 terms = f.canonical_map(mids + origin)
@@ -421,11 +467,45 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
                 x *= 0.5
                 terms = _called(f, x, variant)
             total += (terms * weights).sum(axis=0)
-    label = _first_label(~np.isfinite(total).reshape(1, -1), planar)
-    if label:
-        raise DomainError(f"integrand overflows: canonical component {label} of the sum "
-                          f"is not finite", component=label)
-    return from_canonical_values(variant, total)
+    return _sum_value(variant, total, ~np.isfinite(total))
+
+
+def _trapezoid_residue(f: FunctionUnderTest, path: Path,
+                       pole: HexaNumber) -> tuple[HexaNumber, tuple[int, ...]]:
+    """Periodic trapezoid rule for f(u)/(u - pole) du on a :func:`circle_path`
+    loop, with the loop's winding numbers around the pole.
+
+    Along the loop, the canonical offset z of u from the pole is c + r e^(it)
+    in each plane the loop winds in, where c is the centre's offset, and is
+    constant in every other component.  So du is i (z - c) dt in a wound
+    plane and 0 elsewhere, and a wound plane's integral over the N nodes is
+    (2 pi i / N) * sum of F(pole + z) (1 - c / z).  (Not (z - c) / z: numpy's
+    complex division of two values near 1e308 overflows.)  F is still
+    evaluated once on every constant component, so one that overflows
+    raises the :class:`DomainError` of :func:`_midpoint_sum`.  The offsets
+    are checked as there, and the zero-divisor test runs at the nodes.  The
+    winding numbers are the turns of each plane's offsets around 0.
+    """
+    import numpy as np
+
+    variant = path.variant
+    planar = variant.is_planar
+    axes = tr.axis_count(planar)
+    center, radii = path._circle
+    offsets = _offsets(path, pole)  # the last row repeats the first
+    nodes = offsets[:-1]
+    _require_invertible(nodes, planar)
+    wound = [axes + k - 1 for k, radius in radii if radius]
+    origin = _canonical(np.reshape(pole.components, (1, 6)), planar)[0]
+    c = _canonical(np.subtract(center.components, pole.components).reshape(1, 6), planar)[0]
+    total = np.zeros(len(origin), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = nodes[:, wound]
+        weights = (1.0 - c[wound] / z) * (tr.TWO_PI / len(nodes))
+        total[wound] = 1j * (f.canonical_map(z + origin[wound]) * weights).sum(axis=0)
+        at_node = f.canonical_map(nodes[0] + origin)
+    numeric = _sum_value(variant, total, ~(np.isfinite(total) & np.isfinite(at_node)))
+    return numeric, _turns(np.angle(offsets[:, axes:]))
 
 
 def line_integral(f: Evaluator, path: Path) -> HexaNumber:
@@ -451,10 +531,18 @@ def winding_number(path: Path, u0: HexaNumber, plane: int) -> int:
     if (np.hypot(dx, dy) < _PROJECTION_CLEARANCE).any():
         raise DegeneratePathError(
             f"projected path touches the projected point in plane {plane}")
-    delta = np.diff(np.arctan2(dy, dx))
-    delta[delta > math.pi] -= 2.0 * math.pi
-    delta[delta <= -math.pi] += 2.0 * math.pi
-    return round(float(delta.sum()) / (2.0 * math.pi))
+    return _turns(np.arctan2(dy, dx)[:, None])[0]
+
+
+def _turns(angles: np.ndarray) -> tuple[int, ...]:
+    """Whole turns in each column of angles along a closed loop's samples,
+    the last row repeating the first: each step is wrapped into (-pi, pi]."""
+    import numpy as np
+
+    delta = np.diff(angles, axis=0)
+    delta[delta > math.pi] -= tr.TWO_PI
+    delta[delta <= -math.pi] += tr.TWO_PI
+    return tuple(round(float(s) / tr.TWO_PI) for s in delta.sum(axis=0))
 
 
 class ResidueComparison(NamedTuple):
@@ -473,17 +561,27 @@ class ResidueComparison(NamedTuple):
 def residue_integral(f: Evaluator, path: Path, u0: HexaNumber) -> ResidueComparison:
     """Integrate f(u)/(u - u0) around a closed path and compare with 2*pi residues.
 
+    On a loop made by :func:`circle_path`, an f with a canonical map (as
+    every entry of :data:`FUNCTIONS` has) is integrated by the periodic
+    trapezoid rule in the planes the loop winds in, and the windings are
+    read from the same canonical offsets.  Any other path or f takes the
+    midpoint rule on the chords and :func:`winding_number` per plane.
     Every canonical component of u(t) - u0 must stay at least 1e-6 away
     from zero along the sampled path; otherwise the quotient approaches
     the non-invertible set and :class:`DegeneratePathError` is raised.
     """
     if not path.closed:
         raise ValueError("residue integrals need a closed path")
-    numeric = _midpoint_sum(f, path, u0)
+    if u0.variant is not path.variant:
+        raise ValueError("point and path variants differ")
     variant = path.variant
     planar = variant.is_planar
-    windings = tuple(winding_number(path, u0, k)
-                     for k in range(1, tr.pair_count(planar) + 1))
+    if path._circle is not None and getattr(f, "canonical_map", None) is not None:
+        numeric, windings = _trapezoid_residue(f, path, u0)
+    else:
+        numeric = _midpoint_sum(f, path, u0)
+        windings = tuple(winding_number(path, u0, k)
+                         for k in range(1, tr.pair_count(planar) + 1))
     # sum of w_k ek~: the imaginary unit of each plane, weighted by its winding number
     weight = from_canonical_values(
         variant, [0.0] * tr.axis_count(planar) + [complex(0.0, w) for w in windings])

@@ -19,6 +19,7 @@ from hexacomplex.algebra import (
     Variant,
     canonical_values,
     from_canonical_components,
+    from_canonical_values,
 )
 from hexacomplex.calculus import (
     FUNCTIONS,
@@ -199,6 +200,13 @@ def test_winding_number_requires_clearance():
         winding_number(loop, pole, 2)
 
 
+def test_residue_integral_rejects_a_pole_of_the_other_variant():
+    loop = circle_path(Variant.POLAR, HexaNumber.one(Variant.POLAR), {1: 0.5}, 16)
+    for path in (loop, Path(Variant.POLAR, loop.points, closed=True)):
+        with pytest.raises(ValueError, match="variants differ"):
+            residue_integral(FUNCTIONS["one"], path, HexaNumber.zero(Variant.PLANAR))
+
+
 def test_residue_integral_single_plane():
     for variant in BOTH_VARIANTS:
         pole = HexaNumber.zero(variant)
@@ -322,13 +330,17 @@ def _open_path(variant: Variant, count: int) -> Path:
 
 
 def _multi_plane_loop(variant: Variant, pole: HexaNumber) -> Path:
-    """Loop winding once around the pole in two planes, clear of it elsewhere."""
+    """Loop winding once around the pole in two planes, clear of it elsewhere.
+
+    The samples are those of a :func:`circle_path` loop, in a plain Path, so
+    that residue integrals over it take the midpoint rule.
+    """
     if variant.is_planar:
         offset, radii = (0.0, 0.0, 1.2, 0.0, 0.0, 0.0), {1: 0.9, 3: 0.7}
     else:
         offset, radii = (1.5, 1.5, 0.0, 0.0, 0.0, 0.0), {1: 0.8, 2: 0.6}
     center = pole + from_canonical_components(variant, offset)
-    return circle_path(variant, center, radii, 256)
+    return Path(variant, circle_path(variant, center, radii, 256).points, closed=True)
 
 
 def _wobbly_loop(variant: Variant, pole: HexaNumber, count: int = 600) -> Path:
@@ -364,6 +376,50 @@ def test_batched_quadrature_matches_scalar_loop(f):
             comparison = residue_integral(f, loop, pole)
             assert sum(comparison.windings) == turns
             assert max_abs_diff(comparison.numeric, reference) <= 1e-12 * magnitude
+
+
+def _mp_canonical(mpmath, variant: Variant, components) -> list:
+    """Canonical values of a component tuple in mpmath: real axes, then planes vk + i vk~."""
+    x = [mpmath.mpf(c) for c in components]
+    values = [] if variant.is_planar else [mpmath.fsum(x),
+                                           mpmath.fsum((-1) ** p * x[p] for p in range(6))]
+    for k in range(1, tr.pair_count(variant.is_planar) + 1):
+        m = 2 * k - 1 if variant.is_planar else 2 * k
+        values.append(mpmath.fsum(mpmath.expjpi(mpmath.mpf(m * p) / 6) * x[p] for p in range(6)))
+    return values
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_circle_loop_residue_matches_mpmath(name):
+    """The trapezoid rule on a circle_path loop against 2*pi*i F_k(P_k) at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    exact = {"one": lambda z: 1, "u": lambda z: z, "u2": lambda z: z ** 2,
+             "u3": lambda z: z ** 3}.get(name) or getattr(mpmath, name)
+    rng = random.Random(74)
+    for variant in BOTH_VARIANTS:
+        planar = variant.is_planar
+        axes, planes = tr.axis_count(planar), tr.pair_count(planar)
+        for _ in range(6):
+            pole = random_hexa(rng, variant)
+            plane = rng.randint(1, planes)
+            radius = rng.uniform(0.3, 1.2)
+            # the loop of the integrate command: clear of the pole off its plane
+            clearance = 1.0 + 0.5 * radius
+            center = pole + from_canonical_values(variant, [clearance] * axes + [
+                0j if k == plane else complex(clearance) for k in range(1, planes + 1)])
+            with mpmath.workdps(40):
+                column = axes + plane - 1
+                residue = 2j * mpmath.pi * exact(_mp_canonical(mpmath, variant,
+                                                               pole.components)[column])
+                tol = 1e-13 * max(1.0, float(abs(residue)))
+            for samples in (64, 1024):
+                loop = circle_path(variant, center, {plane: radius}, samples)
+                comparison = residue_integral(FUNCTIONS[name], loop, pole)
+                assert comparison.windings == tuple(int(k == plane) for k in range(1, planes + 1))
+                with mpmath.workdps(40):
+                    got = _mp_canonical(mpmath, variant, comparison.numeric.components)
+                    errors = [abs(v - (residue if j == column else 0)) for j, v in enumerate(got)]
+                    assert float(max(errors)) <= tol, (variant, pole, plane, radius, samples)
 
 
 def test_path_construction():

@@ -232,7 +232,7 @@ def test_integrate_command(capsys):
     assert code == 0 and err == ""
     lines = dict(line.split("=", 1) for line in out.splitlines())
     assert lines["windings"] == "(1, 0)"
-    assert float(lines["max_abs_difference"]) <= 1e-4
+    assert float(lines["max_abs_difference"]) <= 1e-12
 
     code, out, _ = run(capsys, "integrate", "--planar", "one", "h3", "2", "0.5",
                        "--samples", "1024")
@@ -243,6 +243,14 @@ def test_integrate_command(capsys):
     # the zero-divisor test takes |u - u0| by hypot, so a huge loop is no zero divisor
     code, out, err = run(capsys, "integrate", "one", "0", "1", "1e200", "--samples", "64")
     assert code == 0 and err == "" and "windings=(1, 0)" in out
+
+    # a loop of radius 1e308: its canonical offsets are finite, and so is every
+    # step of the quadrature
+    code, out, err = run(capsys, "integrate", "one", "0", "1", "1e308")
+    assert code == 0 and err == ""
+    lines = dict(line.split("=", 1) for line in out.splitlines())
+    assert lines["windings"] == "(1, 0)" and lines["numeric"] == lines["formula"]
+    assert float(lines["max_abs_difference"]) <= 1e-12
 
 
 def test_integrate_rejects_bad_plane(capsys):
@@ -290,6 +298,8 @@ def test_integrate_reports_an_overflowing_path(capsys, argv, message):
     (("--polar", "exp", "800"), "v+"),
     (("--planar", "cosh", "800"), "pair1"),
     (("--polar", "u3", "1e110"), "v+"),
+    # only v+ overflows, and the loop winds in pair1, where du is not 0
+    (("--polar", "exp", "400 + 400 h3"), "v+"),
 ])
 def test_integrate_reports_an_overflowing_integrand(capsys, argv, component):
     with warnings.catch_warnings():
