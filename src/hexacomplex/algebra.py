@@ -197,17 +197,19 @@ class HexaNumber(Frozen):
     def __pow__(self, exponent: int) -> "HexaNumber":
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
         if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
-        result = HexaNumber.one(self.variant)
-        while exponent:
+            return self.inverse() ** -exponent
+        if exponent == 0:
+            return HexaNumber.one(self.variant)
+        # right to left by squaring; a square is formed only while a higher bit remains
+        base, result = self, None
+        while True:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if not exponent:
+                return result
+            base = base * base
 
     # -- metric and inverse --------------------------------------------------
 

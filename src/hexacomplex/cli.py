@@ -184,12 +184,9 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         print(f"integrate: plane must lie in 1..{plane_count} for {variant.value}",
               file=sys.stderr)
         return 1
-    if args.samples < 8:
-        print(f"integrate: --samples must be at least 8, got {args.samples}", file=sys.stderr)
-        return 1
-    if args.samples > MAX_SAMPLES:
-        print(f"integrate: --samples must be at most {MAX_SAMPLES}, got {args.samples}",
-              file=sys.stderr)
+    if not 8 <= args.samples <= MAX_SAMPLES:
+        limit = "at least 8" if args.samples < 8 else f"at most {MAX_SAMPLES}"
+        print(f"integrate: --samples must be {limit}, got {args.samples}", file=sys.stderr)
         return 1
     if not math.isfinite(args.radius):
         print(f"integrate: radius must be finite, got {args.radius}", file=sys.stderr)
@@ -256,15 +253,11 @@ _COMMANDS = {
 def _fold_range_values(argv: list[str]) -> list[str]:
     """Join ``--range -4:4:0.05`` into one token so the minus is not an option."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--range" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--range={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if out and out[-1] == "--range" and arg.startswith("-"):
+            out[-1] = f"--range={arg}"
         else:
             out.append(arg)
-            i += 1
     return out
 
 
@@ -277,12 +270,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that has left shows here, not at the interpreter's exit
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except HexaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed the pipe: stdout's descriptor goes to devnull for a quiet exit
+        if sys.stdout is sys.__stdout__:  # in process, a replaced stdout is left as it is
+            import os
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

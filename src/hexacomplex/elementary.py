@@ -1,12 +1,13 @@
 """Elementary transcendental functions of a 6-dimensional hypercomplex variable.
 
-Every function here acts through the canonical decomposition: the real
+The functions here act through the canonical decomposition: the real
 axes (polar v+, v-) receive the scalar function, each canonical plane
 receives the complex function of vk + i vk~, and the result maps back.
-That componentwise action defines exp, ln, powers and the circular and
-hyperbolic functions here, and it makes each identity reduce to its
-scalar counterpart.  Power series evaluate through the same
-rearrangement, with per-component convergence-radius estimates.
+That componentwise action defines exp, ln, fractional powers and the
+circular and hyperbolic functions, and it makes each identity reduce to
+its scalar counterpart; integer powers are ring products.  Power series
+evaluate through the same rearrangement, with per-component
+convergence-radius estimates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .algebra import (
     plane_radii,
     zero_threshold,
 )
-from .errors import DomainError, ZeroDivisorError
+from .errors import DomainError
 
 __all__ = [
     "COMPONENTWISE",
@@ -108,21 +109,17 @@ def ln_of_values(variant: Variant, values) -> HexaNumber:
 
 
 def pow_real(u: HexaNumber, m: float) -> HexaNumber:
-    """Real power through the canonical decomposition.
+    """Real power ``u^m``.
 
-    Integer exponents act on every element whose relevant components
-    allow it (negative axis values included); negative integer exponents
-    require an invertible ``u``.  Non-integer exponents share ln's domain.
+    An integer exponent is the ring product ``u ** m``, formed by repeated
+    squaring; a negative one first inverts ``u``, which must be invertible
+    at the library's 1e-13 (:data:`~hexacomplex.algebra.ZERO_COMPONENT_RTOL`).
+    A non-integer exponent acts on the canonical components and shares
+    ln's domain.
     """
     m = float(m)
     if m.is_integer():
-        n = int(m)
-        values = canonical_values(u)
-        if n < 0:
-            label = tr.first_zero(u.variant.is_planar, values, zero_threshold(u))
-            if label:
-                raise ZeroDivisorError(label)
-        return _apply(u.variant, values, lambda v: math.pow(v, n), lambda z: z ** n)
+        return u ** int(m)
 
     values = ln_domain(u)
 

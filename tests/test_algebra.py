@@ -220,12 +220,12 @@ def test_inverse_at_the_ends_of_the_double_range():
 ])
 def test_planar_inverse_at_the_top_of_the_double_range(components, residual_tol):
     mpmath = pytest.importorskip("mpmath")
+    ring_oracle = pytest.importorskip("ring_oracle")
     inv = HexaNumber(Variant.PLANAR, components).inverse().components
-    with mpmath.workdps(40):
-        x, y = [mpmath.mpf(c) for c in components], [mpmath.mpf(c) for c in inv]
-        # u inv(u) - 1 in exact arithmetic; the planar wrap h6 = -1 flips the sign
-        residual = max(abs(mpmath.fsum((-1 if i > k else 1) * x[i] * y[(k - i) % 6]
-                                       for i in range(6)) - (k == 0)) for k in range(6))
+    with mpmath.workdps(ring_oracle.DPS):
+        x, y = ring_oracle.to_mp(components), ring_oracle.to_mp(inv)
+        # u inv(u) - 1 in exact arithmetic
+        residual = max(abs(p - (k == 0)) for k, p in enumerate(ring_oracle.mul(x, y, planar=True)))
         if components[1:3] == components[4:] == (0.0, 0.0):
             # a + b h3 with h3^2 = -1 inverts to (a - b h3) / (a^2 + b^2)
             a, b = x[0], x[3]

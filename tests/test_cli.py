@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -406,11 +407,26 @@ def test_eval_overflow_is_an_error(capsys, expression):
                           "(elementary._apply); perfbench's "
                           "test_edge_inputs_show_the_known_overflow_defect pins this "
                           "traceback until the benchmark is updated with the fix")
-@pytest.mark.parametrize("expression", ["exp(800)", "cosh(1000)", "sinh(800 h3)", "exp(710 h1)",
-                                        "pow(1 + h1, 1e308)"])
+@pytest.mark.parametrize("expression", ["exp(800)", "cosh(1000)", "sinh(800 h3)", "exp(710 h1)"])
 def test_eval_exp_overflow_is_an_error(capsys, expression):
     code, out, err = run(capsys, "eval", expression)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_eval_integer_power_overflow_is_an_error(capsys):
+    # pow with an integer exponent is the ring product: the squares overflow a component
+    code, out, err = run(capsys, "eval", "pow(1 + h1, 1e308)")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("expression, value", [
+    # no square is formed past the exponent's top bit, so nothing beyond the result overflows
+    ("(1e200)^1", "1e+200"), ("(1e100)^3", "1e+300"), ("pow(1e100, 3)", "1e+300"),
+    # pow(u, n) is u^n: no rounding residue of the canonical map
+    ("pow(h1, 6)", "1"), ("pow(0.1796, 3)", "0.005793206336"),
+])
+def test_integer_powers_are_ring_products(capsys, expression, value):
+    assert run(capsys, "eval", expression) == (0, value + "\n", "")
 
 
 @pytest.mark.parametrize("args, component", [
@@ -510,6 +526,42 @@ def test_scalar_commands_do_not_import_numpy():
     assert steps.pop("import hexacomplex.cli") == [False, False]
     assert steps == {**{" ".join(argv): [0, False, False] for argv in scalar},
                      **{" ".join(argv): [0, True, False] for argv in arrays}}
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as after ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [("table", "g"), ("eval", "h1"),
+                                  ("factor", "--all", "10", "1", "0", "-1")],
+                         ids=["table", "eval", "factor"])
+def test_closed_stdout_exits_1_without_a_message(monkeypatch, capsys, argv):
+    stdout = _ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 1
+    assert sys.stdout is stdout  # in process, stdout is left as it was
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # the reader takes one line of a 60,001-row table, as `| head -1` does
+    (["table", "g", "--range", "-30:30:0.001"], 1),
+    # the reader has gone before the one buffered line is flushed
+    (["eval", "h1"], 0),
+], ids=["table", "eval"])
+def test_closed_pipe_ends_a_fresh_process_quietly(argv, lines):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hexacomplex.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a shell pipeline
+    with subprocess.Popen([sys.executable, "-m", "hexacomplex.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        for _ in range(lines):
+            assert proc.stdout.readline() == b"y,c0,c1,c2,c3,c4,c5\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""  # no traceback, not even from the final flush
 
 
 def test_main_keeps_no_default_between_calls(capsys):

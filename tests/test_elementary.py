@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +123,42 @@ def test_pow_real_noninteger():
         pow_real(HexaNumber.basis(Variant.POLAR, 3), 0.5)
     with pytest.raises(ZeroDivisorError):
         pow_real(HexaNumber.zero(Variant.POLAR), -2.0)
+
+
+_POSITIVE_EXPONENTS = (*range(1, 9), 16, 31, 64)
+
+
+@pytest.mark.parametrize("variant", BOTH_VARIANTS, ids=lambda v: v.value)
+def test_integer_powers_match_the_ring_oracle(variant):
+    mpmath = pytest.importorskip("mpmath")
+    ring_oracle = pytest.importorskip("ring_oracle")
+    eps = sys.float_info.epsilon
+    planar = variant.is_planar
+    rng = random.Random(28)
+    for draw in range(24):
+        # uniform components, and canonical moduli spread from 1e-3 to 2
+        u = random_hexa(rng, variant) if draw % 2 else invertible_hexa(rng, variant, 1e-3, 2.0)
+        x = ring_oracle.to_mp(u.components)
+        exact = ring_oracle.powers(x, _POSITIVE_EXPONENTS[-1], planar)
+        # B = |u|^n, the polar-ring power of the absolute components, bounds
+        # the rounding of any product of n factors componentwise
+        bound = ring_oracle.powers([abs(c) for c in x], _POSITIVE_EXPONENTS[-1], False)
+        for n in _POSITIVE_EXPONENTS:
+            got = pow_real(u, n)
+            assert [c.hex() for c in got] == [c.hex() for c in u ** n], (n, u)
+            for k, (g, e, b) in enumerate(zip(got, exact[n - 1], bound[n - 1])):
+                assert abs(g - e) <= 4 * n * eps * b, (n, k, u)
+
+        # a negative power inverts first: normwise, within the inverse's conditioning
+        v = invertible_hexa(rng, variant)
+        cond = np.linalg.cond(v.to_matrix())
+        exact = ring_oracle.powers(ring_oracle.inverse(ring_oracle.to_mp(v.components), planar),
+                                   8, planar)
+        for n in range(-8, 0):
+            got = pow_real(v, n)
+            assert [c.hex() for c in got] == [c.hex() for c in v ** n], (n, v)
+            error = mpmath.norm([g - e for g, e in zip(got, exact[-n - 1])])
+            assert error <= 4 * -n * eps * cond * mpmath.norm(exact[-n - 1]), (n, v)
 
 
 def test_trig_values_at_zero():
@@ -256,17 +293,22 @@ def test_series_variant_checks():
         eval_series([], one_polar)
 
 
-@pytest.mark.parametrize("name, fn", [
-    ("exp", elementary.exp),
-    ("ln", ln),
-    ("pow_real 2.5", lambda u: pow_real(u, 2.5)),
-    ("pow_real 3", lambda u: pow_real(u, 3)),
-    ("pow_real -2", lambda u: pow_real(u, -2)),
-    ("exp_form", canonical.exp_form),
-    ("geometry", canonical.geometry),
-    ("inverse", HexaNumber.inverse),
-])
-def test_one_canonical_transform_per_call(monkeypatch, name, fn):
+_TRANSFORM_COUNTS = [
+    ("exp", elementary.exp, 1),
+    ("ln", ln, 1),
+    ("pow_real 2.5", lambda u: pow_real(u, 2.5), 1),
+    # a positive integer power is ring products only; a negative one inverts first
+    ("pow_real 3", lambda u: pow_real(u, 3), 0),
+    ("pow_real -2", lambda u: pow_real(u, -2), 1),
+    ("exp_form", canonical.exp_form, 1),
+    ("geometry", canonical.geometry, 1),
+    ("inverse", HexaNumber.inverse, 1),
+]
+
+
+@pytest.mark.parametrize("name, fn, transforms", _TRANSFORM_COUNTS,
+                         ids=[f"{name}-{fn.__name__}" for name, fn, _ in _TRANSFORM_COUNTS])
+def test_one_canonical_transform_per_call(monkeypatch, name, fn, transforms):
     transform = algebra.canonical_components
     calls = []
 
@@ -280,5 +322,5 @@ def test_one_canonical_transform_per_call(monkeypatch, name, fn):
         u = HexaNumber(variant, (2.0, 0.3, -0.2, 0.1, 0.25, -0.15))
         calls.clear()
         fn(u)
-        assert len(calls) == 1, (name, variant)
+        assert len(calls) == transforms, (name, variant)
 
