@@ -19,17 +19,22 @@ canonical points.  Any other callable is called once per chord
 midpoint, on a HexaNumber.  Memory is O(N): the path, one (N+1)-row
 array of canonical offsets and temporaries no larger than it.
 
-A loop made by :func:`circle_path` remembers its centre and radii.  On
-such a loop, with an f from :data:`FUNCTIONS`, :func:`residue_integral`
-uses the periodic trapezoid rule, which converges geometrically in N,
-and only in the planes the loop winds in: every other canonical
-component of u - u0 is constant along it, so du is 0 there.  Every
-other path and callable, and :func:`line_integral`, use the midpoint
-rule on the chords.
+A loop made by :func:`circle_path` remembers its centre, radii and N,
+and builds its samples only when they are read.  On such a loop, with an
+f from :data:`FUNCTIONS`, :func:`residue_integral` never reads them: it
+works on the exact circle in each plane the loop winds in (every other
+canonical component of u - u0 is constant along it, so du is 0 there),
+in scalar ``cmath`` arithmetic, with the periodic trapezoid rule.  That
+rule converges geometrically, so it sums nested subsets of the N nodes
+and stops once two successive sums agree to rounding; N only caps the
+node count, and memory does not grow with it.  Every other path and
+callable, and :func:`line_integral`, use the midpoint rule on the
+chords.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections.abc import Sequence
@@ -68,6 +73,7 @@ _FIRST_ORDER_STEP = 1e-5
 _SECOND_ORDER_STEP = 1e-4
 _PATH_CLEARANCE = 1e-6
 _PROJECTION_CLEARANCE = 1e-9
+_EPS = 2.0 ** -52
 # Rows per block of the array arithmetic on sampled paths: its temporaries
 # stay near 12-16 kB each whatever the sample count, which keeps peak memory
 # at the path itself plus one array of canonical offsets.
@@ -106,15 +112,16 @@ class Path(Frozen):
     six finite floats per sample; ``samples`` reads those rows as
     HexaNumbers.  A path is built from either form and compares by
     identity.  Samples that are not finite raise :class:`DomainError`.
-    A loop made by :func:`circle_path` also keeps its centre and radii in
-    ``_circle``; any other path has None there.
+    A loop made by :func:`circle_path` also keeps its centre, radii and
+    sample count in ``_circle`` and builds ``points`` the first time it is
+    read; any other path has None there.
     """
 
-    __slots__ = ("variant", "points", "closed", "_circle")
+    __slots__ = ("variant", "_points", "closed", "_circle")
     variant: Variant
-    points: np.ndarray
+    _points: np.ndarray | None
     closed: bool
-    _circle: tuple[HexaNumber, tuple[tuple[int, float], ...]] | None
+    _circle: tuple[HexaNumber, tuple[tuple[int, float], ...], int] | None
 
     def __init__(self, variant: Variant, samples: Iterable[HexaNumber] | np.ndarray,
                  closed: bool):
@@ -138,9 +145,15 @@ class Path(Frozen):
             raise ValueError("closed paths must repeat the first sample exactly")
         points.flags.writeable = False
         object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_points", points)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "_circle", None)
+
+    @property
+    def points(self) -> np.ndarray:
+        if self._points is None:
+            object.__setattr__(self, "_points", _circle_points(self.variant, *self._circle))
+        return self._points
 
     @property
     def samples(self) -> Sequence[HexaNumber]:
@@ -152,16 +165,9 @@ class Path(Frozen):
         return float(np.hypot.reduce(np.diff(self.points, axis=0), axis=1).sum())
 
 
-def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float],
-                samples: int) -> Path:
-    """Closed loop tracing circles in one or more canonical planes.
-
-    ``radii`` maps each plane k to its radius.  The projections onto those
-    (xi_k, eta_k) planes are circles around the projections of ``center``;
-    every other rotated coordinate stays constant.
-    """
-    if samples < 8:
-        raise ValueError("need at least 8 samples for a circle")
+def _circle_points(variant: Variant, center: HexaNumber, radii: tuple[tuple[int, float], ...],
+                   samples: int) -> np.ndarray:
+    """The read-only components of a :func:`circle_path` loop's samples, the first repeated last."""
     import numpy as np
 
     rows = tr.rotation_rows(variant.is_planar)
@@ -169,14 +175,51 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
     points = np.empty((samples + 1, 6))
     loop = points[:-1]
     loop[:] = center.components
-    with np.errstate(over="ignore"):  # Path rejects a sample that overflows
-        for k, radius in radii.items():
+    with np.errstate(over="ignore", invalid="ignore"):  # Path rejects samples not finite
+        for k, radius in radii:
             xi_row, eta_row = rows[tr.plane_slice(variant.is_planar, k)]
             loop += np.outer(radius * np.cos(t), xi_row)
             loop += np.outer(radius * np.sin(t), eta_row)
     points[-1] = points[0]
-    path = Path(variant, points, closed=True)
-    object.__setattr__(path, "_circle", (center, tuple(radii.items())))
+    points.flags.writeable = False
+    return points
+
+
+def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float],
+                samples: int) -> Path:
+    """Closed loop tracing circles in one or more canonical planes.
+
+    ``radii`` maps each plane k to its radius.  The projections onto those
+    (xi_k, eta_k) planes are circles around the projections of ``center``;
+    every other rotated coordinate stays constant.
+
+    The loop keeps its centre, radii and sample count and builds its
+    points only when they are read.  :func:`residue_integral` integrates
+    on the exact circle instead, so an ``integrate`` command allocates
+    nothing that grows with the sample count and never imports numpy.  It
+    is still a Path only because the benchmark's tracer counts loop
+    samples from the Path this function returns.  A loop whose samples
+    may overflow builds them at once, so that it raises
+    :class:`DomainError` here, as any other Path does.
+    """
+    if samples < 8:
+        raise ValueError("need at least 8 samples for a circle")
+    planar = variant.is_planar
+    circle = (center, tuple(radii.items()), samples)
+    rows = tr.rotation_rows(planar)
+    planes = [(abs(radius), rows[tr.plane_slice(planar, k)]) for k, radius in circle[1]]
+    # component p of a sample is at most |center_p| + sum_k |r_k| hypot(xi_kp, eta_kp);
+    # the margin covers the rounding of the few products and sums that form it
+    bound = max(abs(x) + sum(r * math.hypot(xi[p], eta[p]) for r, (xi, eta) in planes)
+                for p, x in enumerate(center.components))
+    if math.isfinite(bound * (1.0 + 2.0 ** -40)):
+        path = object.__new__(Path)
+        object.__setattr__(path, "variant", variant)
+        object.__setattr__(path, "_points", None)
+        object.__setattr__(path, "closed", True)
+    else:
+        path = Path(variant, _circle_points(variant, *circle), closed=True)
+    object.__setattr__(path, "_circle", circle)
     return path
 
 
@@ -184,9 +227,10 @@ class FunctionUnderTest(Frozen):
     """A deterministic map u -> f(u), compared by identity.
 
     ``canonical_map``, when given, computes f in canonical coordinates,
-    elementwise on one complex128 array of canonical components: the real
-    axes with zero imaginary part and the planes vk + i vk~.  Quadrature
-    then evaluates f on whole blocks of points through it.
+    elementwise on one complex128 array of canonical components (the real
+    axes with zero imaginary part and the planes vk + i vk~) or on a single
+    Python complex.  Quadrature then evaluates f on whole blocks of points,
+    or on the nodes of a :func:`circle_path` loop one at a time, through it.
     """
 
     name: str
@@ -207,11 +251,14 @@ def _fn_one(u: HexaNumber) -> HexaNumber:
     return HexaNumber.one(u.variant)
 
 
-def _numpy_map(name: str) -> ElementwiseMap:
-    """numpy's elementwise function ``name``, looked up on each call so that
-    building :data:`FUNCTIONS` does not import numpy."""
+def _numpy_map(name: str, scalar: Callable[[complex], complex]) -> ElementwiseMap:
+    """numpy's elementwise function ``name`` on arrays, looked up on each call
+    so that building :data:`FUNCTIONS` does not import numpy, and ``scalar``
+    on a single Python complex."""
 
     def mapped(values):
+        if isinstance(values, complex):
+            return scalar(values)
         import numpy as np
 
         return getattr(np, name)(values)
@@ -225,11 +272,12 @@ def _polynomial(name: str, evaluator: Evaluator) -> FunctionUnderTest:
 
 
 FUNCTIONS: dict[str, FunctionUnderTest] = {f.name: f for f in (
-    FunctionUnderTest("one", _fn_one, canonical_map=_numpy_map("ones_like")),
+    FunctionUnderTest("one", _fn_one, canonical_map=_numpy_map("ones_like", lambda z: 1.0)),
     _polynomial("u", lambda u: u),
     _polynomial("u2", lambda u: u * u),
     _polynomial("u3", lambda u: u * u * u),
-    *(FunctionUnderTest(name, getattr(elementary, name), canonical_map=_numpy_map(name))
+    *(FunctionUnderTest(name, getattr(elementary, name),
+                        canonical_map=_numpy_map(name, getattr(cmath, name)))
       for name in elementary.COMPONENTWISE),
 )}
 
@@ -414,13 +462,18 @@ def _require_invertible(offsets: np.ndarray, planar: bool) -> None:
         raise ZeroDivisorError(label)
 
 
-def _sum_value(variant: Variant, total: np.ndarray, overflowed: np.ndarray) -> HexaNumber:
+def _first_hit(planar: bool, hits: Iterable[bool]) -> str | None:
+    """Label of the first canonical component flagged in ``hits``, one flag per component."""
+    return next((label for label, hit in zip(tr.component_labels(planar), hits) if hit), None)
+
+
+def _sum_value(variant: Variant, total: Sequence, overflowed: Iterable[bool]) -> HexaNumber:
     """The value with canonical components ``total``, unless a component overflowed.
 
     :class:`DomainError` names the first canonical component flagged in
     ``overflowed``.
     """
-    label = _first_label(overflowed.reshape(1, -1), variant.is_planar)
+    label = _first_hit(variant.is_planar, overflowed)
     if label:
         raise DomainError(f"integrand overflows: canonical component {label} of the sum "
                           f"is not finite", component=label)
@@ -475,37 +528,108 @@ def _trapezoid_residue(f: FunctionUnderTest, path: Path,
     """Periodic trapezoid rule for f(u)/(u - pole) du on a :func:`circle_path`
     loop, with the loop's winding numbers around the pole.
 
-    Along the loop, the canonical offset z of u from the pole is c + r e^(it)
-    in each plane the loop winds in, where c is the centre's offset, and is
-    constant in every other component.  So du is i (z - c) dt in a wound
-    plane and 0 elsewhere, and a wound plane's integral over the N nodes is
-    (2 pi i / N) * sum of F(pole + z) (1 - c / z).  (Not (z - c) / z: numpy's
-    complex division of two values near 1e308 overflows.)  F is still
-    evaluated once on every constant component, so one that overflows
-    raises the :class:`DomainError` of :func:`_midpoint_sum`.  The offsets
-    are checked as there, and the zero-divisor test runs at the nodes.  The
-    winding numbers are the turns of each plane's offsets around 0.
+    Along the loop, the canonical offset z of u from the pole is
+    c + sqrt3 |r| e^(it) in each plane the loop winds in, where c is the
+    centre's offset, and is c in every other component.  So du is
+    i (z - c) dt in a wound plane and 0 elsewhere, and a wound plane's
+    integral is i times that of F(pole + z) (1 - c / z) dt over [0, 2 pi)
+    (:func:`_circle_integral`).  Everything runs on that exact circle in
+    scalar arithmetic, without the loop's points: the offsets are checked
+    in O(1) with the messages of :func:`_offsets` and
+    :func:`_require_invertible`; F is evaluated once on every constant
+    component, so one that overflows raises the :class:`DomainError` of
+    :func:`_midpoint_sum`; and a plane's winding number is 1 exactly when
+    its circle encloses 0.
     """
-    import numpy as np
-
     variant = path.variant
     planar = variant.is_planar
     axes = tr.axis_count(planar)
-    center, radii = path._circle
-    offsets = _offsets(path, pole)  # the last row repeats the first
-    nodes = offsets[:-1]
-    _require_invertible(nodes, planar)
-    wound = [axes + k - 1 for k, radius in radii if radius]
-    origin = _canonical(np.reshape(pole.components, (1, 6)), planar)[0]
-    c = _canonical(np.subtract(center.components, pole.components).reshape(1, 6), planar)[0]
-    total = np.zeros(len(origin), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = nodes[:, wound]
-        weights = (1.0 - c[wound] / z) * (tr.TWO_PI / len(nodes))
-        total[wound] = 1j * (f.canonical_map(z + origin[wound]) * weights).sum(axis=0)
-        at_node = f.canonical_map(nodes[0] + origin)
-    numeric = _sum_value(variant, total, ~(np.isfinite(total) & np.isfinite(at_node)))
-    return numeric, _turns(np.angle(offsets[:, axes:]))
+    center, radii, count = path._circle
+    rows = tr.canonical_rows(planar)
+    shift = [a - b for a, b in zip(center.components, pole.components)]
+    c = tr.as_values(planar, [tr.dot(row, shift) for row in rows])
+    origin = tr.as_values(planar, [tr.dot(row, pole.components) for row in rows])
+    rho = [0.0] * len(c)  # the canonical radius of each wound plane's circle
+    for k, radius in radii:
+        rho[axes + k - 1] = tr.SQRT3 * abs(radius)
+    near = [tr.radius(v) for v in c]
+    far = [a + r for a, r in zip(near, rho)]  # the largest |z| on the circle
+    label = _first_hit(planar, (not math.isfinite(x) for x in far))
+    if label:
+        raise DomainError(f"path overflows: its canonical component {label} is not finite",
+                          component=label)
+    closest = [abs(a - r) for a, r in zip(near, rho)]
+    label = _first_hit(planar, (d < _PATH_CLEARANCE for d in closest))
+    if label:
+        raise DegeneratePathError(
+            f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
+    # the largest modulus of u - pole on the loop, as in _require_invertible
+    modulus = math.hypot(*(x / (tr.SQRT6 if j < axes else tr.SQRT3) for j, x in enumerate(far)))
+    label = tr.first_zero(planar, closest, ZERO_COMPONENT_RTOL * modulus)
+    if label:
+        raise ZeroDivisorError(label)
+    total: list = [0.0] * axes + [0j] * (len(c) - axes)
+    overflowed = []
+    for j, (p, v, r) in enumerate(zip(origin, c, rho)):
+        try:
+            if r:
+                value = total[j] = 1j * _circle_integral(f.canonical_map, p, v, r, count)
+            else:
+                value = f.canonical_map(complex(p + v))
+            overflowed.append(not cmath.isfinite(value))
+        except (OverflowError, ValueError):  # cmath's overflow, or its domain error at inf
+            overflowed.append(True)
+    windings = tuple(int(a < r) for a, r in zip(near[axes:], rho[axes:]))
+    return _sum_value(variant, total, overflowed), windings
+
+
+def _circle_integral(F: ElementwiseMap, pole: complex, c: complex, rho: float,
+                     count: int) -> complex:
+    """Periodic trapezoid rule for the integral of F(pole + z) (1 - c / z) dt
+    over [0, 2 pi), z = c + rho e^(it), on nested subsets of ``count``
+    equispaced nodes.
+
+    It starts on the fewest nodes, count / 2^j, that still number at least
+    16, and doubles them by adding the nodes in between until two
+    successive estimates agree to rounding (8 eps times the summed moduli
+    of the terms) or all ``count`` nodes are summed.  e^(it) is exactly 1
+    and -1 at t = 0 and pi, and every other node is summed with its mirror
+    image, the conjugate, so that an integrand symmetric under conjugation
+    sums exactly.
+    """
+    weight = tr.TWO_PI / count
+
+    def nodes(first: int, stride: int) -> tuple[complex, float]:
+        """Sum and summed moduli of the weighted terms at every ``stride``-th node from ``first``."""
+        total, size = 0j, 0.0
+        for q in range(first, count // 2 + 1, stride):
+            if q == 0 or 2 * q == count:
+                units = (1.0 if q == 0 else -1.0,)
+            else:
+                u = complex(math.cos(weight * q), math.sin(weight * q))
+                units = (u, u.conjugate())
+            pair = 0j
+            for u in units:
+                z = c + rho * u
+                term = F(pole + z) * (1.0 - c / z) * weight
+                pair += term
+                size += abs(term)
+            total += pair
+        return total, size
+
+    stride = 1
+    while count % (2 * stride) == 0 and count // (2 * stride) >= 16:
+        stride *= 2
+    total, size = nodes(0, stride)
+    while stride > 1:
+        stride //= 2
+        more, more_size = nodes(stride, 2 * stride)
+        previous = total * 2
+        total += more
+        size += more_size
+        if abs(total - previous) <= 8 * _EPS * size:
+            break
+    return total * stride
 
 
 def line_integral(f: Evaluator, path: Path) -> HexaNumber:
@@ -562,13 +686,15 @@ def residue_integral(f: Evaluator, path: Path, u0: HexaNumber) -> ResidueCompari
     """Integrate f(u)/(u - u0) around a closed path and compare with 2*pi residues.
 
     On a loop made by :func:`circle_path`, an f with a canonical map (as
-    every entry of :data:`FUNCTIONS` has) is integrated by the periodic
-    trapezoid rule in the planes the loop winds in, and the windings are
-    read from the same canonical offsets.  Any other path or f takes the
-    midpoint rule on the chords and :func:`winding_number` per plane.
-    Every canonical component of u(t) - u0 must stay at least 1e-6 away
-    from zero along the sampled path; otherwise the quotient approaches
-    the non-invertible set and :class:`DegeneratePathError` is raised.
+    every entry of :data:`FUNCTIONS` has) is integrated on the exact circle
+    in each plane the loop winds in, by the periodic trapezoid rule on at
+    most the loop's N nodes, and a plane's winding number is 1 exactly
+    when its circle encloses u0; the loop's samples are not built.  Any
+    other path or f takes the midpoint rule on the chords and
+    :func:`winding_number` per plane.  Every canonical component of
+    u(t) - u0 must stay at least 1e-6 away from zero along the path;
+    otherwise the quotient approaches the non-invertible set and
+    :class:`DegeneratePathError` is raised.
     """
     if not path.closed:
         raise ValueError("residue integrals need a closed path")

@@ -31,8 +31,9 @@ __all__ = ["main", "build_parser"]
 HUMAN_DIGITS = 12
 DEFAULT_TABLE_RANGE = (-4.0, 4.0, 0.05)
 DEFAULT_SAMPLES = 4096
-# The loop and its canonical offsets take a few hundred bytes per sample, so a
-# mistyped count is refused before numpy is asked for gigabytes.
+# --samples caps the quadrature nodes of integrate, which stops once two nested
+# sums agree; the loop's points, built only if read, take 48 bytes per sample,
+# so a mistyped count is still refused.
 MAX_SAMPLES = 1024 * DEFAULT_SAMPLES
 
 
@@ -120,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("plane", type=int, help="canonical plane index the loop winds in")
     p_int.add_argument("radius", type=float, help="loop radius in that plane")
     p_int.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, metavar="N",
-                       help=f"loop sample count, 8..{MAX_SAMPLES} (default {DEFAULT_SAMPLES})")
+                       help=f"most quadrature nodes on the loop, 8..{MAX_SAMPLES} "
+                            f"(default {DEFAULT_SAMPLES}); fewer when two nested sums agree")
 
     p_repr = sub.add_parser("repr", parents=[common],
                             help="matrix representation and its irreducible blocks")
@@ -200,11 +202,15 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     loop = calculus.circle_path(variant, center, {args.plane: args.radius}, args.samples)
     f = calculus.FUNCTIONS[args.function]
     comparison = calculus.residue_integral(f, loop, pole)
-    expected = tuple(int(k == args.plane) for k in range(1, plane_count + 1))
-    if comparison.windings != expected:
-        # the samples are rounded at the pole's scale, so the polyline is no longer the loop
+    # Each of a sample's six components rounds by at most half an ulp of the
+    # centre's largest, so a canonical offset moves by at most 3 ulp: a loop of
+    # no larger canonical radius is not resolved by its samples.
+    loop_radius = tr.SQRT3 * abs(args.radius)
+    resolution = 3.0 * math.ulp(max(map(abs, center.components)))
+    if loop_radius <= resolution:
         print(f"integrate: radius {args.radius!r} is below the resolution of the pole: "
-              f"the sampled loop winds {comparison.windings}, not {expected}", file=sys.stderr)
+              f"the loop's canonical radius {loop_radius:.6g} is at most 3 ulp of its "
+              f"centre's components ({resolution:.6g})", file=sys.stderr)
         return 1
     print(f"windings={comparison.windings}")
     print(f"numeric={format_hexa(comparison.numeric, HUMAN_DIGITS)}")

@@ -213,9 +213,10 @@ def component_roots(coefficients: Sequence[complex]) -> tuple[complex, ...]:
     ``coefficients`` is c1..cm, one value of :func:`decompose`.
 
     The eigenvalues of the companion matrix (numpy.roots) are grouped by
-    :func:`_clusters`.  A multiple root becomes the mean of its group,
-    which is well conditioned although each eigenvalue is not; a well
-    conditioned simple root gets one Newton step.  Raises
+    :func:`_clusters`.  A multiple root of multiplicity m becomes the mean
+    of its group, which is well conditioned although each eigenvalue is
+    not, refined by one Newton step on p^(m-1), of which it is a simple
+    root; a well conditioned simple root gets one Newton step on p.  Raises
     :class:`NonConvergenceError` when a root's :func:`_backward_error` is too large.
     """
     import numpy as np
@@ -228,8 +229,13 @@ def component_roots(coefficients: Sequence[complex]) -> tuple[complex, ...]:
     scale = max(1.0, max(abs(z) for z in eigenvalues))
     roots: list[complex] = []
     for cluster in _clusters(eigenvalues, coeffs, scale):
-        if len(cluster) > 1:
-            roots += [sum(cluster) / len(cluster)] * len(cluster)
+        m = len(cluster)
+        if m > 1:
+            z = sum(cluster) / m
+            t = _taylor(coeffs, z, m + 1)
+            if t[m]:
+                z -= t[m - 1] / (m * t[m])
+            roots += [z] * m
             continue
         z = cluster[0]
         value, slope = _taylor(coeffs, z, 2)

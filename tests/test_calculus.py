@@ -391,10 +391,23 @@ def _mp_canonical(mpmath, variant: Variant, components) -> list:
 
 @pytest.mark.parametrize("name", FUNCTIONS)
 def test_circle_loop_residue_matches_mpmath(name):
-    """The trapezoid rule on a circle_path loop against 2*pi*i F_k(P_k) at 40 digits."""
+    """The trapezoid rule on a circle_path loop against 2*pi*i F_k(P_k) at 40 digits.
+
+    On the integrate command's loops, centred on the pole in their plane,
+    the nested sums stop before all N nodes.  A loop whose centre sits at
+    0.9 of its radius from the pole needs more than 64 nodes.
+    """
     mpmath = pytest.importorskip("mpmath")
     exact = {"one": lambda z: 1, "u": lambda z: z, "u2": lambda z: z ** 2,
              "u3": lambda z: z ** 3}.get(name) or getattr(mpmath, name)
+    f = FUNCTIONS[name]
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return f.canonical_map(values)
+
+    counting = FunctionUnderTest(name, f.evaluator, counted)
     rng = random.Random(74)
     for variant in BOTH_VARIANTS:
         planar = variant.is_planar
@@ -405,21 +418,71 @@ def test_circle_loop_residue_matches_mpmath(name):
             radius = rng.uniform(0.3, 1.2)
             # the loop of the integrate command: clear of the pole off its plane
             clearance = 1.0 + 0.5 * radius
-            center = pole + from_canonical_values(variant, [clearance] * axes + [
-                0j if k == plane else complex(clearance) for k in range(1, planes + 1)])
             with mpmath.workdps(40):
                 column = axes + plane - 1
                 residue = 2j * mpmath.pi * exact(_mp_canonical(mpmath, variant,
                                                                pole.components)[column])
                 tol = 1e-13 * max(1.0, float(abs(residue)))
-            for samples in (64, 1024):
+            for shift, samples in ((0.0, 64), (0.0, 1000), (0.0, 1024), (0.0, 4096),
+                                   (0.9, 4096)):
+                center = pole + from_canonical_values(variant, [clearance] * axes + [
+                    complex(shift * tr.SQRT3 * radius) if k == plane else complex(clearance)
+                    for k in range(1, planes + 1)])
                 loop = circle_path(variant, center, {plane: radius}, samples)
-                comparison = residue_integral(FUNCTIONS[name], loop, pole)
+                calls.clear()
+                comparison = residue_integral(counting, loop, pole)
                 assert comparison.windings == tuple(int(k == plane) for k in range(1, planes + 1))
+                if shift:
+                    assert len(calls) > 64
+                elif samples > 64:
+                    assert len(calls) < samples
                 with mpmath.workdps(40):
                     got = _mp_canonical(mpmath, variant, comparison.numeric.components)
                     errors = [abs(v - (residue if j == column else 0)) for j, v in enumerate(got)]
                     assert float(max(errors)) <= tol, (variant, pole, plane, radius, samples)
+
+
+def _outer_product_points(variant: Variant, center: HexaNumber, radii, samples: int):
+    """A circle_path loop's samples as np.outer products, the first repeated last."""
+    rows = tr.rotation_rows(variant.is_planar)
+    t = 2.0 * np.pi * np.arange(samples) / samples
+    points = np.empty((samples + 1, 6))
+    points[:-1] = center.components
+    for k, radius in radii.items():
+        xi_row, eta_row = rows[tr.plane_slice(variant.is_planar, k)]
+        points[:-1] += np.outer(radius * np.cos(t), xi_row)
+        points[:-1] += np.outer(radius * np.sin(t), eta_row)
+    points[-1] = points[0]
+    return points
+
+
+def test_circle_path_builds_its_points_when_read():
+    rng = random.Random(75)
+    for variant in BOTH_VARIANTS:
+        planes = tr.pair_count(variant.is_planar)
+        for radii, samples in (({1: 0.7}, 8), ({planes: -1.3}, 1000), ({1: 0.9, planes: 2.5}, 4096)):
+            center = random_hexa(rng, variant)
+            loop = circle_path(variant, center, radii, samples)
+            assert loop._points is None
+            axes = tr.axis_count(variant.is_planar)
+            pole = center - from_canonical_values(variant, [2.0] * axes + [2j] * planes)
+            residue_integral(FUNCTIONS["exp"], loop, pole)  # the trapezoid reads no points
+            assert loop._points is None
+            points = loop.points
+            assert loop.points is points and not points.flags.writeable
+            assert points.tobytes() == _outer_product_points(variant, center, radii,
+                                                             samples).tobytes()
+
+
+@pytest.mark.parametrize("variant, center, radii", [
+    (Variant.POLAR, 1.5e308, {1: 1e308}),
+    (Variant.PLANAR, 0.0, {1: 1.5e308, 2: 1.5e308, 3: 1.5e308}),
+    (Variant.PLANAR, 0.0, {2: math.inf}),
+    (Variant.POLAR, 0.0, {1: math.nan}),
+])
+def test_circle_path_rejects_samples_that_overflow(variant, center, radii):
+    with pytest.raises(DomainError, match="path samples must be finite"):
+        circle_path(variant, HexaNumber.from_real(variant, center), radii, 64)
 
 
 def test_path_construction():

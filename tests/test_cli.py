@@ -107,6 +107,16 @@ def test_factor_all_counts_a_repeated_root_once(capsys, argv, lines):
     assert len(out.splitlines()) == lines
 
 
+@pytest.mark.parametrize("argv, out", [
+    (("--polar", "--", "1", "-2", "1"), "[u - 1][u - 1]\n"),                 # (u - 1)^2
+    (("--planar", "--", "1", "-2", "1"), "[u - 1][u - 1]\n"),
+    (("--polar", "--", "1", "-2.2", "1.21"), "[u - 1.1][u - 1.1]\n"),        # (u - 1.1)^2
+    (("--planar", "--", "1", "-4", "6", "-4", "1"), "[u - 1]" * 4 + "\n"),   # (u - 1)^4
+])
+def test_factor_prints_a_repeated_root_without_rounding_residue(capsys, argv, out):
+    assert run(capsys, "factor", *argv) == (0, out, "")
+
+
 @pytest.mark.parametrize("variant, coefficients", [
     (Variant.POLAR, (1, 0, -7, 6)),      # (u - 1)(u - 2)(u + 3): 216 results
     (Variant.PLANAR, (1, 0, -7, 6)),
@@ -254,6 +264,20 @@ def test_integrate_command(capsys):
     assert float(lines["max_abs_difference"]) <= 1e-12
 
 
+def test_integrate_on_the_exact_circle(capsys):
+    # the loop's windings come from its exact circle, so a negative radius winds once too
+    code, out, err = run(capsys, "integrate", "--samples", "64", "exp", "0", "1", "--", "-1.0")
+    assert code == 0 and err == "" and "windings=(1, 0)\n" in out
+
+    # every node count sums 1 - c / z to 1 exactly: the nodes at 0 and pi are 1 and -1,
+    # and each other node is summed with its conjugate
+    for samples in ("64", "1024"):
+        code, out, err = run(capsys, "integrate", "--samples", samples, "one", "0", "1", "1e308")
+        assert code == 0 and err == ""
+        lines = dict(line.split("=", 1) for line in out.splitlines())
+        assert lines["numeric"] == lines["formula"]
+
+
 def test_integrate_rejects_bad_plane(capsys):
     code, _, err = run(capsys, "integrate", "exp", "0", "3", "1.0")
     assert code == 1 and "plane" in err
@@ -318,7 +342,8 @@ def test_integrate_rejects_a_loop_below_the_pole_resolution(capsys, pole):
     code, out, err = run(capsys, "integrate", "--samples", "64", "one", pole, "1", "1.0")
     assert code == 1 and out == ""
     assert err == ("integrate: radius 1.0 is below the resolution of the pole: "
-                   "the sampled loop winds (1, 1), not (1, 0)\n")
+                   "the loop's canonical radius 1.73205 is at most 3 ulp of its centre's "
+                   f"components ({ {'1e17': 48, '1e16': 6}[pole]})\n")
 
     code, out, _ = run(capsys, "integrate", "--samples", "64", "one", "3e15", "1", "1.0")
     assert code == 0 and "windings=(1, 0)" in out
@@ -507,11 +532,12 @@ def test_scalar_commands_do_not_import_numpy():
     scalar = [[command, variant, *rest]
               for variant in ("--polar", "--planar")
               for command, *rest in (("eval", "exp(h1) / (2 + h3) + pow(3 + h2, 0.5)"),
-                                     ("canon", "ln(2 + h1)"), ("table", "g"))]
+                                     ("canon", "ln(2 + h1)"), ("table", "g"),
+                                     ("integrate", "sin", "h3", "1", "0.5"))]
+    scalar.append(["integrate", "--samples", "64", "exp", "0", "1", "1.0"])
     # repr builds matrices: it must load numpy, which shows the probe can see it;
-    # factor and integrate run after it, so they show only dataclasses staying out
-    arrays = [["repr", "h1"], ["factor", "1", "0", "-1"],
-              ["integrate", "--samples", "64", "exp", "0", "1", "1.0"]]
+    # factor runs after it, so it shows only dataclasses staying out
+    arrays = [["repr", "h1"], ["factor", "1", "0", "-1"]]
     argvs = [*scalar, *arrays]
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hexacomplex.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)], env=env,
