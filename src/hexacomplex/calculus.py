@@ -9,33 +9,28 @@ the canonical planes only, weighted by per-plane winding numbers.
 
 A path is an (N+1)x6 array of components, made by :func:`circle_path`
 or from any such array or sequence of HexaNumbers.  The quadrature
-works in canonical coordinates: one transform moves the sampled path to
-one complex column per canonical component (the real axes with zero
-imaginary part, then the planes vk + i vk~), where the products and
-quotients of f(u) (u - u0)^-1 du act column by column, and the sum maps
-back once.  The functions in :data:`FUNCTIONS` act there too: each
-carries one elementwise map, so f is evaluated on whole arrays of
-canonical points.  Any other callable is called once per chord
-midpoint, on a HexaNumber.  Memory is O(N): the path, one (N+1)-row
-array of canonical offsets and temporaries no larger than it.
+works on the canonical values of the offsets of its samples (a float per
+real axis, then the planes vk + i vk~), where f(u) (u - u0)^-1 du acts
+value by value, in scalar Python arithmetic; each function in
+:data:`FUNCTIONS` carries the ``cmath`` function (or product of u's) that
+computes it there.  numpy only builds, checks, measures and projects the
+samples of a path.
 
 A loop made by :func:`circle_path` remembers its centre, radii and N,
 and builds its samples only when they are read.  On such a loop, with an
 f from :data:`FUNCTIONS`, :func:`residue_integral` never reads them: it
 works on the exact circle in each plane the loop winds in (every other
 canonical component of u - u0 is constant along it, so du is 0 there),
-in scalar ``cmath`` arithmetic, with the periodic trapezoid rule.  That
-rule converges geometrically, so it sums nested subsets of the N nodes
-and stops once two successive sums agree to rounding; N only caps the
-node count, and memory does not grow with it.  Every other path and
-callable, and :func:`line_integral`, use the midpoint rule on the
-chords.
+with the periodic trapezoid rule.  That rule converges geometrically, so
+it sums nested subsets of the N nodes and stops once two successive sums
+agree to rounding; N only caps the node count, and memory does not grow
+with it.  Every other path and callable, and :func:`line_integral`, use
+the midpoint rule on the chords.  Both rules check the offsets alike.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
@@ -74,18 +69,9 @@ _SECOND_ORDER_STEP = 1e-4
 _PATH_CLEARANCE = 1e-6
 _PROJECTION_CLEARANCE = 1e-9
 _EPS = 2.0 ** -52
-# Rows per block of the array arithmetic on sampled paths: its temporaries
-# stay near 12-16 kB each whatever the sample count, which keeps peak memory
-# at the path itself plus one array of canonical offsets.
-_BLOCK = 256
 
 Evaluator = Callable[[HexaNumber], HexaNumber]
-ElementwiseMap = Callable[["np.ndarray"], "np.ndarray"]
-
-
-def _blocks(n: int) -> Iterable[tuple[int, int]]:
-    """Consecutive row ranges [lo, hi) covering range(n)."""
-    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+ElementwiseMap = Callable[[complex], complex]
 
 
 class _Rows(Sequence):
@@ -226,11 +212,10 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
 class FunctionUnderTest(Frozen):
     """A deterministic map u -> f(u), compared by identity.
 
-    ``canonical_map``, when given, computes f in canonical coordinates,
-    elementwise on one complex128 array of canonical components (the real
-    axes with zero imaginary part and the planes vk + i vk~) or on a single
-    Python complex.  Quadrature then evaluates f on whole blocks of points,
-    or on the nodes of a :func:`circle_path` loop one at a time, through it.
+    ``canonical_map``, when given, computes f in canonical coordinates: it
+    maps one canonical value, a Python float (a real axis) or complex (a
+    plane vk + i vk~), to that component of f.  Quadrature evaluates f
+    through it, one component of one point at a time.
     """
 
     name: str
@@ -247,37 +232,17 @@ class FunctionUnderTest(Frozen):
         return self.evaluator(u)
 
 
-def _fn_one(u: HexaNumber) -> HexaNumber:
-    return HexaNumber.one(u.variant)
-
-
-def _numpy_map(name: str, scalar: Callable[[complex], complex]) -> ElementwiseMap:
-    """numpy's elementwise function ``name`` on arrays, looked up on each call
-    so that building :data:`FUNCTIONS` does not import numpy, and ``scalar``
-    on a single Python complex."""
-
-    def mapped(values):
-        if isinstance(values, complex):
-            return scalar(values)
-        import numpy as np
-
-        return getattr(np, name)(values)
-
-    return mapped
-
-
 def _polynomial(name: str, evaluator: Evaluator) -> FunctionUnderTest:
     """A product of u's, which is its own canonical map: products act per component."""
     return FunctionUnderTest(name, evaluator, canonical_map=evaluator)
 
 
 FUNCTIONS: dict[str, FunctionUnderTest] = {f.name: f for f in (
-    FunctionUnderTest("one", _fn_one, canonical_map=_numpy_map("ones_like", lambda z: 1.0)),
+    FunctionUnderTest("one", lambda u: HexaNumber.one(u.variant), canonical_map=lambda z: 1.0),
     _polynomial("u", lambda u: u),
     _polynomial("u2", lambda u: u * u),
     _polynomial("u3", lambda u: u * u * u),
-    *(FunctionUnderTest(name, getattr(elementary, name),
-                        canonical_map=_numpy_map(name, getattr(cmath, name)))
+    *(FunctionUnderTest(name, getattr(elementary, name), canonical_map=getattr(cmath, name))
       for name in elementary.COMPONENTWISE),
 )}
 
@@ -384,95 +349,62 @@ def cr_check(f: Evaluator, u0: HexaNumber) -> CRReport:
                     second_order=tuple(second_order))
 
 
-def _canonical(x: np.ndarray, planar: bool) -> np.ndarray:
-    """Canonical components of each row of x: one complex128 column per component.
-
-    Column j is component ``tr.component_labels(planar)[j]``: the real axes
-    first, with zero imaginary part, then the planes vk + i vk~.
-    """
-    import numpy as np
-
-    c = np.einsum("ij,kj->ik", x, tr.canonical_rows(planar))
-    axes = tr.axis_count(planar)
-    return np.hstack((c[:, :axes], c[:, axes:].view(np.complex128)))
-
-
-def _first_label(hits: np.ndarray, planar: bool) -> str | None:
-    """Label of the first hit, row by row, in a boolean array with one column per component.
-
-    Components are named v+, v- and pair1, pair2, ... as in ZeroDivisorError.
-    """
-    import numpy as np
-
-    if not hits.any():
-        return None
-    return tr.component_labels(planar)[np.argwhere(hits)[0][1]]
-
-
-def _called(f: Evaluator, x: np.ndarray, variant: Variant) -> np.ndarray:
-    """Canonical components of f on each row of a component array, one HexaNumber per row."""
-    import numpy as np
-
-    values = np.empty_like(x)
-    for i, point in enumerate(x.tolist()):
-        value = f(HexaNumber(variant, point))
-        if value.variant is not variant:
-            raise VariantError(f"integrand returned a {value.variant.value} value "
-                               f"on a {variant.value} path")
-        values[i] = value.components
-    return _canonical(values, variant.is_planar)
-
-
-def _offsets(path: Path, pole: HexaNumber | None) -> np.ndarray:
-    """Canonical offsets of the samples from the pole (or from zero), one row per sample.
-
-    An offset that is not finite raises :class:`DomainError`; with a pole,
-    a sample within 1e-6 of it in some canonical component raises
-    :class:`DegeneratePathError`.  Both name the first such component.
-    """
-    import numpy as np
-
-    planar = path.variant.is_planar
-    offsets = _canonical(path.points if pole is None else path.points - pole.components, planar)
-    label = _first_label(~np.isfinite(offsets), planar)
-    if label:
-        raise DomainError(f"path overflows: its canonical component {label} is not finite",
-                          component=label)
-    if pole is not None:
-        label = _first_label(np.abs(offsets) < _PATH_CLEARANCE, planar)
-        if label:
-            raise DegeneratePathError(
-                f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
-    return offsets
-
-
-def _require_invertible(offsets: np.ndarray, planar: bool) -> None:
-    """Raise :class:`ZeroDivisorError` for the first row of canonical offsets
-    with a component that is zero relative to the row's modulus."""
-    import numpy as np
-
-    # |u| is the hypot (no overflow or underflow) of |v| / sqrt6 on the axes and
-    # |v| / sqrt3 on the planes, the norms of the orthogonal canonical rows.
-    norms = np.array([tr.SQRT6] * tr.axis_count(planar) + [tr.SQRT3] * tr.pair_count(planar))
-    radii = np.abs(offsets)
-    # column by column: numpy's hypot.reduce along a row of 3 or 4 is far slower
-    moduli = functools.reduce(np.hypot, (radii / norms).T)
-    label = _first_label(radii <= ZERO_COMPONENT_RTOL * moduli[:, None], planar)
-    if label:
-        raise ZeroDivisorError(label)
-
-
 def _first_hit(planar: bool, hits: Iterable[bool]) -> str | None:
     """Label of the first canonical component flagged in ``hits``, one flag per component."""
     return next((label for label, hit in zip(tr.component_labels(planar), hits) if hit), None)
 
 
-def _sum_value(variant: Variant, total: Sequence, overflowed: Iterable[bool]) -> HexaNumber:
-    """The value with canonical components ``total``, unless a component overflowed.
+def _check_overflow(planar: bool, hits: Iterable[bool]) -> None:
+    """:class:`DomainError` for the first canonical offset flagged as not finite in ``hits``."""
+    label = _first_hit(planar, hits)
+    if label:
+        raise DomainError(f"path overflows: its canonical component {label} is not finite",
+                          component=label)
 
-    :class:`DomainError` names the first canonical component flagged in
-    ``overflowed``.
+
+def _check_clearance(planar: bool, radii: Iterable[float]) -> None:
+    """:class:`DegeneratePathError` for the first canonical offset radius under 1e-6."""
+    label = _first_hit(planar, (r < _PATH_CLEARANCE for r in radii))
+    if label:
+        raise DegeneratePathError(
+            f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
+
+
+def _check_invertible(planar: bool, radii: Sequence[float], largest: Sequence[float]) -> None:
+    """:class:`ZeroDivisorError` for the first canonical radius in ``radii`` at or
+    below ZERO_COMPONENT_RTOL |u|, u the value of canonical radii ``largest``: |u|
+    is the hypot of |v| / sqrt6 on the axes and |v| / sqrt3 on the planes."""
+    axes = tr.axis_count(planar)
+    modulus = math.hypot(*(x / (tr.SQRT6 if j < axes else tr.SQRT3) for j, x in enumerate(largest)))
+    label = tr.first_zero(planar, radii, ZERO_COMPONENT_RTOL * modulus)
+    if label:
+        raise ZeroDivisorError(label)
+
+
+def _quotient(n: complex, d: complex) -> complex:
+    """n / d for a finite nonzero d, also where Python's division overflows inside.
+
+    complex(1e307) / complex(1.5e308, 1e308) is -0j, not 0.046 - 0.031j, and
+    complex(1.5e308, 1.5e308) / (0.9 + 0.9j) is inf, not 1.67e308.  A
+    quotient that is 0 or not finite for a nonzero n is formed again on n
+    and d each scaled by a power of two to a largest part in [0.5, 1), as
+    ``algebra._reciprocal`` does, and scaled back; one beyond the range stays.
     """
+    q = n / d
+    if (q or not n) and cmath.isfinite(q):
+        return q
+    en, ed = (math.frexp(max(abs(z.real), abs(z.imag)))[1] for z in (n, d))
+    s = (complex(math.ldexp(n.real, -en), math.ldexp(n.imag, -en))
+         / complex(math.ldexp(d.real, -ed), math.ldexp(d.imag, -ed)))
+    try:
+        return complex(math.ldexp(s.real, en - ed), math.ldexp(s.imag, en - ed))
+    except OverflowError:
+        return q
+
+
+def _sum_value(variant: Variant, total: Sequence, overflowed: Iterable[bool]) -> HexaNumber:
+    """The value with canonical components ``total``; :class:`DomainError`
+    names the first component flagged in ``overflowed``."""
     label = _first_hit(variant.is_planar, overflowed)
     if label:
         raise DomainError(f"integrand overflows: canonical component {label} of the sum "
@@ -480,47 +412,65 @@ def _sum_value(variant: Variant, total: Sequence, overflowed: Iterable[bool]) ->
     return from_canonical_values(variant, total)
 
 
+def _canonical_at(planar: bool, components: Sequence[float]) -> tuple:
+    """Canonical values of six components, which may overflow: quadrature reports it itself."""
+    return tr.as_values(planar, [tr.dot(row, components) for row in tr.canonical_rows(planar)])
+
+
 def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> HexaNumber:
     """Midpoint rule on the chords of ``path``, summed in canonical coordinates.
 
-    Each chord contributes F(mid) * delta, divided by mid - pole when a pole
-    is given, on one complex column per canonical component.  An f with a
-    canonical map is evaluated on whole blocks of canonical midpoints; any
-    other f is called on each midpoint.  The offsets of the samples are
-    checked by :func:`_offsets` before f is called; with a pole, a chord
-    midpoint that is a zero divisor of u - pole raises
-    :class:`ZeroDivisorError` before f is called on its block of chords.
-    A sum that is not finite, as when f overflows, raises
-    :class:`DomainError` naming the first such canonical component.
+    In each canonical component, the chord between the offsets a and b of
+    two samples from the pole (or from 0) adds F(mid) (b - a), divided by
+    mid with a pole, where mid = 0.5 a + 0.5 b does not overflow.  An f
+    with a canonical map is evaluated on pole + mid, as in
+    :func:`_trapezoid_residue`; any other f is called on each chord's
+    midpoint, a HexaNumber.  Before f is called at all: the first sample
+    with an offset that is not finite raises :class:`DomainError`; with a
+    pole, then a sample within 1e-6 of it in some canonical component
+    raises :class:`DegeneratePathError`, and then a chord midpoint that is
+    a zero divisor of u - pole raises :class:`ZeroDivisorError`.  A sum
+    that is not finite (a canonical map's ``OverflowError`` included)
+    raises :class:`DomainError`.  Each error names the first canonical
+    component at fault.  Memory is O(N).
     """
-    import numpy as np
-
     variant = path.variant
     planar = variant.is_planar
-    points = path.points
-    mapped = getattr(f, "canonical_map", None) is not None
-    # One path-sized array, the canonical offsets of the samples from the
-    # pole (or from zero); everything else works in blocks of chords.
-    offsets = _offsets(path, pole)
-    origin = 0.0 if pole is None else _canonical(np.reshape(pole.components, (1, 6)), planar)
-    total = np.zeros(offsets.shape[1], dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in _blocks(len(offsets) - 1):
-            ends = offsets[lo:hi + 1]
-            weights = ends[1:] - ends[:-1]
-            mids = ends[1:] + ends[:-1]  # canonical chord midpoints, offset from the pole
-            mids *= 0.5
-            if pole is not None:
-                _require_invertible(mids, planar)
-                weights /= mids
-            if mapped:
-                terms = f.canonical_map(mids + origin)
-            else:
-                x = points[lo:hi] + points[lo + 1:hi + 1]
-                x *= 0.5
-                terms = _called(f, x, variant)
-            total += (terms * weights).sum(axis=0)
-    return _sum_value(variant, total, ~np.isfinite(total))
+    points = path.points.tolist()
+    base = (0.0,) * 6 if pole is None else pole.components
+    offsets = [_canonical_at(planar, [x - p for x, p in zip(point, base)]) for point in points]
+    for z in offsets:
+        _check_overflow(planar, (not cmath.isfinite(v) for v in z))
+    if pole is not None:
+        for z in offsets:
+            _check_clearance(planar, map(tr.radius, z))
+    chords = []
+    for a, b in zip(offsets, offsets[1:]):
+        mid = [0.5 * x + 0.5 * y for x, y in zip(a, b)]
+        step = [y - x for x, y in zip(a, b)]
+        if pole is not None:
+            radii = [tr.radius(v) for v in mid]
+            _check_invertible(planar, radii, radii)
+            step = [_quotient(d, v) for d, v in zip(step, mid)]
+        chords.append((mid, step))
+    total: list = [0j] * len(offsets[0])
+    F = getattr(f, "canonical_map", None)
+    if F is not None:
+        for j, p in enumerate(_canonical_at(planar, base)):
+            try:
+                for mid, step in chords:
+                    total[j] += F(p + mid[j]) * step[j]
+            except (OverflowError, ValueError):  # cmath's overflow, or its domain error at inf
+                total[j] = math.inf
+    else:
+        for x, y, (_, step) in zip(points, points[1:], chords):
+            value = f(HexaNumber(variant, [0.5 * a + 0.5 * b for a, b in zip(x, y)]))
+            if value.variant is not variant:
+                raise VariantError(f"integrand returned a {value.variant.value} value "
+                                   f"on a {variant.value} path")
+            for j, (v, w) in enumerate(zip(_canonical_at(planar, value.components), step)):
+                total[j] += v * w
+    return _sum_value(variant, total, (not cmath.isfinite(v) for v in total))
 
 
 def _trapezoid_residue(f: FunctionUnderTest, path: Path,
@@ -533,41 +483,28 @@ def _trapezoid_residue(f: FunctionUnderTest, path: Path,
     centre's offset, and is c in every other component.  So du is
     i (z - c) dt in a wound plane and 0 elsewhere, and a wound plane's
     integral is i times that of F(pole + z) (1 - c / z) dt over [0, 2 pi)
-    (:func:`_circle_integral`).  Everything runs on that exact circle in
-    scalar arithmetic, without the loop's points: the offsets are checked
-    in O(1) with the messages of :func:`_offsets` and
-    :func:`_require_invertible`; F is evaluated once on every constant
-    component, so one that overflows raises the :class:`DomainError` of
-    :func:`_midpoint_sum`; and a plane's winding number is 1 exactly when
-    its circle encloses 0.
+    (:func:`_circle_integral`).  Everything runs on that exact circle,
+    without the loop's points: the checks of :func:`_midpoint_sum` run in
+    O(1) on the smallest and largest |z| of each component; F is also
+    evaluated once on every constant component, so that its overflow is
+    reported; and a plane's winding number is 1 exactly when its circle
+    encloses 0.
     """
     variant = path.variant
     planar = variant.is_planar
     axes = tr.axis_count(planar)
     center, radii, count = path._circle
-    rows = tr.canonical_rows(planar)
-    shift = [a - b for a, b in zip(center.components, pole.components)]
-    c = tr.as_values(planar, [tr.dot(row, shift) for row in rows])
-    origin = tr.as_values(planar, [tr.dot(row, pole.components) for row in rows])
+    c = _canonical_at(planar, [a - b for a, b in zip(center.components, pole.components)])
+    origin = _canonical_at(planar, pole.components)
     rho = [0.0] * len(c)  # the canonical radius of each wound plane's circle
     for k, radius in radii:
         rho[axes + k - 1] = tr.SQRT3 * abs(radius)
     near = [tr.radius(v) for v in c]
     far = [a + r for a, r in zip(near, rho)]  # the largest |z| on the circle
-    label = _first_hit(planar, (not math.isfinite(x) for x in far))
-    if label:
-        raise DomainError(f"path overflows: its canonical component {label} is not finite",
-                          component=label)
+    _check_overflow(planar, (not math.isfinite(x) for x in far))
     closest = [abs(a - r) for a, r in zip(near, rho)]
-    label = _first_hit(planar, (d < _PATH_CLEARANCE for d in closest))
-    if label:
-        raise DegeneratePathError(
-            f"path canonical component {label} comes within {_PATH_CLEARANCE} of zero")
-    # the largest modulus of u - pole on the loop, as in _require_invertible
-    modulus = math.hypot(*(x / (tr.SQRT6 if j < axes else tr.SQRT3) for j, x in enumerate(far)))
-    label = tr.first_zero(planar, closest, ZERO_COMPONENT_RTOL * modulus)
-    if label:
-        raise ZeroDivisorError(label)
+    _check_clearance(planar, closest)
+    _check_invertible(planar, closest, far)
     total: list = [0.0] * axes + [0j] * (len(c) - axes)
     overflowed = []
     for j, (p, v, r) in enumerate(zip(origin, c, rho)):
@@ -595,9 +532,15 @@ def _circle_integral(F: ElementwiseMap, pole: complex, c: complex, rho: float,
     of the terms) or all ``count`` nodes are summed.  e^(it) is exactly 1
     and -1 at t = 0 and pi, and every other node is summed with its mirror
     image, the conjugate, so that an integrand symmetric under conjugation
-    sums exactly.
+    sums exactly.  From |c| + rho = 2^1020 up, where c / z can overflow
+    inside Python's division, the quotient is formed on c and rho scaled
+    by a power of two.
     """
     weight = tr.TWO_PI / count
+    cs, rs = c, rho
+    e = math.frexp(tr.radius(c) + rho)[1]
+    if e > 1020:
+        cs, rs = complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)), math.ldexp(rho, -e)
 
     def nodes(first: int, stride: int) -> tuple[complex, float]:
         """Sum and summed moduli of the weighted terms at every ``stride``-th node from ``first``."""
@@ -610,8 +553,7 @@ def _circle_integral(F: ElementwiseMap, pole: complex, c: complex, rho: float,
                 units = (u, u.conjugate())
             pair = 0j
             for u in units:
-                z = c + rho * u
-                term = F(pole + z) * (1.0 - c / z) * weight
+                term = F(pole + (c + rho * u)) * (1.0 - cs / (cs + rs * u)) * weight
                 pair += term
                 size += abs(term)
             total += pair
@@ -690,11 +632,11 @@ def residue_integral(f: Evaluator, path: Path, u0: HexaNumber) -> ResidueCompari
     in each plane the loop winds in, by the periodic trapezoid rule on at
     most the loop's N nodes, and a plane's winding number is 1 exactly
     when its circle encloses u0; the loop's samples are not built.  Any
-    other path or f takes the midpoint rule on the chords and
-    :func:`winding_number` per plane.  Every canonical component of
-    u(t) - u0 must stay at least 1e-6 away from zero along the path;
-    otherwise the quotient approaches the non-invertible set and
-    :class:`DegeneratePathError` is raised.
+    other path or f takes the midpoint rule on the chords, in the same
+    scalar arithmetic, and :func:`winding_number` per plane, on the
+    samples.  Every canonical component of u(t) - u0 must stay at least
+    1e-6 away from zero along the path; otherwise the quotient approaches
+    the non-invertible set and :class:`DegeneratePathError` is raised.
     """
     if not path.closed:
         raise ValueError("residue integrals need a closed path")

@@ -51,8 +51,8 @@ def _apply(variant: Variant, values,
 
 
 # The entire functions that act as the real function of the same name on each
-# axis and as the complex one on each plane.  math, cmath and numpy all define
-# them under these names, so this one table serves values and arrays alike.
+# axis and as the complex one on each plane.  math and cmath both define them
+# under these names, so this one table serves the axes, the planes and calculus.
 COMPONENTWISE = ("exp", "sin", "cos", "sinh", "cosh")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import io
 import math
@@ -25,7 +26,7 @@ from hexacomplex.calculus import (
     FUNCTIONS,
     FunctionUnderTest,
     Path,
-    _canonical,
+    _quotient,
     circle_path,
     cr_check,
     directional_derivative,
@@ -485,6 +486,90 @@ def test_circle_path_rejects_samples_that_overflow(variant, center, radii):
         circle_path(variant, HexaNumber.from_real(variant, center), radii, 64)
 
 
+def _integrate_loop(variant: Variant, pole: HexaNumber, center_offset: complex, radius: float,
+                    samples: int) -> Path:
+    """The loop of the integrate command in plane 1, its centre ``center_offset``
+    from the pole there."""
+    planes = tr.pair_count(variant.is_planar)
+    clearance = 1.0 + 0.5 * radius
+    center = pole + from_canonical_values(variant, [clearance] * tr.axis_count(variant.is_planar)
+                                          + [center_offset] + [complex(clearance)] * (planes - 1))
+    return circle_path(variant, center, {1: radius}, samples)
+
+
+@pytest.mark.parametrize("samples", [64, 4096])
+def test_circle_loop_near_the_top_of_the_range_matches_the_formula(samples):
+    # |c| + rho is 1.7e308, where Python's complex division c / z overflows inside
+    for variant in BOTH_VARIANTS:
+        pole = HexaNumber.zero(variant)
+        loop = _integrate_loop(variant, pole, complex(3e307), 1.4e308 / math.sqrt(3.0), samples)
+        comparison = residue_integral(FUNCTIONS["one"], loop, pole)
+        assert comparison.windings == (1,) + (0,) * (tr.pair_count(variant.is_planar) - 1)
+        assert comparison.max_abs_difference <= 1e-15
+
+
+def test_plain_path_near_the_top_of_the_range_takes_the_midpoint_rule():
+    # the samples of integrate one 0 1 1e308: chord midpoints and quotients near DBL_MAX
+    count = 64
+    for variant in BOTH_VARIANTS:
+        pole = HexaNumber.zero(variant)
+        loop = Path(variant, _integrate_loop(variant, pole, 0j, 1e308, count).points, closed=True)
+        comparison = residue_integral(FUNCTIONS["one"], loop, pole)
+        planes = tr.pair_count(variant.is_planar)
+        assert comparison.windings == (1,) + (0,) * (planes - 1)
+        # on a regular N-gon around the pole, F = 1 sums to N tan(pi / N) / pi of 2 pi i
+        plane = tr.axis_count(variant.is_planar)
+        got = canonical_values(comparison.numeric)[plane]
+        expected = canonical_values(comparison.formula)[plane] * count * math.tan(math.pi / count) \
+            / math.pi
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("n, d", [
+    (complex(1e307), complex(1.5e308, 1e308)),       # Python's division gives -0j
+    (complex(1.5e308, 1.5e308), complex(0.9, 0.9)),  # and inf here
+    (complex(-1e308, 3.0), complex(1.7e308, -1e-300)),
+    (2.5, 0.5),
+])
+def test_chord_quotient_holds_near_the_top_of_the_range(n, d):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = mpmath.mpc(n) / mpmath.mpc(d)
+        assert abs(mpmath.mpc(_quotient(n, d)) - exact) <= 4 * 2.0 ** -52 * abs(exact)
+
+
+@pytest.mark.parametrize("name", ["exp", "cosh", "sinh"])
+def test_plain_path_reports_an_integrand_that_overflows(name):
+    f = FUNCTIONS[name]
+    for variant in BOTH_VARIANTS:
+        label = "pair1" if variant.is_planar else "v+"
+        pole = HexaNumber.zero(variant)
+        # canonical component v+ (pair1 on planar) near 800, where the map overflows
+        if variant.is_planar:
+            a, b = [800 + 1j, 1 + 1j, 1 + 1j], [801 + 1j, 1.5 + 1j, 1 + 0.5j]
+        else:
+            a, b = [800.0, 1.0, 1 + 1j, 1 + 1j], [801.0, 1.5, 1.5 + 1j, 1 + 0.5j]
+        loop = Path(variant, [from_canonical_values(variant, v) for v in (a, b, a)], closed=True)
+        message = f"integrand overflows: canonical component {label} of the sum is not finite"
+        for integral in (lambda: line_integral(f, loop), lambda: residue_integral(f, loop, pole)):
+            with pytest.raises(DomainError, match=re.escape(message)) as caught:
+                integral()
+            assert caught.value.component == label
+
+
+def test_plain_path_reports_offsets_that_overflow():
+    variant = Variant.POLAR
+    top = HexaNumber(variant, (1.2e308, 0.0, 0.0, 1.2e308, 0.0, 0.0))
+    loop = Path(variant, [top, HexaNumber(variant, (1.2e308, 1.0, 0.0, 1.2e308, 0.0, 0.0)), top],
+                closed=True)
+    message = "path overflows: its canonical component v+ is not finite"
+    for integral in (lambda: line_integral(FUNCTIONS["u"], loop),
+                     lambda: residue_integral(FUNCTIONS["u"], loop, HexaNumber.zero(variant))):
+        with pytest.raises(DomainError, match=re.escape(message)) as caught:
+            integral()
+        assert caught.value.component == "v+"
+
+
 def test_path_construction():
     variant = Variant.POLAR
     loop = circle_path(variant, HexaNumber.one(variant), {2: 0.5}, 16)
@@ -512,37 +597,20 @@ def test_elementwise_maps_agree_with_the_evaluator(name):
         for _ in range(50):
             u = random_hexa(rng, variant)
             values = canonical_values(u)
-            a = tr.axis_count(variant.is_planar)
-            mapped = tr.as_flat(variant.is_planar, [
-                *f.canonical_map(np.array(values[:a], dtype=np.float64)),
-                *f.canonical_map(np.array(values[a:], dtype=np.complex128))])
+            mapped = tr.as_flat(variant.is_planar, [f.canonical_map(complex(v)) for v in values])
             # rounding of the canonical input, carried through f', plus that of the output
             scale = max(map(abs, mapped)) * (1.0 + max(map(abs, values)))
             assert max_abs_diff(from_canonical_components(variant, mapped), f(u)) \
                 <= 8 * 2.0 ** -52 * scale
 
 
-@pytest.mark.parametrize("name, numpy_name",
-                         [("one", "ones_like"), *((n, n) for n in elementary.COMPONENTWISE)])
-def test_canonical_maps_are_numpys_functions(name, numpy_name):
-    rng = np.random.default_rng(9)
-    real = rng.normal(scale=3.0, size=40)
-    for values in (real, real[:20] + 1j * real[20:]):
-        mapped = FUNCTIONS[name].canonical_map(values)
-        expected = getattr(np, numpy_name)(values)
-        assert mapped.dtype == expected.dtype and mapped.tobytes() == expected.tobytes()
-
-
-def test_canonical_columns_match_the_scalar_transform():
-    rng = random.Random(73)
-    for variant in BOTH_VARIANTS:
-        planar = variant.is_planar
-        values = [random_hexa(rng, variant, -5.0, 5.0) for _ in range(50)]
-        columns = _canonical(np.array([u.components for u in values]), planar)
-        assert columns.dtype == np.complex128 and columns.shape == (50, 3 if planar else 4)
-        for u, got in zip(values, columns):
-            expected = np.array(canonical_values(u), dtype=np.complex128)
-            assert np.abs(got - expected).max() <= 1e-15 * (1.0 + max(map(abs, u.components)))
+@pytest.mark.parametrize("name", ["one", *elementary.COMPONENTWISE])
+def test_canonical_maps_are_cmaths_functions(name):
+    mapped = FUNCTIONS[name].canonical_map
+    if name == "one":
+        assert mapped(2.5) == mapped(-1.5 + 4j) == 1
+    else:
+        assert mapped is getattr(cmath, name)
 
 
 @pytest.mark.parametrize("argv", [("exp", "0", "1", "1.0"),
