@@ -195,6 +195,30 @@ def radius(z: complex) -> float:
     return math.hypot(z.real, z.imag)
 
 
+def quotient(n: complex, d: complex) -> complex:
+    """n / d for canonical values, d finite and nonzero, also where Python's division overflows.
+
+    Near the top of the double range Python's complex division overflows in
+    its intermediates: 1 / complex(1.5e308, 1.5e308) and
+    complex(1e307) / complex(1.5e308, 1e308) are -0j, and
+    complex(1.5e308, 1.5e308) / (0.9 + 0.9j) is inf, not 1.67e308.  A finite
+    quotient that is nonzero or has n = 0 is kept (an axis stays a float);
+    otherwise n and d are each scaled by a power of two to a largest part in
+    [0.5, 1), divided there and the quotient scaled back.  A quotient beyond
+    the range stays as the plain division gave it.
+    """
+    q = n / d
+    if (q or not n) and math.isfinite(q.real) and math.isfinite(q.imag):
+        return q
+    en, ed = (math.frexp(max(abs(z.real), abs(z.imag)))[1] for z in (n, d))
+    s = (complex(math.ldexp(n.real, -en), math.ldexp(n.imag, -en))
+         / complex(math.ldexp(d.real, -ed), math.ldexp(d.imag, -ed)))
+    try:
+        return complex(math.ldexp(s.real, en - ed), math.ldexp(s.imag, en - ed))
+    except OverflowError:
+        return q
+
+
 def azimuth(z: complex) -> float:
     """Angle of a plane value in [0, 2*pi).
 

@@ -235,7 +235,7 @@ class HexaNumber(Frozen):
         label = tr.first_zero(self.variant.is_planar, values, zero_threshold(self, zero_rtol))
         if label:
             raise ZeroDivisorError(label)
-        return from_canonical_values(self.variant, [_reciprocal(v) for v in values])
+        return from_canonical_values(self.variant, [tr.quotient(1.0, v) for v in values])
 
     # -- matrix representations ----------------------------------------------
 
@@ -346,26 +346,6 @@ def zero_threshold(u: HexaNumber, rtol: float = ZERO_COMPONENT_RTOL) -> float:
     if d < math.inf:
         return rtol * d
     return rtol * math.hypot(*(0.25 * x for x in u.components)) * 4.0
-
-
-def _reciprocal(z: complex) -> complex:
-    """1 / z for a finite nonzero canonical value, also where that quotient leaves the range.
-
-    Python's complex division overflows its denominator |z|^2 / max(|x|, |y|)
-    near the top of the double range (1 / complex(1.5e308, 1.5e308) is -0j).
-    A finite nonzero quotient, as 1.0 / v on an axis, is kept; otherwise z
-    is scaled by a power of two to a largest part in [0.5, 1), inverted
-    there and scaled back.  A reciprocal beyond the range stays infinite.
-    """
-    w = 1.0 / z
-    if w and math.isfinite(w.real) and math.isfinite(w.imag):
-        return w
-    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
-    s = 1.0 / complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
-    try:
-        return complex(math.ldexp(s.real, -e), math.ldexp(s.imag, -e))
-    except OverflowError:
-        return w
 
 
 def plane_radii(planar: bool, values) -> list[float]:

@@ -381,27 +381,6 @@ def _check_invertible(planar: bool, radii: Sequence[float], largest: Sequence[fl
         raise ZeroDivisorError(label)
 
 
-def _quotient(n: complex, d: complex) -> complex:
-    """n / d for a finite nonzero d, also where Python's division overflows inside.
-
-    complex(1e307) / complex(1.5e308, 1e308) is -0j, not 0.046 - 0.031j, and
-    complex(1.5e308, 1.5e308) / (0.9 + 0.9j) is inf, not 1.67e308.  A
-    quotient that is 0 or not finite for a nonzero n is formed again on n
-    and d each scaled by a power of two to a largest part in [0.5, 1), as
-    ``algebra._reciprocal`` does, and scaled back; one beyond the range stays.
-    """
-    q = n / d
-    if (q or not n) and cmath.isfinite(q):
-        return q
-    en, ed = (math.frexp(max(abs(z.real), abs(z.imag)))[1] for z in (n, d))
-    s = (complex(math.ldexp(n.real, -en), math.ldexp(n.imag, -en))
-         / complex(math.ldexp(d.real, -ed), math.ldexp(d.imag, -ed)))
-    try:
-        return complex(math.ldexp(s.real, en - ed), math.ldexp(s.imag, en - ed))
-    except OverflowError:
-        return q
-
-
 def _sum_value(variant: Variant, total: Sequence, overflowed: Iterable[bool]) -> HexaNumber:
     """The value with canonical components ``total``; :class:`DomainError`
     names the first component flagged in ``overflowed``."""
@@ -451,7 +430,7 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
         if pole is not None:
             radii = [tr.radius(v) for v in mid]
             _check_invertible(planar, radii, radii)
-            step = [_quotient(d, v) for d, v in zip(step, mid)]
+            step = [tr.quotient(d, v) for d, v in zip(step, mid)]
         chords.append((mid, step))
     total: list = [0j] * len(offsets[0])
     F = getattr(f, "canonical_map", None)
