@@ -33,6 +33,8 @@ __all__ = [
     "format_hexa",
     "canonical_values",
     "from_canonical_values",
+    "matrix_rows",
+    "irreducible_form",
     "ZERO_COMPONENT_RTOL",
 ]
 
@@ -240,32 +242,20 @@ class HexaNumber(Frozen):
     # -- matrix representations ----------------------------------------------
 
     def to_matrix(self) -> np.ndarray:
-        """6x6 matrix representing this value; U(u v) = U(u) U(v)."""
+        """6x6 matrix representing this value; U(u v) = U(u) U(v).  See :func:`matrix_rows`."""
         import numpy as np
 
-        planar = self.variant.is_planar
-        x = self.components
-        m = np.empty((6, 6))
-        for i in range(6):
-            for j in range(6):
-                value = x[(j - i) % 6]
-                m[i, j] = -value if planar and j < i else value
-        return m
+        return np.array(matrix_rows(self))
 
     def irreducible_rep(self) -> "IrreducibleRep":
-        """Block-diagonal form T U T^-1 over the rotated orthonormal axes."""
+        """Block-diagonal form T U T^-1 over the rotated orthonormal axes, as arrays.
+
+        See :func:`irreducible_form`, which gives the same record as row tuples.
+        """
         import numpy as np
 
-        t = rotation_matrix(self.variant)
-        m = t @ self.to_matrix() @ t.T
-        mask = np.ones((6, 6), dtype=bool)
-        blocks = []
-        for rows in tr.component_slices(self.variant.is_planar):
-            blocks.append(m[rows, rows].copy())
-            mask[rows, rows] = False
-        off_block_max = float(np.abs(m[mask]).max())
-        return IrreducibleRep(variant=self.variant, matrix=m, blocks=tuple(blocks),
-                              off_block_max=off_block_max)
+        rep = irreducible_form(self)
+        return rep._replace(matrix=np.array(rep.matrix), blocks=tuple(map(np.array, rep.blocks)))
 
     # -- text form -----------------------------------------------------------
 
@@ -282,6 +272,8 @@ class IrreducibleRep(NamedTuple):
     Polar blocks: two 1x1 blocks (v+, v-) then two 2x2 rotation-scaled
     blocks; planar: three 2x2 blocks.  ``off_block_max`` is the largest
     entry outside the block pattern and should sit at rounding level.
+    ``matrix`` and each block are arrays from :meth:`HexaNumber.irreducible_rep`
+    and tuples of rows from :func:`irreducible_form`.
     """
 
     variant: Variant
@@ -305,11 +297,28 @@ def _convolve(x, y, planar: bool) -> tuple[float, ...]:
     return tuple(out)
 
 
-def rotation_matrix(variant: Variant) -> np.ndarray:
-    """Orthogonal matrix onto the rotated axes (rows are the new basis)."""
-    import numpy as np
+def matrix_rows(u: HexaNumber) -> tuple[tuple[float, ...], ...]:
+    """Rows of the 6x6 matrix U representing ``u``: entry (i, j) is x_(j-i), negated where planar wraps."""
+    planar = u.variant.is_planar
+    x = u.components
+    return tuple(tuple(-x[j - i] if planar and j < i else x[j - i] for j in range(6))
+                 for i in range(6))
 
-    return np.array(tr.rotation_rows(variant.is_planar))
+
+def irreducible_form(u: HexaNumber) -> IrreducibleRep:
+    """T U T^T over the rotated orthonormal axes (T = ``tr.rotation_rows``), its blocks as row tuples."""
+    planar = u.variant.is_planar
+    t = tr.rotation_rows(planar)
+    rows = matrix_rows(u)
+    columns = [[tr.dot(tk, row) for row in rows] for tk in t]  # column k of U T^T
+    m = tuple(tuple(tr.dot(ti, col) for col in columns) for ti in t)
+    slices = tr.component_slices(planar)
+    block_of = [n for n, s in enumerate(slices) for _ in range(s.start, s.stop)]
+    off_block_max = max(abs(m[i][j]) for i in range(6) for j in range(6)
+                        if block_of[i] != block_of[j])
+    return IrreducibleRep(variant=u.variant, matrix=m,
+                          blocks=tuple(tuple(row[s] for row in m[s]) for s in slices),
+                          off_block_max=off_block_max)
 
 
 def canonical_components(u: HexaNumber) -> tuple[float, ...]:

@@ -21,6 +21,8 @@ from .algebra import (
     canonical_components,
     format_hexa,
     from_canonical_values,
+    irreducible_form,
+    matrix_rows,
 )
 from .errors import HexaError, ParseError
 from .expressions import evaluate, parse
@@ -228,20 +230,20 @@ def _matrix_lines(matrix) -> list[str]:
 def cmd_repr(args: argparse.Namespace) -> int:
     value = _eval_text(args.expression, args)
     print("U =")
-    for line in _matrix_lines(value.to_matrix()):
+    for line in _matrix_lines(matrix_rows(value)):
         print(line)
-    rep = value.irreducible_rep()
+    rep = irreducible_form(value)
     print("T U T^-1 =")
     for line in _matrix_lines(rep.matrix):
         print(line)
     # plane blocks print as V1, V2, ...
     labels = (label.replace("pair", "V") for label in tr.component_labels(args.variant.is_planar))
     for label, block in zip(labels, rep.blocks):
-        if block.shape == (1, 1):
-            print(f"{label} = {block[0, 0]:.{HUMAN_DIGITS}g}")
+        if len(block) == 1:
+            print(f"{label} = {block[0][0]:.{HUMAN_DIGITS}g}")
         else:
-            print(f"{label} = [[{block[0, 0]:.{HUMAN_DIGITS}g}, {block[0, 1]:.{HUMAN_DIGITS}g}], "
-                  f"[{block[1, 0]:.{HUMAN_DIGITS}g}, {block[1, 1]:.{HUMAN_DIGITS}g}]]")
+            print(f"{label} = [[{block[0][0]:.{HUMAN_DIGITS}g}, {block[0][1]:.{HUMAN_DIGITS}g}], "
+                  f"[{block[1][0]:.{HUMAN_DIGITS}g}, {block[1][1]:.{HUMAN_DIGITS}g}]]")
     print(f"off_block_max={rep.off_block_max:.3e}")
     return 0
 

@@ -30,6 +30,7 @@ nesting is a :class:`ParseError` at the token that crosses the limit.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 
@@ -225,13 +226,54 @@ def unparse(node: tuple) -> str:
     return "".join(reversed(prefix)) + "".join(parts)
 
 
+def _literal(node: tuple, planar: bool) -> list[float] | None:
+    """Components of a hexa literal, or None for any other tree.
+
+    A literal is a chain of sums, differences and negations of numbers,
+    basis symbols and products by a basis symbol, such as
+    ``0.23 - 0.4376 h1 + h2``.  Each operation acts on the six components
+    as the ring's own does: + and - component by component, and a product
+    by h_k moves component j to j + k (negated where the planar ring
+    wraps), each landing on 0.0 as :func:`~hexacomplex.algebra._convolve`
+    sums it, so the bits are those of the general route.  A result that is
+    not finite is None: the general route then raises its own error.
+    """
+    node, chain = _left_spine(node)
+    if node[0] == "num":
+        x = [node[1], 0.0, 0.0, 0.0, 0.0, 0.0]
+    elif node[0] == "h":
+        x = [0.0] * 6
+        x[node[1]] = 1.0
+    else:
+        return None
+    for link in reversed(chain):
+        op = link[0]
+        if op == "neg":
+            x = [-a for a in x]
+        elif op == "*" and link[2][0] == "h":
+            k = link[2][1]
+            x = [0.0 - x[j - k] if planar and j < k else 0.0 + x[j - k] for j in range(6)]
+        elif op in ("+", "-"):
+            y = _literal(link[2], planar)
+            if y is None:
+                return None
+            x = [a + b for a, b in zip(x, y)] if op == "+" else [a - b for a, b in zip(x, y)]
+        else:
+            return None
+    return x if all(map(math.isfinite, x)) else None
+
+
 def evaluate(node: tuple, variant: Variant,
              zero_rtol: float = ZERO_COMPONENT_RTOL) -> HexaNumber:
     """Evaluate an expression tree in the given variant, left operand first.
 
+    A hexa literal (see :func:`_literal`) is built in one construction.
     Division multiplies by the inverse, so dividing by a zero divisor
     raises :class:`ZeroDivisorError` naming the vanished component.
     """
+    components = _literal(node, variant.is_planar)
+    if components is not None:
+        return HexaNumber(variant, components)
     node, chain = _left_spine(node)
     tag = node[0]
     if tag == "num":

@@ -10,9 +10,10 @@ so in the polar ring they pair into real quadratic factors.  A factor is
 itself a monic :class:`HexaPolynomial`, of degree 1 or 2, and a component
 polynomial is the tuple of its coefficients below the leading 1.
 
-Component roots are the eigenvalues of the companion matrix
-(``numpy.roots``).  Eigenvalues that cluster as tightly as a root of
-multiplicity m spreads under rounding (about eps^(1/m)) merge into one
+Component roots are the eigenvalues of the companion matrix in the
+layout of ``numpy.roots``, found in pure Python: balancing by powers of
+two, then shifted complex QR.  Eigenvalues that cluster as tightly as a
+root of multiplicity m spreads under rounding (about eps^(1/m)) merge into one
 root of that multiplicity at the cluster mean, when the mean is also a
 root of the first m-1 derivatives: a repeated root comes out repeated
 exactly, while close simple roots stay apart.  A root is accepted when
@@ -59,6 +60,8 @@ _REAL_SNAP_RTOL = 1e-10
 _CONJUGATE_RTOL = 1e-6
 _DEDUP_DECIMALS = 9
 _EXPANSION_RTOL = 1e-8
+_TINY = 2.0 ** -960  # a subdiagonal entry this small is zero (LAPACK's safmin n / ulp at n = 2^10)
+_BALANCE_PASSES = 16
 
 
 class HexaPolynomial(Frozen):
@@ -143,6 +146,10 @@ def decompose(p: HexaPolynomial) -> dict[str, tuple]:
     return dict(zip(tr.component_tags(p.variant.is_planar), zip(*map(canonical_values, p.coeffs))))
 
 
+def _scaled(z: complex, e: int) -> complex:
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def _taylor(coeffs: Sequence[complex], z: complex, count: int) -> list[complex]:
     """p(z), p'(z), ..., p^(count-1)(z)/(count-1)! of z^m + c1 z^(m-1) + ... + cm, by Horner."""
     row = [1.0 + 0j, *coeffs]
@@ -154,17 +161,48 @@ def _taylor(coeffs: Sequence[complex], z: complex, count: int) -> list[complex]:
     return taylor
 
 
+def _exact_value(coeffs: Sequence[complex], z: complex) -> complex:
+    """p(z) of z^m + c1 z^(m-1) + ... + cm rounded once: Horner on the exact binary values.
+
+    Every part of z and the c_i is an integer over a power of two; over the
+    largest of those, 2^s, each is an integer, and Horner's rule on them
+    gives 2^(s m) p(z) exactly.  A value beyond the double range is inf.
+    """
+    parts = [x.as_integer_ratio() for c in (z, *coeffs) for x in (c.real, c.imag)]
+    s = max(d for _, d in parts).bit_length() - 1
+    zr, zi, *ints = [n << (s + 1 - d.bit_length()) for n, d in parts]
+    vr, vi = 1, 0
+    for k in range(len(coeffs)):
+        vr, vi = (vr * zr - vi * zi + (ints[2 * k] << s * k),
+                  vr * zi + vi * zr + (ints[2 * k + 1] << s * k))
+    scale = 1 << s * len(coeffs)
+    try:
+        return complex(vr / scale, vi / scale)
+    except OverflowError:
+        return complex(math.inf)
+
+
 def _size(coeffs: Sequence[complex], z: complex) -> float:
     """The polynomial of |c_i| at |z|: p(z) is computed to about eps times this."""
     return _taylor([abs(c) for c in coeffs], abs(z), 1)[0].real
 
 
 def _backward_error(coeffs: Sequence[complex], z: complex) -> float:
-    """|p(z)| / :func:`_size`, inf when p(z) is not finite."""
-    value = _taylor(coeffs, z, 1)[0]
+    """|p(z)| / :func:`_size`, inf when p(z) is not finite.
+
+    Where p(z) or the size overflows, both are formed again on z = 2^e t
+    with |t| in [0.5, 1) and coefficients c_i 2^(-e i), which divides
+    each by 2^(e m) and leaves their ratio.
+    """
+    value, size = _taylor(coeffs, z, 1)[0], _size(coeffs, z)
+    if not (cmath.isfinite(value) and size < math.inf):
+        e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+        coeffs = [_scaled(c, -e * i) for i, c in enumerate(coeffs, 1)]
+        z = _scaled(z, -e)
+        value, size = _taylor(coeffs, z, 1)[0], _size(coeffs, z)
     if not cmath.isfinite(value):
         return math.inf
-    return abs(value) / _size(coeffs, z) if value else 0.0
+    return abs(value) / size if value else 0.0
 
 
 def _split(cluster: list[complex]) -> tuple[list[complex], list[complex]]:
@@ -207,25 +245,162 @@ def _clusters(cluster: list[complex], coeffs: Sequence[complex],
         yield from _clusters(part, coeffs, scale)
 
 
+def _eig2(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
+    """Eigenvalues of [[a, b], [c, d]]: t + y with y signed along t (no cancellation), then det / it.
+
+    Entries whose largest modulus lies outside [2^-500, 2^500] are first
+    scaled by a power of two to a largest part in [0.5, 1), so that no
+    square or product overflows or underflows.
+    """
+    e = 0
+    if not 2.0 ** -500 < max(abs(a), abs(b), abs(c), abs(d)) < 2.0 ** 500:
+        e = math.frexp(max(abs(x) for z in (a, b, c, d) for x in (z.real, z.imag)))[1]
+        a, b, c, d = (_scaled(z, -e) for z in (a, b, c, d))
+    t = 0.5 * (a + d)
+    y = cmath.sqrt((0.5 * (a - d)) ** 2 + b * c)
+    if t.real * y.real + t.imag * y.imag < 0.0:
+        y = -y
+    big = t + y
+    small = (a * d - b * c) / big if big else 0j
+    return (_scaled(big, e), _scaled(small, e)) if e else (big, small)
+
+
+def _negligible(h: list[list[complex]], k: int) -> bool:
+    """Whether subdiagonal h[k][k-1] is negligible: Ahues and Tisseur's test, as in LAPACK's lahqr.
+
+    Beside its diagonal neighbours it must also be small against the gap of
+    its 2x2 block, which keeps a graded matrix's small eigenvalues accurate.
+    """
+    sub = abs(h[k][k - 1])
+    if sub <= _TINY:
+        return True
+    hkk = h[k][k]
+    if sub > _EPS * (abs(h[k - 1][k - 1]) + abs(hkk)):
+        return False
+    sup, gap = abs(h[k - 1][k]), abs(h[k - 1][k - 1] - hkk)
+    ab, ba = max(sub, sup), min(sub, sup)
+    aa, bb = max(abs(hkk), gap), min(abs(hkk), gap)
+    s = aa + ab
+    return ba * (ab / s) <= max(_TINY, _EPS * (bb * (aa / s)))
+
+
+def _balance(h: list[list[complex]]) -> None:
+    """Scale row and column i by inverse powers of two until their norms agree (Parlett and Reinsch)."""
+    n = len(h)
+    for _ in range(_BALANCE_PASSES):
+        done = True
+        for i in range(n):
+            col = sum([abs(r[i]) for j, r in enumerate(h) if j != i])
+            row = sum([abs(x) for j, x in enumerate(h[i]) if j != i])
+            if not (0.0 < col < math.inf and 0.0 < row < math.inf):
+                continue
+            k = (math.frexp(row)[1] - math.frexp(col)[1]) // 2
+            if k and math.ldexp(col, k) + math.ldexp(row, -k) < 0.95 * (col + row):
+                for j, r in enumerate(h):
+                    if j != i:
+                        r[i], h[i][j] = _scaled(r[i], k), _scaled(h[i][j], -k)
+                done = False
+        if done:
+            return
+
+
+def _sweep(h: list[list[complex]], lo: int, hi: int, shift: complex) -> None:
+    """One implicit single-shift QR step on the active block h[lo..hi], chasing the bulge down."""
+    x, y = h[lo][lo] - shift, h[lo + 1][lo]
+    for k in range(lo, hi):
+        rk, rk1 = h[k], h[k + 1]
+        if k > lo:
+            x, y = rk[k - 1], rk1[k - 1]
+        # the rotation [[c, s], [-conj(s), c]] takes (x, y) to (r, 0)
+        ax = abs(x)
+        norm = math.hypot(ax, abs(y))
+        if not norm:
+            continue
+        c, s = (ax / norm, x / ax * y.conjugate() / norm) if ax else (0.0, 1.0)
+        sc = s.conjugate()
+        for j in range(max(lo, k - 1), hi + 1):
+            a, b = rk[j], rk1[j]
+            rk[j], rk1[j] = c * a + s * b, c * b - sc * a
+        if k > lo:
+            rk1[k - 1] = 0j
+        for row in h[lo:min(k + 2, hi) + 1]:
+            a, b = row[k], row[k + 1]
+            row[k], row[k + 1] = c * a + sc * b, c * b - s * a
+
+
+def _eigenvalues(coeffs: Sequence[complex]) -> list[complex]:
+    """Eigenvalues of the companion matrix of z^m + c1 z^(m-1) + ... + cm, as numpy.roots lays it out.
+
+    Trailing zero coefficients are exact zero roots.  The rest is the
+    matrix with first row -c and ones below the diagonal, balanced, whose
+    eigenvalues come from shifted complex QR with deflation (Wilkinson's
+    shift, and an exceptional shift every tenth step without deflation);
+    a 2x2 block is solved in closed form.  For real coefficients each
+    root whose nearest conjugate is itself becomes real, and mutually
+    nearest conjugates an exact pair, as a real eigensolver returns them.
+    Raises :class:`NonConvergenceError` after 30 max(10, m) steps without
+    a deflation, LAPACK's limit.
+    """
+    m = len(coeffs)
+    while m and not coeffs[m - 1]:
+        m -= 1
+    h = [[0j] * m for _ in range(m)]
+    if m:
+        h[0] = [-c for c in coeffs[:m]]
+    for i in range(1, m):
+        h[i][i - 1] = 1.0 + 0j
+    _balance(h)
+    found = [0j] * (len(coeffs) - m)
+    hi, steps = m - 1, 0
+    while hi >= 0:
+        lo = next((k for k in range(hi, 0, -1) if _negligible(h, k)), 0)
+        if lo == hi or lo == hi - 1:
+            found += [h[hi][hi]] if lo == hi else _eig2(h[lo][lo], h[lo][hi], h[hi][lo], h[hi][hi])
+            hi, steps = lo - 1, 0
+            continue
+        steps += 1
+        if steps > 30 * max(10, m):
+            raise NonConvergenceError("companion matrix eigenvalues did not converge",
+                                      residual=abs(h[hi][hi - 1]))
+        if steps % 10:
+            shift = min(_eig2(h[hi - 1][hi - 1], h[hi - 1][hi], h[hi][hi - 1], h[hi][hi]),
+                        key=lambda z: abs(z - h[hi][hi]))
+        elif steps % 20:
+            shift = h[hi][hi] + 0.75 * abs(h[hi][hi - 1])
+        else:
+            shift = h[lo][lo] + 0.75 * abs(h[lo + 1][lo])
+        _sweep(h, lo, hi, shift)
+    if any(c.imag for c in coeffs):
+        return found
+    near = [min(range(len(found)), key=lambda j: abs(found[j] - z.conjugate())) for z in found]
+    for i, j in enumerate(near):
+        if j == i:
+            found[i] = complex(found[i].real)
+        elif near[j] == i and i < j:
+            mid = 0.5 * (found[i] + found[j].conjugate())
+            found[i], found[j] = mid, mid.conjugate()
+    return found
+
+
 def component_roots(coefficients: Sequence[complex]) -> tuple[complex, ...]:
     """All roots (with multiplicity) of z^m + c1 z^(m-1) + ... + cm, sorted by rounded value.
 
     ``coefficients`` is c1..cm, one value of :func:`decompose`.
 
-    The eigenvalues of the companion matrix (numpy.roots) are grouped by
-    :func:`_clusters`.  A multiple root of multiplicity m becomes the mean
-    of its group, which is well conditioned although each eigenvalue is
-    not, refined by one Newton step on p^(m-1), of which it is a simple
-    root; a well conditioned simple root gets one Newton step on p.  Raises
+    The eigenvalues of the companion matrix (:func:`_eigenvalues`) are
+    grouped by :func:`_clusters`.  A
+    multiple root of multiplicity m becomes the mean of its group, which
+    is well conditioned although each eigenvalue is not, refined by one
+    Newton step on p^(m-1), of which it is a simple root; a well
+    conditioned simple root gets one Newton step on the exact p(z)
+    (:func:`_exact_value`), which rounds it once.  Raises
     :class:`NonConvergenceError` when a root's :func:`_backward_error` is too large.
     """
-    import numpy as np
-
     coeffs = [complex(c) for c in coefficients]
     if not all(map(cmath.isfinite, coeffs)):
         raise NonConvergenceError("component polynomial has a non-finite coefficient",
                                   residual=math.inf)
-    eigenvalues = [complex(z) for z in np.roots([1.0, *coefficients])]
+    eigenvalues = _eigenvalues(coeffs)
     scale = max(1.0, max(abs(z) for z in eigenvalues))
     roots: list[complex] = []
     for cluster in _clusters(eigenvalues, coeffs, scale):
@@ -238,12 +413,13 @@ def component_roots(coefficients: Sequence[complex]) -> tuple[complex, ...]:
             roots += [z] * m
             continue
         z = cluster[0]
-        value, slope = _taylor(coeffs, z, 2)
-        # the step's rounding noise, eps |p|(|z|) / |p'(z)|, is independent of the other
-        # roots: past _NEWTON_NOISE_RTOL they would no longer multiply back to p
+        slope = _taylor(coeffs, z, 2)[1]
+        # eps |p|(|z|) / |p'(z)|, the distance rounding of the coefficients moves the root,
+        # is independent of the other roots: past _NEWTON_NOISE_RTOL they would no longer
+        # multiply back to p.  Below it, the step on the exact p(z) rounds the root once.
         noise = _EPS * _size(coeffs, z)
         if slope and noise <= _NEWTON_NOISE_RTOL * max(1.0, abs(z)) * abs(slope):
-            z -= value / slope
+            z -= _exact_value(coeffs, z) / slope
         roots.append(z)
     worst = max(_backward_error(coeffs, z) for z in roots)
     if not worst <= _RESIDUAL_RTOL:

@@ -21,6 +21,8 @@ from hexacomplex.algebra import (
     format_hexa,
     from_canonical_components,
     from_canonical_values,
+    irreducible_form,
+    matrix_rows,
 )
 from hexacomplex.calculus import FunctionUnderTest, circle_path
 from hexacomplex.canonical import geometry
@@ -393,6 +395,26 @@ def test_irreducible_rep_of_polar_idempotent():
     expected = np.zeros((6, 6))
     expected[0, 0] = 1.0
     assert np.allclose(rep.matrix, expected, atol=1e-14)
+
+
+def test_irreducible_form_in_pure_python_matches_the_arrays():
+    """The row tuples ``repr`` prints: U bit for bit, T U T^T to 4 eps max|U| of numpy's product."""
+    rng = random.Random(38)
+    eps = 2.0 ** -52
+    for variant in BOTH_VARIANTS:
+        t = np.array(tr.rotation_rows(variant.is_planar))
+        for scale in (1.0, 1e-200, 1e200):
+            u = random_hexa(rng, variant, -scale, scale)
+            rows = matrix_rows(u)
+            assert np.array_equal(np.array(rows), u.to_matrix())
+            assert all(type(x) is float for row in rows for x in row)
+            rep = irreducible_form(u)
+            reference = t @ u.to_matrix() @ t.T
+            assert np.abs(np.array(rep.matrix) - reference).max() <= 4 * eps * np.abs(rows).max()
+            arrays = u.irreducible_rep()
+            assert np.array_equal(arrays.matrix, np.array(rep.matrix))
+            assert [b.tolist() for b in arrays.blocks] == [list(map(list, b)) for b in rep.blocks]
+            assert arrays.off_block_max == rep.off_block_max <= 4 * eps * np.abs(rows).max()
 
 
 def test_pow_integer():

@@ -133,6 +133,15 @@ def test_factor_all_prints_each_result_as_format_factorization(capsys, variant, 
     assert out.splitlines() == expected
 
 
+@pytest.mark.parametrize("variant", ["--polar", "--planar"])
+def test_factor_graded_roots_whose_residual_overflows(capsys, variant):
+    # (u + 1e200)(u + 1e100): p(z) and |p|(|z|) overflow at z = -1e200 by plain Horner
+    assert run(capsys, "factor", variant, "1", "1e200", "1e300") == (
+        0, "[u + 1e+200][u + 1e+100]\n", "")
+    code, out, err = run(capsys, "factor", variant, "--all", "4", "1", "1e200", "1e300")
+    assert code == 0 and err == "" and len(out.splitlines()) == 4
+
+
 @pytest.mark.parametrize("argv, factors", [
     (("--", "1", "-1002.0002", "2001.2002", "-1000.2"), 3),   # (u - 1)(u - 1.0002)(u - 1000)
     (("1", "1e308", "1e308"), 2),                             # roots near -1 and -1e308
@@ -509,7 +518,7 @@ def test_plane_radius_beyond_the_double_range(capsys, args, code, out, err):
     assert run(capsys, *args) == (code, out, err)
 
 # Runs in a fresh interpreter: prints whether numpy and dataclasses are loaded
-# after each step.
+# after each step.  The last step builds an array through the library's API.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 steps = {}
@@ -524,21 +533,22 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     steps[" ".join(argv)] = [code, *loaded("numpy", "dataclasses")]
+hexacomplex.HexaNumber.one(hexacomplex.Variant.POLAR).to_matrix()
+steps["HexaNumber.to_matrix"] = loaded("numpy", "dataclasses")
 print(json.dumps({"steps": steps, "loaded": modules}))
 """
 
 
 def test_scalar_commands_do_not_import_numpy():
-    scalar = [[command, variant, *rest]
-              for variant in ("--polar", "--planar")
-              for command, *rest in (("eval", "exp(h1) / (2 + h3) + pow(3 + h2, 0.5)"),
-                                     ("canon", "ln(2 + h1)"), ("table", "g"),
-                                     ("integrate", "sin", "h3", "1", "0.5"))]
-    scalar.append(["integrate", "--samples", "64", "exp", "0", "1", "1.0"])
-    # repr builds matrices: it must load numpy, which shows the probe can see it;
-    # factor runs after it, so it shows only dataclasses staying out
-    arrays = [["repr", "h1"], ["factor", "1", "0", "-1"]]
-    argvs = [*scalar, *arrays]
+    argvs = [[command, variant, *rest]
+             for variant in ("--polar", "--planar")
+             for command, *rest in (("eval", "exp(h1) / (2 + h3) + pow(3 + h2, 0.5)"),
+                                    ("canon", "ln(2 + h1)"), ("table", "g"),
+                                    ("integrate", "sin", "h3", "1", "0.5"),
+                                    ("factor", "1", "-0.5 + h1", "2 - h3", "0.25 h5"),
+                                    ("factor", "--all", "10", "1", "0", "-1"),
+                                    ("repr", "1 + 2 h1 - 0.3 h4"))]
+    argvs.append(["integrate", "--samples", "64", "exp", "0", "1", "1.0"])
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hexacomplex.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
@@ -550,8 +560,9 @@ def test_scalar_commands_do_not_import_numpy():
     steps = report["steps"]
     assert steps.pop("import hexacomplex") == [False, False]
     assert steps.pop("import hexacomplex.cli") == [False, False]
-    assert steps == {**{" ".join(argv): [0, False, False] for argv in scalar},
-                     **{" ".join(argv): [0, True, False] for argv in arrays}}
+    # the array API loads numpy, which shows the probe can see it
+    assert steps.pop("HexaNumber.to_matrix") == [True, False]
+    assert steps == {" ".join(argv): [0, False, False] for argv in argvs}
 
 
 class _ClosedPipe(io.StringIO):

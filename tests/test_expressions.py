@@ -214,3 +214,43 @@ def test_evaluation_matches_reference_semantics():
                 * (HexaNumber.from_real(Variant.POLAR, 3.0)
                    - HexaNumber.basis(Variant.POLAR, 2)))
     assert value == expected
+
+
+def _random_literal(rng: random.Random) -> str:
+    """A +/- chain of numbers, h_k and number-times-h_k terms, first term possibly negated."""
+    terms = []
+    for _ in range(rng.randint(1, 12)):
+        number = rng.choice(["0", "0.0", "1", "2.5", "1e-320", "3e300", f"{rng.uniform(0, 9):.4g}"])
+        k = rng.randint(1, 5)
+        terms.append(rng.choice([number, f"h{k}", f"{number} h{k}", f"{number} * h{k}",
+                                 f"{number} h{k} h{rng.randint(1, 5)}"]))
+    text = rng.choice(["", "-"]) + terms[0]
+    for term in terms[1:]:
+        text += rng.choice([" + ", " - "]) + term
+    return text
+
+
+def test_literals_fold_bit_for_bit_like_the_general_route(monkeypatch):
+    from hexacomplex import expressions
+
+    rng = random.Random(21)
+    texts = [_random_literal(rng) for _ in range(400)]
+    texts += ["h3", "-h3", "-0 h1", "0 - 0 h2", "-0 - h4 + 0 h4", "h2 + h2 + h2 - h2",
+              "1 + h1 + h2 + h3 + h4 + h5 - 1 - h1 - h2", "2 h5 h5", "1e308 + 1e308"]
+    folded = {}
+    for variant in (Variant.POLAR, Variant.PLANAR):
+        for text in texts:
+            node = parse(text)
+            folded[variant, text] = (expressions._literal(node, variant.is_planar),
+                                     repr(evaluate(node, variant).components)
+                                     if text != "1e308 + 1e308" else None)
+    # every literal folds except the one whose sum overflows
+    assert [text for (_, text), (c, _) in folded.items() if c is None] == ["1e308 + 1e308"] * 2
+    monkeypatch.setattr(expressions, "_literal", lambda node, planar: None)
+    for (variant, text), (_, fast) in folded.items():
+        if fast is None:
+            with pytest.raises(DomainError, match="component 0 is not finite: inf"):
+                ev(text, variant)
+            continue
+        # repr tells -0.0 from 0.0
+        assert repr(ev(text, variant).components) == fast, (variant, text)

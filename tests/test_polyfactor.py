@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -136,14 +137,21 @@ def test_component_roots_near_the_top_of_the_double_range():
     assert found[1] == pytest.approx(-1.0, rel=1e-15)
 
 
-def test_component_roots_reports_the_residual_it_cannot_meet(monkeypatch):
-    import numpy
+def test_graded_roots_whose_residual_overflows():
+    # z^2 + 1e200 z + 1e300 = (z + 1e200)(z + 1e100): by plain Horner p(z) and |p|(|z|)
+    # overflow at z = -1e200, where their ratio is 1e300 / (2e400 + 1e300)
+    assert polyfactor._backward_error((1e200, 1e300), -1e200 + 0j) == pytest.approx(5e-101, abs=0)
+    found = component_roots((1e200, 1e300))
+    assert found[0] == pytest.approx(-1e200, rel=1e-15)
+    assert found[1] == pytest.approx(-1e100, rel=1e-15)
 
+
+def test_component_roots_reports_the_residual_it_cannot_meet(monkeypatch):
     with pytest.raises(NonConvergenceError) as exc:
         component_roots((math.inf, 1.0))
     assert exc.value.residual == math.inf
     # an eigensolver off by 4 on both roots of z^2 - 1: one Newton step reaches +-2.6
-    monkeypatch.setattr(numpy, "roots", lambda c: numpy.array([-5.0, 5.0]))
+    monkeypatch.setattr(polyfactor, "_eigenvalues", lambda c: [-5.0 + 0j, 5.0 + 0j])
     with pytest.raises(NonConvergenceError) as exc:
         component_roots((0.0, -1.0))
     assert exc.value.residual == pytest.approx((2.6 ** 2 - 1) / (2.6 ** 2 + 1))
@@ -154,6 +162,93 @@ def _monic_from_roots(roots, real: bool) -> tuple:
     for r in roots:
         c = [a - r * b for a, b in zip(c + [0j], [0j] + c)]
     return tuple(x.real for x in c[1:]) if real else tuple(c[1:])
+
+
+def _spread_polynomial(rng: random.Random, degree: int, spread: float, real: bool) -> tuple:
+    """Monic polynomial with roots of modulus 10^U(-spread, spread); real ones pair conjugates."""
+    roots: list[complex] = []
+    while len(roots) < degree:
+        modulus = 10.0 ** rng.uniform(-spread, spread)
+        if real and degree - len(roots) >= 2 and rng.random() < 0.5:
+            z = cmath.rect(modulus, rng.uniform(0.0, math.pi))
+            roots += [z, z.conjugate()]
+        elif real:
+            roots.append(complex(rng.choice((-modulus, modulus))))
+        else:
+            roots.append(cmath.rect(modulus, rng.uniform(0.0, 2.0 * math.pi)))
+    return _monic_from_roots(roots, real)
+
+
+@pytest.mark.parametrize("spread", [0.0, 5.0, 30.0])
+def test_eigenvalues_against_numpy_roots(spread):
+    """The companion eigenvalues beside numpy.roots on seeded polynomials of degree 1-8.
+
+    Real coefficients give exact conjugate pairs or exactly real values, and
+    no polynomial exhausts the QR steps.  Every eigenvalue's backward error
+    stays within 16 times numpy's worst (or 16 m eps) for root moduli within
+    1e+-5.  Over 1e+-30 some eigenvalues fall outside that, while numpy's
+    own are often far off, so there the Newton-refined roots are compared:
+    :func:`component_roots` fails on no more polynomials than the same
+    refinement of numpy's eigenvalues.
+    """
+    np = pytest.importorskip("numpy")
+    rng = random.Random(int(spread) + 39)
+    failures = {"solver": 0, "numpy": 0}
+    for degree, real, _ in itertools.product(range(1, 9), (True, False), range(30)):
+        coeffs = [complex(c) for c in _spread_polynomial(rng, degree, spread, real)]
+        if not all(map(cmath.isfinite, coeffs)):
+            continue
+        found = polyfactor._eigenvalues(coeffs)
+        assert len(found) == degree
+        if real:
+            assert all(not z.imag or z.conjugate() in found for z in found)
+        reference = [complex(z) for z in np.roots([1.0, *(c.real if real else c for c in coeffs)])]
+        if spread < 30.0:
+            bound = max(16 * max(polyfactor._backward_error(coeffs, z) for z in reference),
+                        16 * degree * polyfactor._EPS)
+            assert max(polyfactor._backward_error(coeffs, z) for z in found) <= bound
+            continue
+        for route, eigenvalues in (("solver", found), ("numpy", reference)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(polyfactor, "_eigenvalues", lambda c, e=eigenvalues: list(e))
+                try:
+                    component_roots(coeffs)
+                except NonConvergenceError:
+                    failures[route] += 1
+    assert failures["solver"] <= failures["numpy"]
+
+
+def test_separated_simple_roots_are_rounded_once():
+    # the Newton step on the exact p(z) leaves each root at its value rounded to
+    # doubles, whatever the last bits of the eigenvalue it started from
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(40)
+    checked = 0
+    with mpmath.workprec(200):
+        for degree, real, _ in itertools.product(range(1, 7), (True, False), range(10)):
+            coeffs = _spread_polynomial(rng, degree, 1.0, real)
+            exact = mpmath.polyroots([1, *map(mpmath.mpc, coeffs)], maxsteps=300, extraprec=300)
+            for z in component_roots(coeffs):
+                w = min(exact, key=lambda v: abs(v - z))
+                if all(v is w or abs(v - w) > 0.05 for v in exact):
+                    assert z == complex(w)
+                    checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("coefficients, roots", [
+    ((0.0, 0.0, 0.0), (0j, 0j, 0j)),
+    ((-1.0, 0.0, 0.0), (0j, 0j, 1 + 0j)),                  # z^3 - z^2: two exact zero roots
+    ((1j, 0.0), (-1j, 0j)),
+    ((1e308, 1e308), (-1e308 + 0j, -1 + 0j)),
+    ((1e200, 1e300), (-1e200 + 0j, -1e100 + 0j)),
+])
+def test_eigenvalues_of_edge_polynomials(coefficients, roots):
+    # trailing zero coefficients are exact zero roots, as numpy.roots strips them
+    found = sorted(polyfactor._eigenvalues([complex(c) for c in coefficients]), key=abs)
+    assert len(found) == len(roots)
+    for z, r in zip(found, sorted(roots, key=abs)):
+        assert z == r if not r else abs(z - r) <= 4 * polyfactor._EPS * abs(r)
 
 
 # exact roots of real polynomials with repeated roots, and of roots close but distinct
