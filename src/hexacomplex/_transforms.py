@@ -195,6 +195,11 @@ def radius(z: complex) -> float:
     return math.hypot(z.real, z.imag)
 
 
+def scaled(z: complex, e: int) -> complex:
+    """z 2^e, each part by math.ldexp: exact unless it underflows; OverflowError beyond the range."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
 def quotient(n: complex, d: complex) -> complex:
     """n / d for canonical values, d finite and nonzero, also where Python's division overflows.
 
@@ -211,10 +216,9 @@ def quotient(n: complex, d: complex) -> complex:
     if (q or not n) and math.isfinite(q.real) and math.isfinite(q.imag):
         return q
     en, ed = (math.frexp(max(abs(z.real), abs(z.imag)))[1] for z in (n, d))
-    s = (complex(math.ldexp(n.real, -en), math.ldexp(n.imag, -en))
-         / complex(math.ldexp(d.real, -ed), math.ldexp(d.imag, -ed)))
+    s = scaled(n, -en) / scaled(d, -ed)
     try:
-        return complex(math.ldexp(s.real, en - ed), math.ldexp(s.imag, en - ed))
+        return scaled(s, en - ed)
     except OverflowError:
         return q
 

@@ -18,13 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import _transforms as tr
 from .errors import DomainError, VariantError, ZeroDivisorError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Variant",
@@ -239,24 +236,6 @@ class HexaNumber(Frozen):
             raise ZeroDivisorError(label)
         return from_canonical_values(self.variant, [tr.quotient(1.0, v) for v in values])
 
-    # -- matrix representations ----------------------------------------------
-
-    def to_matrix(self) -> np.ndarray:
-        """6x6 matrix representing this value; U(u v) = U(u) U(v).  See :func:`matrix_rows`."""
-        import numpy as np
-
-        return np.array(matrix_rows(self))
-
-    def irreducible_rep(self) -> "IrreducibleRep":
-        """Block-diagonal form T U T^-1 over the rotated orthonormal axes, as arrays.
-
-        See :func:`irreducible_form`, which gives the same record as row tuples.
-        """
-        import numpy as np
-
-        rep = irreducible_form(self)
-        return rep._replace(matrix=np.array(rep.matrix), blocks=tuple(map(np.array, rep.blocks)))
-
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -272,13 +251,12 @@ class IrreducibleRep(NamedTuple):
     Polar blocks: two 1x1 blocks (v+, v-) then two 2x2 rotation-scaled
     blocks; planar: three 2x2 blocks.  ``off_block_max`` is the largest
     entry outside the block pattern and should sit at rounding level.
-    ``matrix`` and each block are arrays from :meth:`HexaNumber.irreducible_rep`
-    and tuples of rows from :func:`irreducible_form`.
+    ``matrix`` and each block are tuples of rows.
     """
 
     variant: Variant
-    matrix: np.ndarray
-    blocks: tuple[np.ndarray, ...]
+    matrix: tuple[tuple[float, ...], ...]
+    blocks: tuple[tuple[tuple[float, ...], ...], ...]
     off_block_max: float
 
 

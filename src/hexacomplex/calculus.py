@@ -7,14 +7,14 @@ central finite differences.  Line integrals run over sampled polyline
 paths with midpoint quadrature; closed loops pick up 2*pi residues from
 the canonical planes only, weighted by per-plane winding numbers.
 
-A path is an (N+1)x6 array of components, made by :func:`circle_path`
-or from any such array or sequence of HexaNumbers.  The quadrature
-works on the canonical values of the offsets of its samples (a float per
-real axis, then the planes vk + i vk~), where f(u) (u - u0)^-1 du acts
-value by value, in scalar Python arithmetic; each function in
-:data:`FUNCTIONS` carries the ``cmath`` function (or product of u's) that
-computes it there.  numpy only builds, checks, measures and projects the
-samples of a path.
+A path holds the components of its N+1 samples as row tuples of six
+floats; it is made by :func:`circle_path` or from any iterable of
+HexaNumbers or of 6-component rows (a 2-D numpy array among them).
+Everything here runs in scalar Python arithmetic.  The quadrature works
+on the canonical values of the offsets of the samples (a float per real
+axis, then the planes vk + i vk~), where f(u) (u - u0)^-1 du acts value
+by value; each function in :data:`FUNCTIONS` carries the ``cmath``
+function (or product of u's) that computes it there.
 
 A loop made by :func:`circle_path` remembers its centre, radii and N,
 and builds its samples only when they are read.  On such a loop, with an
@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import (
     ZERO_COMPONENT_RTOL,
@@ -46,9 +46,6 @@ from .algebra import (
 from .errors import DegeneratePathError, DomainError, VariantError, ZeroDivisorError
 from . import _transforms as tr
 from . import elementary
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Path",
@@ -75,100 +72,97 @@ ElementwiseMap = Callable[[complex], complex]
 
 
 class _Rows(Sequence):
-    """The rows of a component array as HexaNumbers, each built when it is read."""
+    """The samples of a path as HexaNumbers, each built when it is read."""
 
-    def __init__(self, variant: Variant, points: np.ndarray):
-        self._variant = variant
-        self._points = points
+    def __init__(self, path: Path):
+        self._path = path
 
     def __len__(self) -> int:
-        return len(self._points)
+        path = self._path
+        return path._circle[2] + 1 if path._points is None else len(path._points)
 
     def __getitem__(self, index):
-        rows = self._points[index].tolist()
+        variant = self._path.variant
+        rows = self._path.points[index]
         if isinstance(index, slice):
-            return [HexaNumber(self._variant, row) for row in rows]
-        return HexaNumber(self._variant, rows)
+            return [HexaNumber(variant, row) for row in rows]
+        return HexaNumber(variant, rows)
 
 
 class Path(Frozen):
     """Sampled polyline path; closed paths repeat the first sample last.
 
-    ``points`` holds the components of the samples, one read-only row of
-    six finite floats per sample; ``samples`` reads those rows as
-    HexaNumbers.  A path is built from either form and compares by
-    identity.  Samples that are not finite raise :class:`DomainError`.
-    A loop made by :func:`circle_path` also keeps its centre, radii and
-    sample count in ``_circle`` and builds ``points`` the first time it is
-    read; any other path has None there.
+    ``points`` holds the components of the samples, a tuple of six finite
+    floats per sample; ``samples`` reads those rows as HexaNumbers.  A
+    path is built from an iterable of either form (a 2-D array of rows
+    too) and compares by identity.  Samples that are not finite raise
+    :class:`DomainError`.  A loop made by :func:`circle_path` also keeps
+    its centre, radii and sample count in ``_circle`` and builds
+    ``points`` the first time it is read; any other path has None there.
     """
 
     __slots__ = ("variant", "_points", "closed", "_circle")
     variant: Variant
-    _points: np.ndarray | None
+    _points: tuple[tuple[float, ...], ...] | None
     closed: bool
     _circle: tuple[HexaNumber, tuple[tuple[int, float], ...], int] | None
 
-    def __init__(self, variant: Variant, samples: Iterable[HexaNumber] | np.ndarray,
+    def __init__(self, variant: Variant, samples: Iterable[HexaNumber | Iterable[float]],
                  closed: bool):
-        import numpy as np
-
-        if isinstance(samples, np.ndarray):
-            points = np.array(samples, dtype=np.float64)
-        else:
-            samples = tuple(samples)
-            for s in samples:
+        points = []
+        for s in samples:
+            if isinstance(s, HexaNumber):
                 if s.variant is not variant:
                     raise ValueError("path sample variant mismatch")
-            points = np.array([s.components for s in samples], dtype=np.float64).reshape(-1, 6)
-        if points.ndim != 2 or points.shape[1] != 6:
-            raise ValueError(f"path samples need 6 components each, got shape {points.shape}")
+                points.append(s.components)
+            else:
+                row = tuple(map(float, s))
+                if len(row) != 6:
+                    raise ValueError(f"path samples need 6 components each, got {len(row)}")
+                points.append(row)
         if len(points) < 3:
             raise ValueError("a path needs at least three samples")
-        if not np.isfinite(points).all():
+        if not all(math.isfinite(x) for row in points for x in row):
             raise DomainError("path samples must be finite")
-        if closed and not np.array_equal(points[0], points[-1]):
+        if closed and points[0] != points[-1]:
             raise ValueError("closed paths must repeat the first sample exactly")
-        points.flags.writeable = False
         object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_points", tuple(points))
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "_circle", None)
 
     @property
-    def points(self) -> np.ndarray:
+    def points(self) -> tuple[tuple[float, ...], ...]:
         if self._points is None:
-            object.__setattr__(self, "_points", _circle_points(self.variant, *self._circle))
+            rows = tuple(_circle_rows(self.variant, *self._circle))
+            object.__setattr__(self, "_points", rows + rows[:1])
         return self._points
 
     @property
     def samples(self) -> Sequence[HexaNumber]:
-        return _Rows(self.variant, self.points)
+        return _Rows(self)
 
     def length(self) -> float:
-        import numpy as np
+        points = self.points
+        return sum(map(math.dist, points, points[1:]))
 
-        return float(np.hypot.reduce(np.diff(self.points, axis=0), axis=1).sum())
 
+def _circle_rows(variant: Variant, center: HexaNumber, radii: tuple[tuple[int, float], ...],
+                 samples: int) -> Iterator[tuple[float, ...]]:
+    """The components of a :func:`circle_path` loop's samples, without the first repeated last.
 
-def _circle_points(variant: Variant, center: HexaNumber, radii: tuple[tuple[int, float], ...],
-                   samples: int) -> np.ndarray:
-    """The read-only components of a :func:`circle_path` loop's samples, the first repeated last."""
-    import numpy as np
-
+    Sample q is the centre plus r_k cos t xi_k, then r_k sin t eta_k, for
+    each plane k in turn, t = 2 pi q / N.
+    """
     rows = tr.rotation_rows(variant.is_planar)
-    t = 2.0 * np.pi * np.arange(samples) / samples
-    points = np.empty((samples + 1, 6))
-    loop = points[:-1]
-    loop[:] = center.components
-    with np.errstate(over="ignore", invalid="ignore"):  # Path rejects samples not finite
-        for k, radius in radii:
-            xi_row, eta_row = rows[tr.plane_slice(variant.is_planar, k)]
-            loop += np.outer(radius * np.cos(t), xi_row)
-            loop += np.outer(radius * np.sin(t), eta_row)
-    points[-1] = points[0]
-    points.flags.writeable = False
-    return points
+    planes = [(radius, *rows[tr.plane_slice(variant.is_planar, k)]) for k, radius in radii]
+    for q in range(samples):
+        t = tr.TWO_PI * q / samples
+        point = center.components
+        for radius, xi_row, eta_row in planes:
+            a, b = radius * math.cos(t), radius * math.sin(t)
+            point = tuple(x + a * xi + b * eta for x, xi, eta in zip(point, xi_row, eta_row))
+        yield point
 
 
 def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float],
@@ -182,11 +176,11 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
     The loop keeps its centre, radii and sample count and builds its
     points only when they are read.  :func:`residue_integral` integrates
     on the exact circle instead, so an ``integrate`` command allocates
-    nothing that grows with the sample count and never imports numpy.  It
-    is still a Path only because the benchmark's tracer counts loop
-    samples from the Path this function returns.  A loop whose samples
-    may overflow builds them at once, so that it raises
-    :class:`DomainError` here, as any other Path does.
+    nothing that grows with the sample count.  It is still a Path only
+    because the benchmark's tracer counts loop samples from the Path this
+    function returns.  Where the samples may overflow, they are checked
+    here one at a time, and none is kept: the first that is not finite
+    raises :class:`DomainError`, as any other Path does.
     """
     if samples < 8:
         raise ValueError("need at least 8 samples for a circle")
@@ -198,13 +192,14 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
     # the margin covers the rounding of the few products and sums that form it
     bound = max(abs(x) + sum(r * math.hypot(xi[p], eta[p]) for r, (xi, eta) in planes)
                 for p, x in enumerate(center.components))
-    if math.isfinite(bound * (1.0 + 2.0 ** -40)):
-        path = object.__new__(Path)
-        object.__setattr__(path, "variant", variant)
-        object.__setattr__(path, "_points", None)
-        object.__setattr__(path, "closed", True)
-    else:
-        path = Path(variant, _circle_points(variant, *circle), closed=True)
+    if not math.isfinite(bound * (1.0 + 2.0 ** -40)):
+        for point in _circle_rows(variant, *circle):
+            if not all(map(math.isfinite, point)):
+                raise DomainError("path samples must be finite")
+    path = object.__new__(Path)
+    object.__setattr__(path, "variant", variant)
+    object.__setattr__(path, "_points", None)
+    object.__setattr__(path, "closed", True)
     object.__setattr__(path, "_circle", circle)
     return path
 
@@ -415,7 +410,7 @@ def _midpoint_sum(f: Evaluator, path: Path, pole: HexaNumber | None = None) -> H
     """
     variant = path.variant
     planar = variant.is_planar
-    points = path.points.tolist()
+    points = path.points
     base = (0.0,) * 6 if pole is None else pole.components
     offsets = [_canonical_at(planar, [x - p for x, p in zip(point, base)]) for point in points]
     for z in offsets:
@@ -508,10 +503,11 @@ def _circle_integral(F: ElementwiseMap, pole: complex, c: complex, rho: float,
     It starts on the fewest nodes, count / 2^j, that still number at least
     16, and doubles them by adding the nodes in between until two
     successive estimates agree to rounding (8 eps times the summed moduli
-    of the terms) or all ``count`` nodes are summed.  e^(it) is exactly 1
-    and -1 at t = 0 and pi, and every other node is summed with its mirror
-    image, the conjugate, so that an integrand symmetric under conjugation
-    sums exactly.  From |c| + rho = 2^1020 up, where c / z can overflow
+    of the terms), an estimate is not finite (no later one would be) or
+    all ``count`` nodes are summed.  e^(it) is exactly 1 and -1 at t = 0
+    and pi, and every other node is summed with its mirror image, the
+    conjugate, so that an integrand symmetric under conjugation sums
+    exactly.  From |c| + rho = 2^1020 up, where c / z can overflow
     inside Python's division, the quotient is formed on c and rho scaled
     by a power of two.
     """
@@ -519,7 +515,7 @@ def _circle_integral(F: ElementwiseMap, pole: complex, c: complex, rho: float,
     cs, rs = c, rho
     e = math.frexp(tr.radius(c) + rho)[1]
     if e > 1020:
-        cs, rs = complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)), math.ldexp(rho, -e)
+        cs, rs = tr.scaled(c, -e), math.ldexp(rho, -e)
 
     def nodes(first: int, stride: int) -> tuple[complex, float]:
         """Sum and summed moduli of the weighted terms at every ``stride``-th node from ``first``."""
@@ -542,7 +538,7 @@ def _circle_integral(F: ElementwiseMap, pole: complex, c: complex, rho: float,
     while count % (2 * stride) == 0 and count // (2 * stride) >= 16:
         stride *= 2
     total, size = nodes(0, stride)
-    while stride > 1:
+    while stride > 1 and cmath.isfinite(total):
         stride //= 2
         more, more_size = nodes(stride, 2 * stride)
         previous = total * 2
@@ -561,33 +557,34 @@ def line_integral(f: Evaluator, path: Path) -> HexaNumber:
 def winding_number(path: Path, u0: HexaNumber, plane: int) -> int:
     """Turns of the path's projection onto plane ``plane`` around u0's projection.
 
-    Requires a closed path whose projection keeps a positive clearance
-    from the projected point; otherwise :class:`DegeneratePathError`.
+    Each step of the projection's angle is wrapped into (-pi, pi] and the
+    steps are summed.  Requires a closed path whose projection keeps a
+    positive clearance from the projected point; otherwise
+    :class:`DegeneratePathError`.
     """
     if not path.closed:
         raise ValueError("winding numbers need a closed path")
     if u0.variant is not path.variant:
         raise ValueError("point and path variants differ")
-    import numpy as np
-
     planar = path.variant.is_planar
-    rows = tr.rotation_rows(planar)[tr.plane_slice(planar, plane)]
-    dx, dy = np.einsum("ij,kj->ki", path.points - u0.components, rows)
-    if (np.hypot(dx, dy) < _PROJECTION_CLEARANCE).any():
-        raise DegeneratePathError(
-            f"projected path touches the projected point in plane {plane}")
-    return _turns(np.arctan2(dy, dx)[:, None])[0]
-
-
-def _turns(angles: np.ndarray) -> tuple[int, ...]:
-    """Whole turns in each column of angles along a closed loop's samples,
-    the last row repeating the first: each step is wrapped into (-pi, pi]."""
-    import numpy as np
-
-    delta = np.diff(angles, axis=0)
-    delta[delta > math.pi] -= tr.TWO_PI
-    delta[delta <= -math.pi] += tr.TWO_PI
-    return tuple(round(float(s) / tr.TWO_PI) for s in delta.sum(axis=0))
+    xi_row, eta_row = tr.rotation_rows(planar)[tr.plane_slice(planar, plane)]
+    angles = []
+    for point in path.points:
+        offset = [x - c for x, c in zip(point, u0.components)]
+        dx, dy = tr.dot(xi_row, offset), tr.dot(eta_row, offset)
+        if math.hypot(dx, dy) < _PROJECTION_CLEARANCE:
+            raise DegeneratePathError(
+                f"projected path touches the projected point in plane {plane}")
+        angles.append(math.atan2(dy, dx))
+    turn = 0.0
+    for a, b in zip(angles, angles[1:]):
+        step = b - a
+        if step > math.pi:
+            step -= tr.TWO_PI
+        elif step <= -math.pi:
+            step += tr.TWO_PI
+        turn += step
+    return round(turn / tr.TWO_PI)
 
 
 class ResidueComparison(NamedTuple):

@@ -33,9 +33,9 @@ __all__ = ["main", "build_parser"]
 HUMAN_DIGITS = 12
 DEFAULT_TABLE_RANGE = (-4.0, 4.0, 0.05)
 DEFAULT_SAMPLES = 4096
-# --samples caps the quadrature nodes of integrate, which stops once two nested
-# sums agree; the loop's points, built only if read, take 48 bytes per sample,
-# so a mistyped count is still refused.
+# --samples caps the node count of integrate's trapezoid rule, which stops once
+# two nested sums agree; a sum that does not settle costs time in proportion to
+# the cap, so a mistyped count is refused.
 MAX_SAMPLES = 1024 * DEFAULT_SAMPLES
 
 

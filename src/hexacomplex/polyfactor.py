@@ -146,10 +146,6 @@ def decompose(p: HexaPolynomial) -> dict[str, tuple]:
     return dict(zip(tr.component_tags(p.variant.is_planar), zip(*map(canonical_values, p.coeffs))))
 
 
-def _scaled(z: complex, e: int) -> complex:
-    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-
-
 def _taylor(coeffs: Sequence[complex], z: complex, count: int) -> list[complex]:
     """p(z), p'(z), ..., p^(count-1)(z)/(count-1)! of z^m + c1 z^(m-1) + ... + cm, by Horner."""
     row = [1.0 + 0j, *coeffs]
@@ -197,8 +193,8 @@ def _backward_error(coeffs: Sequence[complex], z: complex) -> float:
     value, size = _taylor(coeffs, z, 1)[0], _size(coeffs, z)
     if not (cmath.isfinite(value) and size < math.inf):
         e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
-        coeffs = [_scaled(c, -e * i) for i, c in enumerate(coeffs, 1)]
-        z = _scaled(z, -e)
+        coeffs = [tr.scaled(c, -e * i) for i, c in enumerate(coeffs, 1)]
+        z = tr.scaled(z, -e)
         value, size = _taylor(coeffs, z, 1)[0], _size(coeffs, z)
     if not cmath.isfinite(value):
         return math.inf
@@ -255,14 +251,14 @@ def _eig2(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, comp
     e = 0
     if not 2.0 ** -500 < max(abs(a), abs(b), abs(c), abs(d)) < 2.0 ** 500:
         e = math.frexp(max(abs(x) for z in (a, b, c, d) for x in (z.real, z.imag)))[1]
-        a, b, c, d = (_scaled(z, -e) for z in (a, b, c, d))
+        a, b, c, d = (tr.scaled(z, -e) for z in (a, b, c, d))
     t = 0.5 * (a + d)
     y = cmath.sqrt((0.5 * (a - d)) ** 2 + b * c)
     if t.real * y.real + t.imag * y.imag < 0.0:
         y = -y
     big = t + y
     small = (a * d - b * c) / big if big else 0j
-    return (_scaled(big, e), _scaled(small, e)) if e else (big, small)
+    return (tr.scaled(big, e), tr.scaled(small, e)) if e else (big, small)
 
 
 def _negligible(h: list[list[complex]], k: int) -> bool:
@@ -298,7 +294,7 @@ def _balance(h: list[list[complex]]) -> None:
             if k and math.ldexp(col, k) + math.ldexp(row, -k) < 0.95 * (col + row):
                 for j, r in enumerate(h):
                     if j != i:
-                        r[i], h[i][j] = _scaled(r[i], k), _scaled(h[i][j], -k)
+                        r[i], h[i][j] = tr.scaled(r[i], k), tr.scaled(h[i][j], -k)
                 done = False
         if done:
             return

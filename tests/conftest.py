@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import random
 
-from hexacomplex.algebra import HexaNumber, Variant, from_canonical_components
+import numpy as np
+
+from hexacomplex.algebra import HexaNumber, Variant, from_canonical_components, matrix_rows
 
 BOTH_VARIANTS = (Variant.POLAR, Variant.PLANAR)
 
@@ -13,6 +15,11 @@ BOTH_VARIANTS = (Variant.POLAR, Variant.PLANAR)
 def random_hexa(rng: random.Random, variant: Variant,
                 lo: float = -1.0, hi: float = 1.0) -> HexaNumber:
     return HexaNumber(variant, [rng.uniform(lo, hi) for _ in range(6)])
+
+
+def to_matrix(u: HexaNumber) -> np.ndarray:
+    """The 6x6 matrix representing ``u``, as an array."""
+    return np.array(matrix_rows(u))
 
 
 def max_abs_diff(u: HexaNumber, v: HexaNumber) -> float:

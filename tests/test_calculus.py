@@ -469,9 +469,9 @@ def test_circle_path_builds_its_points_when_read():
             residue_integral(FUNCTIONS["exp"], loop, pole)  # the trapezoid reads no points
             assert loop._points is None
             points = loop.points
-            assert loop.points is points and not points.flags.writeable
-            assert points.tobytes() == _outer_product_points(variant, center, radii,
-                                                             samples).tobytes()
+            assert loop.points is points and type(points) is tuple
+            assert np.array(points).tobytes() == _outer_product_points(variant, center, radii,
+                                                                       samples).tobytes()
 
 
 @pytest.mark.parametrize("variant, center, radii", [
@@ -505,6 +505,21 @@ def test_circle_loop_near_the_top_of_the_range_matches_the_formula(samples):
         comparison = residue_integral(FUNCTIONS["one"], loop, pole)
         assert comparison.windings == (1,) + (0,) * (tr.pair_count(variant.is_planar) - 1)
         assert comparison.max_abs_difference <= 1e-15
+
+
+def test_circle_integral_stops_once_its_sum_is_not_finite():
+    # integrate --samples 4194304 u 1.7976931348e308 1 1.0: a plane's sum overflows on the
+    # first nodes and would stay so on all 2^22 of them
+    calls = []
+    f = FunctionUnderTest("u", lambda u: u, canonical_map=lambda z: calls.append(z) or z)
+    for variant in BOTH_VARIANTS:
+        pole = HexaNumber.from_real(variant, 1.7976931348e308)
+        loop = _integrate_loop(variant, pole, 0j, 1.0, 2 ** 22)
+        calls.clear()
+        message = "integrand overflows: canonical component pair1 of the sum is not finite"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            residue_integral(f, loop, pole)
+        assert len(calls) <= 64
 
 
 def test_plain_path_near_the_top_of_the_range_takes_the_midpoint_rule():
@@ -570,14 +585,33 @@ def test_plain_path_reports_offsets_that_overflow():
         assert caught.value.component == "v+"
 
 
+def _rows_of_six_floats(points) -> bool:
+    return type(points) is tuple and all(
+        type(row) is tuple and len(row) == 6 and all(type(x) is float for x in row)
+        for row in points)
+
+
 def test_path_construction():
     variant = Variant.POLAR
     loop = circle_path(variant, HexaNumber.one(variant), {2: 0.5}, 16)
     assert loop.variant is variant and loop.closed and loop.samples[0] == loop.samples[-1]
-    assert loop.points.shape == (17, 6) and not loop.points.flags.writeable
+    assert len(loop.points) == 17 and _rows_of_six_floats(loop.points)
     rebuilt = Path(variant, list(loop.samples), closed=True)
-    assert np.array_equal(rebuilt.points, loop.points)
+    assert rebuilt.points == loop.points
     assert rebuilt != loop  # paths compare by identity
+
+    # rows of a 2-D array are read as samples, as the same values as HexaNumbers are
+    rng = random.Random(76)
+    rows = np.array([random_hexa(rng, variant).components for _ in range(5)])
+    from_array = Path(variant, rows, closed=False)
+    assert _rows_of_six_floats(from_array.points)
+    assert from_array.points == Path(variant, [HexaNumber(variant, r) for r in rows],
+                                     closed=False).points
+    for width in (5, 7):
+        with pytest.raises(ValueError, match="6 components"):
+            Path(variant, [[0.0] * 6, [1.0] * width, [0.0] * 6], closed=False)
+    with pytest.raises(DomainError, match="must be finite"):
+        Path(variant, [[0.0] * 6, [1.0, math.nan, 0.0, 0.0, 0.0, 0.0], [0.0] * 6], closed=False)
 
     with pytest.raises(ValueError):
         Path(variant, [HexaNumber.one(variant)] * 2, closed=False)
