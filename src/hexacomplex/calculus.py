@@ -188,11 +188,12 @@ def circle_path(variant: Variant, center: HexaNumber, radii: Mapping[int, float]
     circle = (center, tuple(radii.items()), samples)
     rows = tr.rotation_rows(planar)
     planes = [(abs(radius), rows[tr.plane_slice(planar, k)]) for k, radius in circle[1]]
-    # component p of a sample is at most |center_p| + sum_k |r_k| hypot(xi_kp, eta_kp);
-    # the margin covers the rounding of the few products and sums that form it
-    bound = max(abs(x) + sum(r * math.hypot(xi[p], eta[p]) for r, (xi, eta) in planes)
-                for p, x in enumerate(center.components))
-    if not math.isfinite(bound * (1.0 + 2.0 ** -40)):
+    # _circle_rows forms each component as x + a xi + b eta plane by plane, |a|, |b| <= |r_k|;
+    # the same sums of moduli in the same order bound it, since rounding is monotone
+    bound = tuple(map(abs, center.components))
+    for r, (xi_row, eta_row) in planes:
+        bound = tuple(x + r * abs(xi) + r * abs(eta) for x, xi, eta in zip(bound, xi_row, eta_row))
+    if not all(map(math.isfinite, bound)):
         for point in _circle_rows(variant, *circle):
             if not all(map(math.isfinite, point)):
                 raise DomainError("path samples must be finite")

@@ -10,16 +10,17 @@ so in the polar ring they pair into real quadratic factors.  A factor is
 itself a monic :class:`HexaPolynomial`, of degree 1 or 2, and a component
 polynomial is the tuple of its coefficients below the leading 1.
 
-Component roots are the eigenvalues of the companion matrix in the
-layout of ``numpy.roots``, found in pure Python: balancing by powers of
-two, then shifted complex QR.  Eigenvalues that cluster as tightly as a
-root of multiplicity m spreads under rounding (about eps^(1/m)) merge into one
-root of that multiplicity at the cluster mean, when the mean is also a
-root of the first m-1 derivatives: a repeated root comes out repeated
-exactly, while close simple roots stay apart.  A root is accepted when
-|p(z)| is small beside the polynomial of |c_i| at |z| (backward error).
-Roots are sorted by their rounded value, so the factors printed do not
-depend on the order in which the eigensolver returns them.
+Component roots come from Aberth-Ehrlich iteration in pure Python (a
+quadratic by its closed form), each simple root then refined by Newton's
+method on the exact p(z), so that it is the root of the given
+coefficients rounded once.  Approximations that cluster as tightly as a
+root of multiplicity m spreads under rounding (about eps^(1/m)) merge into
+one root of that multiplicity, when their mean, refined on p^(m-1), is
+also a root of the first m-1 derivatives: a repeated root comes out
+repeated exactly, while close simple roots stay apart.  A root is
+accepted when |p(z)| is small beside the polynomial of |c_i| at |z|
+(backward error).  Roots are sorted by their rounded value, so the
+factors printed do not depend on the order in which they were found.
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ __all__ = [
 _RESIDUAL_RTOL = 1e-9
 _EPS = 2.0 ** -52
 _CLUSTER_FACTOR = 16.0
-_NEWTON_NOISE_RTOL = 1e-12
 _REAL_SNAP_RTOL = 1e-10
 _CONJUGATE_RTOL = 1e-6
 _DEDUP_DECIMALS = 9
 _EXPANSION_RTOL = 1e-8
-_TINY = 2.0 ** -960  # a subdiagonal entry this small is zero (LAPACK's safmin n / ulp at n = 2^10)
-_BALANCE_PASSES = 16
+_ABERTH_SWEEPS = 50
+_ABERTH_STOP = 2.0 ** -40
+_NEWTON_STEPS = 8
 
 
 class HexaPolynomial(Frozen):
@@ -180,25 +181,27 @@ def _exact_value(coeffs: Sequence[complex], z: complex) -> complex:
 
 def _size(coeffs: Sequence[complex], z: complex) -> float:
     """The polynomial of |c_i| at |z|: p(z) is computed to about eps times this."""
-    return _taylor([abs(c) for c in coeffs], abs(z), 1)[0].real
+    return _taylor(list(map(tr.radius, coeffs)), tr.radius(z), 1)[0].real
 
 
 def _backward_error(coeffs: Sequence[complex], z: complex) -> float:
     """|p(z)| / :func:`_size`, inf when p(z) is not finite.
 
     Where p(z) or the size overflows, both are formed again on z = 2^e t
-    with |t| in [0.5, 1) and coefficients c_i 2^(-e i), which divides
-    each by 2^(e m) and leaves their ratio.
+    and coefficients c_i 2^(-e i), which divides each by 2^(e m) and leaves
+    their ratio; 2^e is the least power of two above the parts of z and of
+    every c_i^(1/i), so that no part of t or of a scaled c_i reaches 1.
     """
     value, size = _taylor(coeffs, z, 1)[0], _size(coeffs, z)
     if not (cmath.isfinite(value) and size < math.inf):
-        e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+        e = max(-(-math.frexp(max(abs(x.real), abs(x.imag)))[1] // i)
+                for i, x in ((1, z), *enumerate(coeffs, 1)))
         coeffs = [tr.scaled(c, -e * i) for i, c in enumerate(coeffs, 1)]
         z = tr.scaled(z, -e)
         value, size = _taylor(coeffs, z, 1)[0], _size(coeffs, z)
     if not cmath.isfinite(value):
         return math.inf
-    return abs(value) / size if value else 0.0
+    return tr.radius(value) / size if value else 0.0
 
 
 def _split(cluster: list[complex]) -> tuple[list[complex], list[complex]]:
@@ -206,7 +209,8 @@ def _split(cluster: list[complex]) -> tuple[list[complex], list[complex]]:
     inside, outside = [0], list(range(1, len(cluster)))
     edges: list[tuple[float, int, int]] = []  # Prim's order: each parent precedes its child
     while outside:
-        edges.append(min((abs(cluster[i] - cluster[j]), i, j) for i in inside for j in outside))
+        edges.append(min((tr.radius(cluster[i] - cluster[j]), i, j)
+                         for i in inside for j in outside))
         inside.append(edges[-1][2])
         outside.remove(edges[-1][2])
     cut = max(range(len(edges)), key=lambda e: edges[e][0])
@@ -218,162 +222,150 @@ def _split(cluster: list[complex]) -> tuple[list[complex], list[complex]]:
             [z for n, z in enumerate(cluster) if n not in side])
 
 
+def _newton(coeffs: Sequence[complex], z: complex, k: int) -> complex:
+    """z after at most _NEWTON_STEPS Newton steps on p^(k), p(z) by :func:`_exact_value` when k = 0.
+
+    It stops after a step within eps |z|, which leaves a root rounded once,
+    or before a step that is not finite.
+    """
+    for _ in range(_NEWTON_STEPS):
+        t = _taylor(coeffs, z, k + 2)
+        slope = (k + 1) * t[k + 1]
+        if not (slope and cmath.isfinite(slope)):
+            break
+        step = tr.quotient(_exact_value(coeffs, z) if k == 0 else t[k], slope)
+        if not cmath.isfinite(step):
+            break
+        z -= step
+        if tr.radius(step) <= _EPS * tr.radius(z):
+            break
+    return z
+
+
 def _clusters(cluster: list[complex], coeffs: Sequence[complex],
-              scale: float) -> Iterator[list[complex]]:
-    """Groups of eigenvalues that each stand for one root, split top down.
+              scale: float) -> Iterator[tuple[complex, int]]:
+    """Each root and its multiplicity, from groups of approximations split top down.
 
     Perturbing the coefficients by eps moves an m-fold root by about
     eps^(1/m), symmetrically around it, so a group of m is one root when
-    it lies within 16 eps^(1/m) scale and its mean is a root of p and its
-    first m-1 derivatives to the 16^m eps that spread stands for: each
-    p^(k)(mean)/k! within 16^m eps of the same for the |c_i| polynomial at
-    |mean|.  Close simple roots pass the first test but not the second.
+    it lies within 16 eps^(1/m) scale and its mean, refined by
+    :func:`_newton` on p^(m-1), is a root of p and its first m-1
+    derivatives to the 16^m eps that spread stands for: each
+    p^(k)(z)/k! within 16^m eps of the same for the |c_i| polynomial at
+    |z|.  Close simple roots pass the first test but not the second.  A
+    single approximation is refined on the exact p(z).
     """
     m = len(cluster)
-    mean = sum(cluster) / m
-    diameter = max(abs(a - b) for a in cluster for b in cluster)
-    if m == 1 or (diameter <= _CLUSTER_FACTOR * _EPS ** (1.0 / m) * scale and all(
-            abs(t) <= _CLUSTER_FACTOR ** m * _EPS * size.real for t, size in zip(
-                _taylor(coeffs, mean, m), _taylor([abs(c) for c in coeffs], abs(mean), m)))):
-        yield cluster
-        return
+    if m == 1 or max(tr.radius(a - b) for a in cluster for b in cluster) <= (
+            _CLUSTER_FACTOR * _EPS ** (1.0 / m) * scale):
+        z = _newton(coeffs, sum(cluster) / m, m - 1)
+        if m == 1 or all(tr.radius(t) <= _CLUSTER_FACTOR ** m * _EPS * size.real for t, size in zip(
+                _taylor(coeffs, z, m), _taylor(list(map(tr.radius, coeffs)), tr.radius(z), m))):
+            yield z, m
+            return
     for part in _split(cluster):
         yield from _clusters(part, coeffs, scale)
 
 
-def _eig2(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
-    """Eigenvalues of [[a, b], [c, d]]: t + y with y signed along t (no cancellation), then det / it.
+def _quadratic(c1: complex, c2: complex) -> list[complex]:
+    """Roots of z^2 + c1 z + c2, c2 nonzero: big = t + y, y signed along t = -c1/2, and c2 / big.
 
-    Entries whose largest modulus lies outside [2^-500, 2^500] are first
-    scaled by a power of two to a largest part in [0.5, 1), so that no
-    square or product overflows or underflows.
+    big is formed on z = 2^e w, 2^e about max(|t|, |c2|^(1/2)), so no square
+    overflows; c2 / big is not, which keeps the root -1 of z^2 + 1e308 z + 1e308.
     """
-    e = 0
-    if not 2.0 ** -500 < max(abs(a), abs(b), abs(c), abs(d)) < 2.0 ** 500:
-        e = math.frexp(max(abs(x) for z in (a, b, c, d) for x in (z.real, z.imag)))[1]
-        a, b, c, d = (tr.scaled(z, -e) for z in (a, b, c, d))
-    t = 0.5 * (a + d)
-    y = cmath.sqrt((0.5 * (a - d)) ** 2 + b * c)
-    if t.real * y.real + t.imag * y.imag < 0.0:
+    t = -0.5 * c1
+    e = max(math.frexp(max(abs(t.real), abs(t.imag)))[1],
+            (math.frexp(max(abs(c2.real), abs(c2.imag)))[1] + 1) // 2)
+    ts = tr.scaled(t, -e)
+    y = cmath.sqrt(ts * ts - tr.scaled(c2, -2 * e))
+    if ts.real * y.real + ts.imag * y.imag < 0.0:
         y = -y
-    big = t + y
-    small = (a * d - b * c) / big if big else 0j
-    return (tr.scaled(big, e), tr.scaled(small, e)) if e else (big, small)
+    big = tr.scaled(ts + y, e)
+    return [big, tr.quotient(c2, big)]
 
 
-def _negligible(h: list[list[complex]], k: int) -> bool:
-    """Whether subdiagonal h[k][k-1] is negligible: Ahues and Tisseur's test, as in LAPACK's lahqr.
+def _aberth(c: list[complex]) -> list[complex]:
+    """Roots of z^m + c1 z^(m-1) + ... + cm, cm nonzero, by Aberth-Ehrlich iteration.
 
-    Beside its diagonal neighbours it must also be small against the gap of
-    its 2x2 block, which keeps a graded matrix's small eigenvalues accurate.
+    Start points lie on one circle per edge of the upper convex hull of
+    (i, log2 |c_i|), c_0 = 1, as many as the edge is long, at the radius its
+    slope gives (Bini, Numer. Algorithms 13, 1996).  Past a coefficient of
+    2^500 it runs on z = 2^e w, e the least that brings every c_i 2^(-e i)
+    within 2^500, so Horner cannot overflow.  A sweep moves each point in
+    turn (Gauss-Seidel) by N / (1 - N S): N = p/p' by Horner, on the reversed
+    polynomial where |z| > 1, S the sum of 1 / (z - z_j) over the others.  A
+    point stops once its step is within 2^-40 of |z|, or once |p(z)| is
+    within eps of the |c_i| polynomial at |z|, as rounding hides any more.
     """
-    sub = abs(h[k][k - 1])
-    if sub <= _TINY:
-        return True
-    hkk = h[k][k]
-    if sub > _EPS * (abs(h[k - 1][k - 1]) + abs(hkk)):
-        return False
-    sup, gap = abs(h[k - 1][k]), abs(h[k - 1][k - 1] - hkk)
-    ab, ba = max(sub, sup), min(sub, sup)
-    aa, bb = max(abs(hkk), gap), min(abs(hkk), gap)
-    s = aa + ab
-    return ba * (ab / s) <= max(_TINY, _EPS * (bb * (aa / s)))
+    def slope(a: tuple[int, float], b: tuple[int, float]) -> float:
+        return (b[1] - a[1]) / (b[0] - a[0])
 
-
-def _balance(h: list[list[complex]]) -> None:
-    """Scale row and column i by inverse powers of two until their norms agree (Parlett and Reinsch)."""
-    n = len(h)
-    for _ in range(_BALANCE_PASSES):
-        done = True
-        for i in range(n):
-            col = sum([abs(r[i]) for j, r in enumerate(h) if j != i])
-            row = sum([abs(x) for j, x in enumerate(h[i]) if j != i])
-            if not (0.0 < col < math.inf and 0.0 < row < math.inf):
+    m = len(c)
+    hull = [(0, 0.0)]
+    for i, x in enumerate(c, 1):
+        if x:
+            point = (i, math.log2(max(abs(x.real), abs(x.imag))))
+            # edges whose slopes differ by less than 2^-6 merge, so no two circles nearly coincide
+            while len(hull) > 1 and slope(hull[-1], point) > slope(hull[-2], hull[-1]) - 2.0 ** -6:
+                hull.pop()
+            hull.append(point)
+    e = max(0, *(math.ceil((b - 500.0) / i) for i, b in hull[1:]))
+    z = [cmath.rect(2.0 ** (slope(a, b) - e), tr.TWO_PI * (k / (b[0] - a[0]) + j / m) + 0.7)
+         for j, (a, b) in enumerate(zip(hull, hull[1:])) for k in range(b[0] - a[0])]
+    c = [tr.scaled(x, -e * i) for i, x in enumerate(c, 1)]
+    forward = [(1.0 + 0j, 1.0), *((x, abs(x)) for x in c)]
+    backward = forward[::-1]
+    moving = list(range(m))
+    for _ in range(_ABERTH_SWEEPS):
+        still = []
+        for k in moving:
+            zk = z[k]
+            r = tr.radius(zk)
+            x, rx = (zk, r) if r <= 1.0 else (1.0 / zk, 1.0 / r)
+            v, d, size = 0j, 0j, 0.0
+            for a, abs_a in forward if r <= 1.0 else backward:
+                d = d * x + v
+                v = v * x + a
+                size = size * rx + abs_a
+            if abs(v) <= _EPS * size:
                 continue
-            k = (math.frexp(row)[1] - math.frexp(col)[1]) // 2
-            if k and math.ldexp(col, k) + math.ldexp(row, -k) < 0.95 * (col + row):
-                for j, r in enumerate(h):
-                    if j != i:
-                        r[i], h[i][j] = tr.scaled(r[i], k), tr.scaled(h[i][j], -k)
-                done = False
-        if done:
-            return
-
-
-def _sweep(h: list[list[complex]], lo: int, hi: int, shift: complex) -> None:
-    """One implicit single-shift QR step on the active block h[lo..hi], chasing the bulge down."""
-    x, y = h[lo][lo] - shift, h[lo + 1][lo]
-    for k in range(lo, hi):
-        rk, rk1 = h[k], h[k + 1]
-        if k > lo:
-            x, y = rk[k - 1], rk1[k - 1]
-        # the rotation [[c, s], [-conj(s), c]] takes (x, y) to (r, 0)
-        ax = abs(x)
-        norm = math.hypot(ax, abs(y))
-        if not norm:
-            continue
-        c, s = (ax / norm, x / ax * y.conjugate() / norm) if ax else (0.0, 1.0)
-        sc = s.conjugate()
-        for j in range(max(lo, k - 1), hi + 1):
-            a, b = rk[j], rk1[j]
-            rk[j], rk1[j] = c * a + s * b, c * b - sc * a
-        if k > lo:
-            rk1[k - 1] = 0j
-        for row in h[lo:min(k + 2, hi) + 1]:
-            a, b = row[k], row[k + 1]
-            row[k], row[k + 1] = c * a + sc * b, c * b - s * a
+            s = sum([1.0 / (zk - zj) for zj in z if zj != zk])
+            den = d - v * s if r <= 1.0 else x * (m * v - x * d) - v * s
+            step = v / den if den else 0j
+            if cmath.isfinite(step):
+                z[k] = zk - step
+                if tr.radius(step) > _ABERTH_STOP * r:
+                    still.append(k)
+        moving = still
+        if not moving:
+            break
+    return [tr.scaled(x, e) for x in z]
 
 
 def _eigenvalues(coeffs: Sequence[complex]) -> list[complex]:
-    """Eigenvalues of the companion matrix of z^m + c1 z^(m-1) + ... + cm, as numpy.roots lays it out.
+    """All roots of z^m + c1 z^(m-1) + ... + cm (the eigenvalues of its companion matrix).
 
-    Trailing zero coefficients are exact zero roots.  The rest is the
-    matrix with first row -c and ones below the diagonal, balanced, whose
-    eigenvalues come from shifted complex QR with deflation (Wilkinson's
-    shift, and an exceptional shift every tenth step without deflation);
-    a 2x2 block is solved in closed form.  For real coefficients each
-    root whose nearest conjugate is itself becomes real, and mutually
-    nearest conjugates an exact pair, as a real eigensolver returns them.
-    Raises :class:`NonConvergenceError` after 30 max(10, m) steps without
-    a deflation, LAPACK's limit.
+    Trailing zero coefficients are exact zero roots; of the rest, degree 1
+    is -c1, degree 2 :func:`_quadratic` and higher degrees :func:`_aberth`.
+    For real coefficients the roots are matched to conjugates closest
+    first: a root matched to itself becomes real, and a matched pair
+    becomes an exact conjugate pair at the mean of one and the conjugate
+    of the other, as a real eigensolver returns them.
     """
     m = len(coeffs)
     while m and not coeffs[m - 1]:
         m -= 1
-    h = [[0j] * m for _ in range(m)]
-    if m:
-        h[0] = [-c for c in coeffs[:m]]
-    for i in range(1, m):
-        h[i][i - 1] = 1.0 + 0j
-    _balance(h)
-    found = [0j] * (len(coeffs) - m)
-    hi, steps = m - 1, 0
-    while hi >= 0:
-        lo = next((k for k in range(hi, 0, -1) if _negligible(h, k)), 0)
-        if lo == hi or lo == hi - 1:
-            found += [h[hi][hi]] if lo == hi else _eig2(h[lo][lo], h[lo][hi], h[hi][lo], h[hi][hi])
-            hi, steps = lo - 1, 0
-            continue
-        steps += 1
-        if steps > 30 * max(10, m):
-            raise NonConvergenceError("companion matrix eigenvalues did not converge",
-                                      residual=abs(h[hi][hi - 1]))
-        if steps % 10:
-            shift = min(_eig2(h[hi - 1][hi - 1], h[hi - 1][hi], h[hi][hi - 1], h[hi][hi]),
-                        key=lambda z: abs(z - h[hi][hi]))
-        elif steps % 20:
-            shift = h[hi][hi] + 0.75 * abs(h[hi][hi - 1])
-        else:
-            shift = h[lo][lo] + 0.75 * abs(h[lo + 1][lo])
-        _sweep(h, lo, hi, shift)
-    if any(c.imag for c in coeffs):
+    c = list(coeffs[:m])
+    found = [0j] * (len(coeffs) - m) + (_aberth(c) if m > 2 else _quadratic(*c) if m == 2
+                                        else [-x for x in c])
+    if any(x.imag for x in coeffs):
         return found
-    near = [min(range(len(found)), key=lambda j: abs(found[j] - z.conjugate())) for z in found]
-    for i, j in enumerate(near):
-        if j == i:
-            found[i] = complex(found[i].real)
-        elif near[j] == i and i < j:
-            mid = 0.5 * (found[i] + found[j].conjugate())
+    matched: set[int] = set()
+    for _, i, j in sorted((tr.radius(a - found[j].conjugate()), i, j)
+                          for i, a in enumerate(found) for j in range(i, len(found))):
+        if i not in matched and j not in matched:
+            matched |= {i, j}
+            mid = complex(found[i].real) if i == j else 0.5 * found[i] + 0.5 * found[j].conjugate()
             found[i], found[j] = mid, mid.conjugate()
     return found
 
@@ -383,40 +375,21 @@ def component_roots(coefficients: Sequence[complex]) -> tuple[complex, ...]:
 
     ``coefficients`` is c1..cm, one value of :func:`decompose`.
 
-    The eigenvalues of the companion matrix (:func:`_eigenvalues`) are
-    grouped by :func:`_clusters`.  A
-    multiple root of multiplicity m becomes the mean of its group, which
-    is well conditioned although each eigenvalue is not, refined by one
-    Newton step on p^(m-1), of which it is a simple root; a well
-    conditioned simple root gets one Newton step on the exact p(z)
-    (:func:`_exact_value`), which rounds it once.  Raises
+    The approximations of :func:`_eigenvalues` are grouped and refined by
+    :func:`_clusters`: a root of multiplicity m > 1 is the mean of its
+    group, which is well conditioned although each approximation is not,
+    refined by Newton's method on p^(m-1), of which it is a simple root; a
+    simple root is refined by Newton's method on the exact p(z), so it
+    comes out as the root of the given coefficients rounded once.  Raises
     :class:`NonConvergenceError` when a root's :func:`_backward_error` is too large.
     """
     coeffs = [complex(c) for c in coefficients]
     if not all(map(cmath.isfinite, coeffs)):
         raise NonConvergenceError("component polynomial has a non-finite coefficient",
                                   residual=math.inf)
-    eigenvalues = _eigenvalues(coeffs)
-    scale = max(1.0, max(abs(z) for z in eigenvalues))
-    roots: list[complex] = []
-    for cluster in _clusters(eigenvalues, coeffs, scale):
-        m = len(cluster)
-        if m > 1:
-            z = sum(cluster) / m
-            t = _taylor(coeffs, z, m + 1)
-            if t[m]:
-                z -= t[m - 1] / (m * t[m])
-            roots += [z] * m
-            continue
-        z = cluster[0]
-        slope = _taylor(coeffs, z, 2)[1]
-        # eps |p|(|z|) / |p'(z)|, the distance rounding of the coefficients moves the root,
-        # is independent of the other roots: past _NEWTON_NOISE_RTOL they would no longer
-        # multiply back to p.  Below it, the step on the exact p(z) rounds the root once.
-        noise = _EPS * _size(coeffs, z)
-        if slope and noise <= _NEWTON_NOISE_RTOL * max(1.0, abs(z)) * abs(slope):
-            z -= _exact_value(coeffs, z) / slope
-        roots.append(z)
+    found = _eigenvalues(coeffs)
+    scale = max(1.0, max(map(tr.radius, found)))
+    roots = [z for z, m in _clusters(found, coeffs, scale) for _ in range(m)]
     worst = max(_backward_error(coeffs, z) for z in roots)
     if not worst <= _RESIDUAL_RTOL:
         raise NonConvergenceError(

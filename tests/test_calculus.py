@@ -14,7 +14,7 @@ import pytest
 
 from conftest import BOTH_VARIANTS, max_abs_diff, random_hexa
 from hexacomplex import _transforms as tr
-from hexacomplex import cli, elementary
+from hexacomplex import calculus, cli, elementary
 from hexacomplex.algebra import (
     HexaNumber,
     Variant,
@@ -483,6 +483,19 @@ def test_circle_path_builds_its_points_when_read():
 def test_circle_path_rejects_samples_that_overflow(variant, center, radii):
     with pytest.raises(DomainError, match="path samples must be finite"):
         circle_path(variant, HexaNumber.from_real(variant, center), radii, 64)
+
+
+@pytest.mark.parametrize("variant", BOTH_VARIANTS)
+def test_circle_path_bounds_finite_samples_without_forming_them(monkeypatch, variant):
+    # a centre component within 2^-40 of the largest double, radius 1: each component's
+    # bound, summed as the samples are, stays finite, so no sample is formed to check it
+    def fail(*args):
+        raise AssertionError("circle_path formed the samples")
+
+    monkeypatch.setattr(calculus, "_circle_rows", fail)
+    center = HexaNumber.from_real(variant, 1.7976931348623e308)
+    loop = circle_path(variant, center, {1: 1.0, tr.pair_count(variant.is_planar): -1.0}, 4194304)
+    assert loop._points is None and loop._circle[2] == 4194304
 
 
 def _integrate_loop(variant: Variant, pole: HexaNumber, center_offset: complex, radius: float,

@@ -112,6 +112,20 @@ def test_factor_all_counts_a_repeated_root_once(capsys, argv, lines):
     (("--planar", "--", "1", "-2", "1"), "[u - 1][u - 1]\n"),
     (("--polar", "--", "1", "-2.2", "1.21"), "[u - 1.1][u - 1.1]\n"),        # (u - 1.1)^2
     (("--planar", "--", "1", "-4", "6", "-4", "1"), "[u - 1]" * 4 + "\n"),   # (u - 1)^4
+    (("--polar", "--", "1", "-3", "3", "-1"), "[u - 1]" * 3 + "\n"),         # (u - 1)^3
+    (("--polar", "--", "1", "-4", "6", "-4", "1"), "[u - 1]" * 4 + "\n"),
+    (("--polar", "--", "1", "0", "2", "0", "1"),                             # (u^2 + 1)^2
+     "[u^2 + (1.15470053838 h1 - 1.15470053838 h5) u"
+     " + (-0.333333333333 + 0.666666666667 h2 + 0.666666666667 h4)]"
+     "[u^2 + (-1.15470053838 h1 + 1.15470053838 h5) u"
+     " + (-0.333333333333 + 0.666666666667 h2 + 0.666666666667 h4)]\n"),
+    (("--planar", "--", "1", "0", "2", "0", "1"),
+     "[u + (0.666666666667 h1 + 0.333333333333 h3 + 0.666666666667 h5)]" * 2
+     + "[u - (0.666666666667 h1 + 0.333333333333 h3 + 0.666666666667 h5)]" * 2 + "\n"),
+    # u^10 + 1: simple roots, the middle factor's u coefficient exactly 0
+    (("--polar", "--", "1", "0", "0", "0", "0", "0", "0", "0", "0", "0", "1"),
+     "[u^2 + (1.90211303259) u + (1)][u^2 + (1.17557050458) u + (1)][u^2 + (1)]"
+     "[u^2 + (-1.17557050458) u + (1)][u^2 + (-1.90211303259) u + (1)]\n"),
 ])
 def test_factor_prints_a_repeated_root_without_rounding_residue(capsys, argv, out):
     assert run(capsys, "factor", *argv) == (0, out, "")

@@ -150,11 +150,15 @@ def test_component_roots_reports_the_residual_it_cannot_meet(monkeypatch):
     with pytest.raises(NonConvergenceError) as exc:
         component_roots((math.inf, 1.0))
     assert exc.value.residual == math.inf
-    # an eigensolver off by 4 on both roots of z^2 - 1: one Newton step reaches +-2.6
-    monkeypatch.setattr(polyfactor, "_eigenvalues", lambda c: [-5.0 + 0j, 5.0 + 0j])
+    # a root solver off by a factor 1e6 on both roots of z^2 - 1: each Newton step
+    # about halves z, so the capped iteration stops far from +-1
+    monkeypatch.setattr(polyfactor, "_eigenvalues", lambda c: [-1e6 + 0j, 1e6 + 0j])
     with pytest.raises(NonConvergenceError) as exc:
         component_roots((0.0, -1.0))
-    assert exc.value.residual == pytest.approx((2.6 ** 2 - 1) / (2.6 ** 2 + 1))
+    z = 1e6
+    for _ in range(polyfactor._NEWTON_STEPS):
+        z -= (z * z - 1) / (2 * z)
+    assert exc.value.residual == pytest.approx((z * z - 1) / (z * z + 1))
 
 
 def _monic_from_roots(roots, real: bool) -> tuple:
@@ -181,15 +185,14 @@ def _spread_polynomial(rng: random.Random, degree: int, spread: float, real: boo
 
 @pytest.mark.parametrize("spread", [0.0, 5.0, 30.0])
 def test_eigenvalues_against_numpy_roots(spread):
-    """The companion eigenvalues beside numpy.roots on seeded polynomials of degree 1-8.
+    """The Aberth approximations beside numpy.roots on seeded polynomials of degree 1-8.
 
-    Real coefficients give exact conjugate pairs or exactly real values, and
-    no polynomial exhausts the QR steps.  Every eigenvalue's backward error
-    stays within 16 times numpy's worst (or 16 m eps) for root moduli within
-    1e+-5.  Over 1e+-30 some eigenvalues fall outside that, while numpy's
-    own are often far off, so there the Newton-refined roots are compared:
-    :func:`component_roots` fails on no more polynomials than the same
-    refinement of numpy's eigenvalues.
+    Real coefficients give exact conjugate pairs or exactly real values.
+    Every approximation's backward error stays within 16 times the worst of
+    numpy's companion eigenvalues (or 16 m eps) for root moduli within
+    1e+-5.  Over 1e+-30 numpy's own are often far off, so there the
+    Newton-refined roots are compared: :func:`component_roots` fails on no
+    more polynomials than the same refinement of numpy's eigenvalues.
     """
     np = pytest.importorskip("numpy")
     rng = random.Random(int(spread) + 39)
@@ -218,9 +221,45 @@ def test_eigenvalues_against_numpy_roots(spread):
     assert failures["solver"] <= failures["numpy"]
 
 
+@pytest.mark.parametrize("spread", [5.0, 30.0])
+def test_graded_roots_are_all_found(spread):
+    # 480 seeded polynomials of degree 1-8 with root moduli 10^U(-spread, spread)
+    rng = random.Random(7000)
+    failures = []
+    for degree, real, _ in itertools.product(range(1, 9), (True, False), range(30)):
+        coeffs = _spread_polynomial(rng, degree, spread, real)
+        try:
+            component_roots(coeffs)
+        except NonConvergenceError as exc:
+            failures.append((coeffs, exc.residual))
+    assert failures == []
+
+
+def test_extreme_coefficients_give_roots_or_nonconvergence():
+    # parts log-uniform over 1e-310..1e308, with zeros and values near the largest
+    # double: every modulus and residual is formed without a raw OverflowError
+    rng = random.Random(41)
+
+    def part() -> float:
+        u = rng.random()
+        magnitude = 0.0 if u < 0.1 else 1.7e308 * rng.uniform(0.5, 1.0) if u < 0.2 else (
+            10.0 ** rng.uniform(-310.0, 308.0))
+        return rng.choice((-1.0, 1.0)) * magnitude
+
+    solved = 0
+    for degree, real, _ in itertools.product(range(1, 7), (True, False), range(50)):
+        coeffs = [complex(part(), 0.0 if real else part()) for _ in range(degree)]
+        try:
+            component_roots(coeffs)
+            solved += 1
+        except NonConvergenceError:
+            pass
+    assert solved > 400
+
+
 def test_separated_simple_roots_are_rounded_once():
-    # the Newton step on the exact p(z) leaves each root at its value rounded to
-    # doubles, whatever the last bits of the eigenvalue it started from
+    # Newton's method on the exact p(z) leaves each root at its value rounded to
+    # doubles, whatever the last bits of the approximation it started from
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(40)
     checked = 0
@@ -234,6 +273,20 @@ def test_separated_simple_roots_are_rounded_once():
                     assert z == complex(w)
                     checked += 1
     assert checked > 400
+    # so are simple roots 2e-5 to 1e-3 apart, conditioned only to about 1e-6: each is
+    # the 300-bit root of the rounded coefficients rounded once, real or turned off the axis
+    checked = 0
+    with mpmath.workprec(300):
+        for turn, roots in itertools.product((1.0, 0.6 + 0.8j), (
+                *_CLOSE_ROOTS.values(), *_CLUSTERED_SIMPLE_ROOTS.values())):
+            coeffs = _monic_from_roots([z * turn for z in roots], turn == 1.0)
+            exact = mpmath.polyroots([1, *map(mpmath.mpc, coeffs)], maxsteps=500, extraprec=600)
+            found = component_roots(coeffs)
+            assert len(set(found)) == len(roots)
+            for z in found:
+                assert z == complex(min(exact, key=lambda v: abs(v - z)))
+                checked += 1
+    assert checked == 38
 
 
 @pytest.mark.parametrize("coefficients, roots", [
@@ -242,6 +295,7 @@ def test_separated_simple_roots_are_rounded_once():
     ((1j, 0.0), (-1j, 0j)),
     ((1e308, 1e308), (-1e308 + 0j, -1 + 0j)),
     ((1e200, 1e300), (-1e200 + 0j, -1e100 + 0j)),
+    ((1e308, 1e100), (-1e308 + 0j, -1e-208 + 0j)),           # a scaled c2 would underflow
 ])
 def test_eigenvalues_of_edge_polynomials(coefficients, roots):
     # trailing zero coefficients are exact zero roots, as numpy.roots strips them
@@ -249,6 +303,16 @@ def test_eigenvalues_of_edge_polynomials(coefficients, roots):
     assert len(found) == len(roots)
     for z, r in zip(found, sorted(roots, key=abs)):
         assert z == r if not r else abs(z - r) <= 4 * polyfactor._EPS * abs(r)
+
+
+@pytest.mark.parametrize("c6", [1e-3, 1e-3j])
+def test_start_circles_that_nearly_coincide(c6):
+    # z^6 + z^4 + (1 - 2^-50) z + c6: the hull edges 0-2 and 2-5 give start circles of
+    # radii 1 and 1 - 3e-16, with one point of each at the same angle; such edges merge,
+    # so no two points start next to each other, where their repulsion would freeze them
+    coeffs = [0j, 1 + 0j, 0j, 0j, complex(1 - 2.0 ** -50), complex(c6)]
+    found = polyfactor._eigenvalues(coeffs)
+    assert max(polyfactor._backward_error(coeffs, z) for z in found) <= 16 * 6 * polyfactor._EPS
 
 
 # exact roots of real polynomials with repeated roots, and of roots close but distinct
