@@ -39,7 +39,7 @@ from .algebra import (
     format_hexa,
     from_canonical_values,
 )
-from .errors import NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "HexaPolynomial",
@@ -434,10 +434,14 @@ def _slot_factor(variant: Variant, groups: Sequence[Sequence[complex]]) -> HexaP
 
 
 def _verify_expansion(p: HexaPolynomial, f: Factorization) -> None:
-    expanded = expand(f)
     tol = _EXPANSION_RTOL * p.scale_estimate()
-    worst = max(abs(a - b) for ea, pa in zip(expanded.coeffs, p.coeffs)
-                for a, b in zip(ea.components, pa.components))
+    try:
+        expanded = expand(f)
+    except DomainError:  # a coefficient of the expansion overflows
+        worst = math.inf
+    else:
+        worst = max(abs(a - b) for ea, pa in zip(expanded.coeffs, p.coeffs)
+                    for a, b in zip(ea.components, pa.components))
     if worst > tol:
         raise NonConvergenceError(
             f"factor expansion mismatch: max coefficient error {worst:.3e} exceeds {tol:.3e}",
@@ -542,14 +546,14 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
 
     A visited ordering costs a few small-integer operations.  Each
     component's accepted orderings are drawn lazily and kept for the next
-    parent ordering, as tuples of per-slot integer keys (the slot's rank,
-    or its two ranks combined).  Each slot's contents so far get an integer
-    node id level by level, interned by (parent node, slot key); at the
-    last component the lookup gives the integer id of the factor's rounded
-    key, and results are deduplicated on the sorted tuple of those ids.
-    Each slot's factor is built, and its rounded key given an id, once per
-    slot contents (the slot index and each component's root or root pair),
-    and a :class:`Factorization` only for a new result.  The number of
+    parent ordering, as tuples of per-slot integer keys: a linear slot's
+    rank r, a quadratic slot's ranks r1, r2 as (r1 + 1) m + r2, which no
+    rank reaches.  A slot's contents is the tuple of its keys across the
+    components, so it names the slot's factor wherever the slot lies.  One
+    memo maps each contents to its factor, built on first sight, and
+    another to the integer id of that factor's rounded key; results are
+    deduplicated on the sorted tuple of their slots' ids, and a
+    :class:`Factorization` is built only for a new result.  The number of
     distinct results still grows factorially with the degree; ``limit`` is
     the caller's brake.  :func:`format_factorizations` likewise renders
     each distinct factor once.
@@ -598,62 +602,47 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
                         level >= axes or axis_ok([values[r] for r in ordering]))):
                     continue
                 if q:
-                    ordering = (*(ordering[2 * i] * m + ordering[2 * i + 1] for i in range(q)),
-                                *ordering[2 * q:])
+                    quads = ((ordering[2 * i] + 1) * m + ordering[2 * i + 1] for i in range(q))
+                    ordering = (*quads, *ordering[2 * q:])
                 kept.append(ordering)
                 yield ordering
         return orderings
 
     orderings = [accepted(level) for level in range(len(tags))]
-    # node -> {slot key: child}; the slots are the roots, and a child at the last
-    # level is a leaf: one slot contents, with its factor and its key's id
-    children: list[dict[int, int]] = [{} for _ in range(m - q)]
-    leaf_factor: list[HexaPolynomial] = []
-    leaf_id: list[int] = []
+    path: list[tuple[int, ...]] = [()] * len(tags)  # each level's slot keys
+    factors: dict[tuple[int, ...], HexaPolynomial] = {}  # slot contents -> its factor
+    factor_ids: dict[tuple[int, ...], int] = {}  # slot contents -> id of its factor's key
     ids: dict[tuple, int] = {}  # rounded factor key -> its integer id
-    path: list[tuple[int, ...]] = [()] * len(tags)  # each level's slot keys so far
-
-    def slot_roots(level: int, slot: int) -> tuple[complex, ...]:
-        values, key = groups[level][0], path[level][slot]
-        return (values[key // m], values[key % m]) if slot < q else (values[key],)
-
-    def grow(level: int, rows: list[dict[int, int]], keys: tuple[int, ...]) -> None:
-        """Intern the children that ``keys`` reaches and ``rows`` do not hold yet."""
-        for slot, (row, key) in enumerate(zip(rows, keys)):
-            if key in row:
-                continue
-            if level < last:
-                row[key] = len(children)
-                children.append({})
-                continue
-            built = _slot_factor(p.variant, [slot_roots(j, slot) for j in range(len(tags))])
-            row[key] = len(leaf_factor)
-            leaf_factor.append(built)
-            leaf_id.append(ids.setdefault(_factor_key(built), len(ids)))
-
     found: dict[tuple[int, ...], Factorization] = {}
 
-    def search(level: int, parents: list[int]) -> bool:
-        rows = [children[n] for n in parents]
+    def build(contents: tuple[int, ...]) -> None:
+        roots = [(values[key // m - 1], values[key % m]) if key >= m else (values[key],)
+                 for (values, _), key in zip(groups, contents)]
+        factors[contents] = built = _slot_factor(p.variant, roots)
+        factor_ids[contents] = ids.setdefault(_factor_key(built), len(ids))
+
+    def search(level: int) -> bool:
         for keys in orderings[level]():
             path[level] = keys
-            try:
-                nodes = list(map(dict.__getitem__, rows, keys))
-            except KeyError:
-                grow(level, rows, keys)
-                nodes = list(map(dict.__getitem__, rows, keys))
             if level < last:
-                if search(level + 1, nodes):
+                if search(level + 1):
                     return True
                 continue
-            key = tuple(sorted(map(leaf_id.__getitem__, nodes)))
+            slots = list(zip(*path))
+            try:
+                key = tuple(sorted(map(factor_ids.__getitem__, slots)))
+            except KeyError:
+                for contents in slots:
+                    if contents not in factors:
+                        build(contents)
+                key = tuple(sorted(map(factor_ids.__getitem__, slots)))
             if key not in found:
-                found[key] = Factorization(p.variant, tuple(map(leaf_factor.__getitem__, nodes)))
+                found[key] = Factorization(p.variant, tuple(map(factors.__getitem__, slots)))
                 if len(found) >= limit:
                     return True
         return False
 
-    search(0, list(range(m - q)))
+    search(0)
     if not found:
         raise NonConvergenceError("no assignment of component roots to factor slots")
     return list(found.values())

@@ -520,6 +520,18 @@ def test_circle_loop_near_the_top_of_the_range_matches_the_formula(samples):
         assert comparison.max_abs_difference <= 1e-15
 
 
+@pytest.mark.parametrize("samples", [8, 9, 16, 31])
+def test_circle_loop_of_radius_1e308_sums_on_few_nodes(samples):
+    # integrate --samples N u 0 1 1e308: terms of about 1e308 (2 pi / N) each, whose
+    # partial sums overflowed below 32 nodes; the integral is 0 up to rounding
+    for variant in BOTH_VARIANTS:
+        pole = HexaNumber.zero(variant)
+        loop = _integrate_loop(variant, pole, 0j, 1e308, samples)
+        comparison = residue_integral(FUNCTIONS["u"], loop, pole)
+        assert comparison.windings == (1,) + (0,) * (tr.pair_count(variant.is_planar) - 1)
+        assert comparison.max_abs_difference <= 1e-15 * 1e308
+
+
 def test_circle_integral_stops_once_its_sum_is_not_finite():
     # integrate --samples 4194304 u 1.7976931348e308 1 1.0: a plane's sum overflows on the
     # first nodes and would stay so on all 2^22 of them

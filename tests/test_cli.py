@@ -166,6 +166,13 @@ def test_factor_close_and_huge_simple_roots(capsys, argv, factors):
     assert out.count("[u") == factors
 
 
+def test_factor_whose_expansion_overflows_is_a_mismatch(capsys):
+    # polar u^3 + 1e200 (u^2 + u + 1): a product in the expansion that checks the factors
+    # overflows, which differs from the polynomial by inf
+    assert run(capsys, "factor", "1", "1e200", "1e200", "1e200") == (
+        1, "", "error: factor expansion mismatch: max coefficient error inf exceeds 1.000e+192\n")
+
+
 def test_factor_rejects_limit_below_one(capsys):
     for limit in ("0", "-3"):
         code, out, err = run(capsys, "factor", "--all", limit, "1", "2", "3")

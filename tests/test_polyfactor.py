@@ -672,6 +672,8 @@ def _enumeration_cases():
     # repeated component roots, given as leading-first coefficient lists
     for name, variant, coefficients in (("(u-1)^2", Variant.POLAR, (1, -2, 1)),
                                         ("(u-1)^2", Variant.PLANAR, (1, -2, 1)),
+                                        ("(u-1)^3", Variant.POLAR, (1, -3, 3, -1)),
+                                        ("(u-1)^2(u-2)", Variant.PLANAR, (1, -4, 5, -2)),
                                         ("u^2+1", Variant.POLAR, (1, 0, 1)),
                                         ("(u^2+1)^2", Variant.POLAR, (1, 0, 2, 0, 1)),
                                         ("u^4+1", Variant.POLAR, (1, 0, 0, 0, 1))):
@@ -706,13 +708,18 @@ def test_enumeration_builds_one_candidate_per_result(monkeypatch):
 
 
 # Linear and quadratic factors built by a full enumeration: one per distinct
-# slot contents (slot index and each component's root or root pair).  Building
-# every slot of every visited ordering would take 2,304, 55,296, 648 and 144.
+# slot contents (each component's root or root pair), wherever the slot lies.
+# Building every slot of every visited ordering would take 2,304, 55,296, 648
+# and 144 for the first four; one build per slot index and contents, 3, 18 and
+# 12 for the repeated roots of the last three.
 _BUILD_COUNTS = [
     ("planar-deg4", 64, 0),
     ("polar-deg4-pairs0", 256, 0),
     ("polar-deg3-pairs0", 81, 0),
     ("polar-deg4-pairs2", 0, 144),
+    ("polar-(u-1)^3", 1, 0),
+    ("polar-(u^2+1)^2", 0, 9),
+    ("planar-(u-1)^2(u-2)", 8, 0),
 ]
 
 
