@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from itertools import groupby
 from typing import Callable, Iterator, Sequence
 
@@ -253,12 +254,18 @@ def _clusters(cluster: list[complex], coeffs: Sequence[complex],
     derivatives to the 16^m eps that spread stands for: each
     p^(k)(z)/k! within 16^m eps of the same for the |c_i| polynomial at
     |z|.  Close simple roots pass the first test but not the second.  A
-    single approximation is refined on the exact p(z).
+    single approximation is refined on the exact p(z).  For real
+    coefficients, a group that is its own conjugate multiset is a real
+    root, and Newton starts from the real part of its mean.
     """
     m = len(cluster)
     if m == 1 or max(tr.radius(a - b) for a in cluster for b in cluster) <= (
             _CLUSTER_FACTOR * _EPS ** (1.0 / m) * scale):
-        z = _newton(coeffs, sum(cluster) / m, m - 1)
+        mean = sum(cluster) / m
+        if m > 1 and not any(c.imag for c in coeffs) and (
+                Counter(cluster) == Counter(z.conjugate() for z in cluster)):
+            mean = complex(mean.real)  # a real root: drop the rounding residue of the sum
+        z = _newton(coeffs, mean, m - 1)
         if m == 1 or all(tr.radius(t) <= _CLUSTER_FACTOR ** m * _EPS * size.real for t, size in zip(
                 _taylor(coeffs, z, m), _taylor(list(map(tr.radius, coeffs)), tr.radius(z), m))):
             yield z, m
@@ -558,6 +565,11 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
     the caller's brake.  :func:`format_factorizations` likewise renders
     each distinct factor once.
 
+    The search is a loop over an explicit stack of per-level ordering
+    iterators, the last level an inner loop, and no function defined here
+    refers to itself: the search forms no reference cycle, so nothing of it
+    outlives the call, whether it returns or raises.
+
     The conjugate-pair test scales by the modulus of the pair's first
     root, so it is not exactly symmetric in the pair; the two moduli agree
     to rounding, so keeping only the ascending order could drop a pair
@@ -609,7 +621,7 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         return orderings
 
     orderings = [accepted(level) for level in range(len(tags))]
-    path: list[tuple[int, ...]] = [()] * len(tags)  # each level's slot keys
+    path: list[tuple[int, ...]] = [()] * last  # slot keys of each level above the last
     factors: dict[tuple[int, ...], HexaPolynomial] = {}  # slot contents -> its factor
     factor_ids: dict[tuple[int, ...], int] = {}  # slot contents -> id of its factor's key
     ids: dict[tuple, int] = {}  # rounded factor key -> its integer id
@@ -621,14 +633,18 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
         factors[contents] = built = _slot_factor(p.variant, roots)
         factor_ids[contents] = ids.setdefault(_factor_key(built), len(ids))
 
-    def search(level: int) -> bool:
-        for keys in orderings[level]():
-            path[level] = keys
-            if level < last:
-                if search(level + 1):
-                    return True
-                continue
-            slots = list(zip(*path))
+    stack = [orderings[0]()]  # the ordering iterator of each level above the last
+    while stack:
+        keys = next(stack[-1], None)
+        if keys is None:
+            stack.pop()
+            continue
+        path[len(stack) - 1] = keys
+        if len(stack) < last:
+            stack.append(orderings[len(stack)]())
+            continue
+        for keys in orderings[last]():
+            slots = list(zip(*path, keys))
             try:
                 key = tuple(sorted(map(factor_ids.__getitem__, slots)))
             except KeyError:
@@ -639,10 +655,8 @@ def enumerate_factorizations(p: HexaPolynomial, limit: int) -> list[Factorizatio
             if key not in found:
                 found[key] = Factorization(p.variant, tuple(map(factors.__getitem__, slots)))
                 if len(found) >= limit:
-                    return True
-        return False
-
-    search(0)
+                    stack.clear()
+                    break
     if not found:
         raise NonConvergenceError("no assignment of component roots to factor slots")
     return list(found.values())

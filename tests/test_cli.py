@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -16,9 +17,10 @@ import warnings
 import pytest
 
 import hexacomplex
-from hexacomplex import cli
+from hexacomplex import cli, polyfactor
 from hexacomplex.algebra import HexaNumber, Variant
 from hexacomplex.cli import main
+from hexacomplex.errors import DomainError
 from hexacomplex.expressions import MAX_DEPTH
 from hexacomplex.polyfactor import HexaPolynomial, enumerate_factorizations, format_factorization
 
@@ -193,6 +195,56 @@ def test_factor_non_monic_and_zero_divisor_leading(capsys):
     code, out, err = run(capsys, "factor", "1", "1e308 + 1e308 h1")
     assert code == 1 and out == ""
     assert err == "error: canonical component v+ is not finite\n"
+
+
+# Commands whose whole state goes by reference counting when they return: a
+# reference cycle would keep it until the cyclic collector runs.  Usage errors
+# (exit 2) are left out, as argparse's own handlers form cycles.
+_ACYCLIC_COMMANDS = [
+    (("factor", "--all", "1000", "--", "1", "0", "-7", "6"), 0),
+    (("factor", "--planar", "--all", "1000", "--", "1", "0", "-7", "6"), 0),
+    (("factor", "--all", "3", "--", "1", "0", "-7", "6"), 0),  # stops at its limit
+    (("factor", "--", "1", "0", "-7", "6"), 0),
+    (("factor", "--", "1", "1e200", "1e200", "1e200"), 1),
+    (("eval", "exp(1 + h1)"), 0),
+    (("canon", "1 + 2 h1"), 0),
+    (("repr", "1 + h2"), 0),
+    (("table", "g", "--range", "0:1:0.5"), 0),
+    (("integrate", "--samples", "64", "exp", "0", "1", "1.0"), 0),
+    (("eval", "1/(1+h3)"), 1),
+]
+
+
+def test_commands_leave_no_cyclic_garbage(capsys, monkeypatch):
+    poly = HexaPolynomial.from_coefficient_list(
+        [HexaNumber.from_real(Variant.POLAR, c) for c in (1.0, 0.0, -7.0, 6.0)])
+    build = polyfactor._slot_factor
+    built = []
+
+    def failing(variant, groups):
+        built.append(groups)
+        if len(built) > 2:
+            raise DomainError("mid-search")
+        return build(variant, groups)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run(capsys, "eval", "1")  # the first call builds argparse's help formatters, cycles once
+        gc.collect()
+        for argv, code in _ACYCLIC_COMMANDS:
+            assert run(capsys, *argv)[0] == code
+            assert gc.collect() == 0, argv
+        monkeypatch.setattr(polyfactor, "_slot_factor", failing)
+        try:
+            enumerate_factorizations(poly, 1000)
+        except DomainError:
+            pass
+        assert len(built) == 3
+        assert gc.collect() == 0, "enumeration that raises mid-search"
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_table_golden_files(capsys):
@@ -462,7 +514,8 @@ def test_eval_overflow_is_an_error(capsys, expression):
                           "(elementary._apply); perfbench's "
                           "test_edge_inputs_show_the_known_overflow_defect pins this "
                           "traceback until the benchmark is updated with the fix")
-@pytest.mark.parametrize("expression", ["exp(800)", "cosh(1000)", "sinh(800 h3)", "exp(710 h1)"])
+@pytest.mark.parametrize("expression", ["exp(800)", "cosh(1000)", "sinh(800 h3)", "exp(710 h1)",
+                                        "cos(1e308 h2)"])  # cosh(8.7e307) on a plane
 def test_eval_exp_overflow_is_an_error(capsys, expression):
     code, out, err = run(capsys, "eval", expression)
     assert code == 1 and out == "" and err.startswith("error:")

@@ -345,6 +345,39 @@ def test_component_roots_multiplicity(name, tag):
         assert abs(a - b) <= bound
 
 
+def _repeated_real_root_cases(seed: int, count: int) -> list[list[float]]:
+    """Roots of (u - a)^m, m = 3 or 4, a = k/16 with |k| <= 64, half of them times
+    (u - b) with b = j/16, |j| <= 64, at least 1/2 from a."""
+    rng = random.Random(seed)
+    cases = [[3.25] * 4 + [3.875]]
+    while len(cases) < count:
+        a = rng.randint(-64, 64) / 16
+        roots = [a] * rng.choice((3, 4))
+        if rng.random() < 0.5:
+            b = rng.randint(-64, 64) / 16
+            if abs(b - a) < 0.5:
+                continue
+            roots.append(b)
+        cases.append(roots)
+    return cases
+
+
+@pytest.mark.parametrize("variant", BOTH_VARIANTS)
+def test_repeated_real_roots_have_real_factors(variant):
+    # the approximations of a real multiple root come in conjugate pairs whose mean keeps
+    # an imaginary residue of about 1e-20, which Newton on p^(m-1) shrinks but never
+    # clears: (u - 3.25)^4 (u - 3.875) printed 3.25 - 3.3e-73 h1 + ... four times
+    for roots in _repeated_real_root_cases(1, 300):
+        coefficients = _monic_from_roots([complex(r) for r in roots], real=True)
+        poly = HexaPolynomial.from_coefficient_list(
+            [HexaNumber.from_real(variant, c) for c in (1.0, *coefficients)])
+        found = factor(poly)
+        assert all(f.degree == 1 and not any(f.coeffs[0].components[1:])
+                   for f in found.factors), (roots, format_factorization(found))
+        got = sorted(-f.coeffs[0].components[0] for f in found.factors)
+        assert max(abs(a - b) for a, b in zip(got, sorted(roots))) <= 1e-13, roots
+
+
 # Simple roots closer than a double root spreads under rounding.  The roots
 # themselves are conditioned only to about 1e-6, so the check is that they
 # stay distinct and that every factorization expands back to the polynomial.
